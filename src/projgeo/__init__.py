@@ -44,6 +44,7 @@ from .geo import (
     geodesic_point,
     minimal_exponent,
     partial_isometry,
+    position_exponent,
     rho_length,
     unique_geodesic,
     verify_geodesic,
@@ -77,6 +78,7 @@ from .numkit import (
 )
 from .projlat import (
     HalmosParts,
+    Position,
     Projection,
     complement,
     davis_symmetry,
@@ -84,6 +86,7 @@ from .projlat import (
     halmos_decompose,
     make_projection,
     meet,
+    position,
     principal_angles,
 )
 

@@ -155,14 +155,15 @@ def cmd_geodesic(args) -> dict:
     tol = _tolerance(args)
     p = _load_projection(args.p_file, tol)
     q = _load_projection(args.q_file, tol)
-    g = geo.minimal_exponent(p, q)
+    pos = projlat.position(p, q)
+    g = geo.position_exponent(pos)
     res = geo.verify_geodesic(g)
     ts = _float_list(args.t)
     rhos = _float_list(args.rho)
     tr = factor.NormalizedTrace(factor.FiniteAlgebra.full(p.n))
     points = {t: geo.geodesic_point(g, t) for t in ts}
     results = {
-        "distance": geo.geodesic_distance(p, q),
+        "distance": pos.distance(),
         "rho_lengths": {repr(r): geo.rho_length(g, r, tr) for r in rhos},
         "t_samples": [float(t) for t in ts],
         "residuals": {

@@ -121,9 +121,9 @@ def hopf_rinow_certify(a: FiniteAlgebra, p: Projection,
             raise NotMember("projection is not a member of the algebra")
     ranks = []
     for sl in a.slices():
-        parts = projlat.halmos_decompose(_block_projection(p, sl),
-                                         _block_projection(q, sl))
-        ranks.append((parts.e10.rank, parts.e01.rank))
+        _, _, r10, r01, _ = projlat.position(_block_projection(p, sl),
+                                             _block_projection(q, sl)).ranks()
+        ranks.append((r10, r01))
     exists = all(r10 == r01 for r10, r01 in ranks)
     if len(a.blocks) == 1 and p.rank == q.rank and not exists:
         raise InternalConsistencyError(
@@ -171,10 +171,11 @@ def multi_geodesics(p: Projection, q: Projection, count: int, rho: float,
         raise RankMismatch(f"ranks differ: {p.rank} vs {q.rank}")
     if numkit.operator_norm(p.m @ q.m) > p.tol.atol_structure:
         raise InvariantViolation("projections must be orthogonal (pq = 0)")
+    pos = projlat.position(p, q)
     out = []
     for i in range(count):
         w = geo.partial_isometry(p, q, seed=i + 1)
-        g = geo.minimal_exponent(p, q, w=w)
+        g = geo.position_exponent(pos, w)
         out.append((g, geo.rho_length(g, rho, t)))
     return out
 

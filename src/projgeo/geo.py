@@ -9,26 +9,18 @@ normalized when the operator norm of z is at most pi/2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import numkit, projlat
-from .errors import (
-    BadRho,
-    DimensionMismatch,
-    InternalConsistencyError,
-    InvariantViolation,
-    NoGeodesic,
-    RankMismatch,
-    TooFewPoints,
-)
+from .errors import (BadRho, DimensionMismatch, InternalConsistencyError,
+                     InvariantViolation, RankMismatch, TooFewPoints)
 from .numkit import adjoint, operator_norm
-from .projlat import HalmosParts, Projection
+from .projlat import Position, Projection
 
-HALF_PI = math.pi / 2
+HALF_PI = np.pi / 2
 
 # Endpoint contract for constructed exponents: ||e^z p e^{-z} - q||.
 ENDPOINT_ATOL = 1e-8
@@ -71,19 +63,13 @@ def geodesic_exists(p: Projection, q: Projection) -> bool:
     equality, so this is exactly the existence criterion for a geodesic
     joining p and q.
     """
-    if p.n != q.n:
-        raise DimensionMismatch(f"ambient dimensions differ: {p.n} vs {q.n}")
-    parts = projlat.halmos_decompose(p, q)
-    return parts.e10.rank == parts.e01.rank
+    return projlat.position(p, q).exists()
 
 
 def unique_geodesic(p: Projection, q: Projection) -> bool:
     """True iff both wedge parts vanish (so the normalized geodesic is
     unique); requires a geodesic to exist at all."""
-    parts = projlat.halmos_decompose(p, q)
-    if parts.e10.rank != parts.e01.rank:
-        raise NoGeodesic("rank(p^q') != rank(p'^q): no geodesic exists")
-    return parts.e10.rank == 0
+    return projlat.position(p, q).unique()
 
 
 def partial_isometry(source: Projection, target: Projection,
@@ -110,76 +96,42 @@ def partial_isometry(source: Projection, target: Projection,
     return PartialIsometry(w=w, source=source, target=target)
 
 
-def _wedge_exponent(w: np.ndarray) -> np.ndarray:
-    # i (pi/2) (w + w*) swaps the two wedge parts: e^z = i (w + w*) there.
-    return 1j * HALF_PI * (w + adjoint(w))
-
-
-def _generic_exponent(p: Projection, q: Projection,
-                      parts: HalmosParts) -> np.ndarray:
-    """Exponent on the generic part, via the polar factor of p + q - 1.
-
-    The compressed unitary u must carry p0 to q0; both orderings of the
-    product of the polar factor v0 with the symmetry 2 p0 - 1 are tried
-    and the one meeting the conjugation contract wins.
-    """
-    basis = projlat.range_basis(parts.e0)
-    dim = parts.e0.rank
-    p0 = projlat.compress(p.m, basis)
-    q0 = projlat.compress(q.m, basis)
-    v0 = numkit.polar_unitary(p0 + q0 - np.eye(dim), p.tol)
-    sym = 2 * p0 - np.eye(dim)
-    for u in (sym @ v0, v0 @ sym):
-        if operator_norm(u @ p0 @ adjoint(u) - q0) <= ENDPOINT_ATOL:
-            break
-    else:
-        raise InternalConsistencyError(
-            "neither ordering of the polar factor conjugates p0 to q0")
-    z0 = numkit.log_unitary_principal(u, p.tol)
-    return basis @ z0 @ adjoint(basis)
-
-
 def minimal_exponent(p: Projection, q: Projection,
                      w: PartialIsometry | None = None) -> GeodesicExponent:
     """Construct a normalized exponent z with e^z p e^{-z} = q.
 
     z vanishes on p^q and p'^q', equals i(pi/2)(w + w*) on the two wedge
     parts (w defaulting to the deterministic partial isometry between
-    them), and on the generic part is the principal logarithm of the
-    polar-factor unitary. Raises NoGeodesic when the wedge ranks differ.
+    them), and on each generic plane is the rotation by its principal
+    angle. Raises NoGeodesic when the wedge ranks differ.
     """
-    if p.n != q.n:
-        raise DimensionMismatch(f"ambient dimensions differ: {p.n} vs {q.n}")
-    n = p.n
+    return position_exponent(projlat.position(p, q), w)
+
+
+def position_exponent(pos: Position,
+                      w: PartialIsometry | None = None) -> GeodesicExponent:
+    """:func:`minimal_exponent` of the pair of a position already built."""
+    p, q = pos.p, pos.q
     if operator_norm(p.m - q.m) <= p.tol.atol_structure:
-        return GeodesicExponent(z=np.zeros((n, n), dtype=np.complex128), p=p, q=q)
-    parts = projlat.halmos_decompose(p, q)
-    if parts.e10.rank != parts.e01.rank:
-        raise NoGeodesic(
-            f"rank(p^q') = {parts.e10.rank} != {parts.e01.rank} = rank(p'^q)")
-    z = np.zeros((n, n), dtype=np.complex128)
-    if parts.e10.rank > 0:
+        return GeodesicExponent(z=np.zeros((p.n, p.n), dtype=np.complex128), p=p, q=q)
+    # the rotation by theta_j carrying x_j to cos(theta_j) x_j + sin(theta_j) u_j
+    th, x, u = pos.angles, pos.x, pos.u
+    z = (u * th) @ adjoint(x) - (x * th) @ adjoint(u)
+    if not pos.unique():
         if w is None:
-            w = partial_isometry(parts.e10, parts.e01)
-        else:
-            ok = (operator_norm(adjoint(w.w) @ w.w - parts.e10.m) <= ENDPOINT_ATOL
-                  and operator_norm(w.w @ adjoint(w.w) - parts.e01.m) <= ENDPOINT_ATOL)
-            if not ok:
-                raise InvariantViolation(
-                    "supplied isometry does not witness p^q' ~ p'^q")
-        z = z + _wedge_exponent(w.w)
-    if parts.e0.rank > 0:
-        z = z + _generic_exponent(p, q, parts)
+            w = partial_isometry(pos.e10, pos.e01)
+        elif (operator_norm(adjoint(w.w) @ w.w - pos.e10.m) > ENDPOINT_ATOL
+              or operator_norm(w.w @ adjoint(w.w) - pos.e01.m) > ENDPOINT_ATOL):
+            raise InvariantViolation("supplied isometry does not witness p^q' ~ p'^q")
+        # swaps the two wedge parts: e^z = i (w + w*) there
+        z = z + 1j * HALF_PI * (w.w + adjoint(w.w))
     z = (z - adjoint(z)) / 2
     g = GeodesicExponent(z=z, p=p, q=q)
     res = verify_geodesic(g)
     if res.max() > ENDPOINT_ATOL:
-        # reachable only when a generic angle sits inside the spectral
-        # classification width of pi/2, so the plane was absorbed into
-        # the wedge parts and exact codiagonality is lost at that scale
         raise InternalConsistencyError(
             f"constructed exponent fails verification ({res}); the pair "
-            "has angle data at the wedge-classification boundary")
+            "has angle data at the meet or wedge classification boundary")
     return g
 
 
@@ -195,14 +147,7 @@ def geodesic_distance(p: Projection, q: Projection) -> float:
     Equals pi/2 as soon as the wedge parts are nonzero, and the largest
     principal angle otherwise.
     """
-    parts = projlat.halmos_decompose(p, q)
-    if parts.e10.rank != parts.e01.rank:
-        raise NoGeodesic("no geodesic: wedge ranks differ")
-    d = HALF_PI if parts.e10.rank > 0 else 0.0
-    angles = projlat.principal_angles(p, q)
-    if angles.size:
-        d = max(d, float(angles[-1]))
-    return d
+    return projlat.position(p, q).distance()
 
 
 def rho_length(g: GeodesicExponent, rho: float, trace=None) -> float:

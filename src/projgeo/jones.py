@@ -177,7 +177,7 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
     """
     mats = spanning_matrices(spec, n)
     basis = _orthonormal_range(mats, n, tol)
-    members = [unvec(basis[:, j], n) for j in range(basis.shape[1])]
+    members = _members(basis, n)
     checks = [_span_residual(basis, np.eye(n))]
     checks += [_span_residual(basis, adjoint(x)) for x in members]
     checks += [_span_residual(basis, x @ y) for x in members for y in members]
@@ -212,8 +212,8 @@ class ExpectationAxioms:
                    self.trace, self.bimodule, self.closure)
 
 
-def _range_members(big: Projection, n: int) -> list[np.ndarray]:
-    basis = projlat.range_basis(big)
+def _members(basis: np.ndarray, n: int) -> list[np.ndarray]:
+    """The columns of an n^2 x r basis, as n x n matrices."""
     return [unvec(basis[:, j], n) for j in range(basis.shape[1])]
 
 
@@ -222,7 +222,8 @@ def expectation_axioms(big: Projection, n: int, samples: int = 4,
     """Measure the conditional-expectation axioms for a projection acting
     on HS(M_n), against its own range algebra."""
     P = big.m
-    members = _range_members(big, n)
+    basis = projlat.range_basis(big)
+    members = _members(basis, n)
     rng = np.random.default_rng(seed)
     xs = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
           for _ in range(samples)]
@@ -239,15 +240,10 @@ def expectation_axioms(big: Projection, n: int, samples: int = 4,
         for b in members:
             for x in xs:
                 bimod = max(bimod, operator_norm(E(a @ x @ b) - a @ E(x) @ b))
-    closure = max((_span_residual_proj(P, a @ b) for a in members for b in members),
+    closure = max((_span_residual(basis, a @ b) for a in members for b in members),
                   default=0.0)
     return ExpectationAxioms(idempotent=idem, unital=unital, star=star,
                              trace=float(tr), bimodule=bimod, closure=closure)
-
-
-def _span_residual_proj(P: np.ndarray, x: np.ndarray) -> float:
-    v = vec(x)
-    return float(np.linalg.norm(v - P @ v))
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +292,9 @@ def jones_pair(m: int, k: int, tol: ToleranceProfile = DEFAULT_TOL) -> JonesPair
     q = projlat.make_projection(qm, tol)
     if operator_norm(pm @ qm @ pm - tau * pm) > 1e-10:
         raise InternalConsistencyError("angle relation p q p = tau p fails")
-    parts = projlat.halmos_decompose(p, q)
-    if parts.ranks() != (0, n - 2 * k, 0, 0, 2 * k):
-        raise InternalConsistencyError(f"unexpected position ranks {parts.ranks()}")
+    ranks = projlat.position(p, q).ranks()
+    if ranks != (0, n - 2 * k, 0, 0, 2 * k):
+        raise InternalConsistencyError(f"unexpected position ranks {ranks}")
     return JonesPair(p=p, q=q, tau=tau, m=m, k=k)
 
 
@@ -324,14 +320,15 @@ def index_distance(jp: JonesPair):
     raising InvariantViolation when the check fails (the raised error
     carries the computed and the expected value).
     """
-    d = geo.geodesic_distance(jp.p, jp.q)
+    pos = projlat.position(jp.p, jp.q)
+    d = pos.distance()
     closed = math.acos(math.sqrt(jp.tau))
     if abs(d - closed) > IDX_ATOL:
         raise InvariantViolation(
             f"distance {d!r} != arccos(sqrt(tau)) = {closed!r}",
             computed=d, expected=closed)
     tr = NormalizedTrace(FiniteAlgebra.full(jp.n))
-    g = geo.minimal_exponent(jp.p, jp.q)
+    g = geo.position_exponent(pos)
 
     def d_rho(rho: float) -> float:
         val = geo.rho_length(g, rho, tr)
@@ -373,10 +370,6 @@ class ExpectationPath:
         """Gamma_t(x): the propagator of the transport equation."""
         u = numkit.exp_skew(t * self.z.z, self.z.p.tol)
         return unvec(u @ vec(numkit.as_complex(x)), self.n)
-
-    def algebra_members_at(self, t: float) -> list[np.ndarray]:
-        """Matrices spanning the range algebra of the expectation at t."""
-        return _range_members(self.projection_at(t), self.n)
 
 
 def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
@@ -465,7 +458,7 @@ def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
     subalgebra (its basis together with the projections of ``xs``).
     """
     xs = [numkit.as_complex(x) for x in xs]
-    members = _range_members(path.end0.big, path.n)
+    members = _members(projlat.range_basis(path.end0.big), path.n)
     members += [path.end0.expect(x) for x in xs]
     intertwine = mult = star = 0.0
     for t in ts:

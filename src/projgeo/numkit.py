@@ -32,6 +32,12 @@ class ToleranceProfile:
     atol_spectral is the eigenvalue-classification width (meets, branch
     cuts), and atol_rank is a base factor scaled by ``n * smax`` wherever a
     numerical rank cutoff is needed.
+
+    A principal plane of a pair joins a meet (wedge) part when the cosine
+    (sine) of its angle is within atol_spectral of 1. Since
+    cos(theta) ~ 1 - theta^2 / 2, the width in angle space is about
+    sqrt(2 atol_spectral): 1.41e-3 at the default 1e-6, from 0 and from
+    pi/2 alike.
     """
 
     atol_structure: float = 1e-8

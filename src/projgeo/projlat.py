@@ -1,21 +1,25 @@
-"""The projection lattice: validated projections, meets, the five-part
-position decomposition of a pair, the reflection symmetry of the generic
-part, and principal angles.
+"""The projection lattice: validated projections, meets, the relative
+position of a pair (its five parts, principal angles and principal
+vectors) and the reflection symmetry of its generic part.
 
-Meets are computed by spectral clustering of p + q at eigenvalue 2, so
-their accuracy is tied directly to the kernel's eigensolver contract.
+A position comes from one SVD of Bp* Bq over orthonormal range bases
+(Bjorck & Golub). A plane joins a meet when the cosine of its principal
+angle is within atol_spectral of 1 and a wedge when its sine is: an
+angle width of about sqrt(2 atol_spectral), 1.41e-3 by default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from . import numkit
-from .errors import DimensionMismatch, NoGenericPart, NotProjection, RankDeficient
-from .numkit import DEFAULT_TOL, ToleranceProfile, adjoint, operator_norm
+from .errors import (DimensionMismatch, NoGenericPart, NoGeodesic,
+                     NotProjection, RankDeficient)
+from .numkit import DEFAULT_TOL, ToleranceProfile, adjoint
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,6 +39,16 @@ class Projection:
         return self.m.shape[0]
 
 
+def _residuals(m: np.ndarray):
+    """Operator-norm residuals ||m - m*|| (m - m* is normal) and ||sym^2 - sym||
+    (eigenvalues lam^2 - lam), with sym = (m + m*)/2 and its spectrum."""
+    herm = float(np.abs(np.linalg.eigvalsh(1j * (m - adjoint(m)))).max())
+    sym = (m + adjoint(m)) / 2
+    eigs = np.linalg.eigvalsh(sym)
+    idem = float(np.abs(eigs * eigs - eigs).max())
+    return herm, sym, eigs, idem
+
+
 def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
     """Validate and wrap a matrix as an orthogonal projection.
 
@@ -42,17 +56,13 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
     and spectral checks, but a Hermiticity residual above atol_structure
     in the original input is already grounds for rejection.
     """
-    m = numkit.as_complex(m)
-    herm = operator_norm(m - adjoint(m))
+    herm, sym, eigs, idem = _residuals(numkit.as_complex(m))
     if herm > tol.atol_structure:
         raise NotProjection(f"Hermiticity residual {herm:.3e} > atol_structure")
-    sym = (m + adjoint(m)) / 2
-    idem = operator_norm(sym @ sym - sym)
     if idem > tol.atol_structure:
         raise NotProjection(f"idempotency residual {idem:.3e} > atol_structure")
-    eigs = np.linalg.eigvalsh(sym)
     off = np.minimum(np.abs(eigs), np.abs(eigs - 1.0))
-    if off.size and off.max() > tol.atol_spectral:
+    if off.max() > tol.atol_spectral:
         raise NotProjection("spectrum not within atol_spectral of {0, 1}")
     sym.flags.writeable = False
     return Projection(m=sym, tol=tol, rank=int((eigs > 0.5).sum()))
@@ -78,52 +88,108 @@ def complement(p: Projection) -> Projection:
 
 
 def meet(p: Projection, q: Projection) -> Projection:
-    """Projection onto range(p) intersect range(q).
-
-    Computed as the spectral projection of p + q onto the eigenvalue
-    cluster at 2 (width atol_spectral).
-    """
-    if p.n != q.n:
-        raise DimensionMismatch(f"ambient dimensions differ: {p.n} vs {q.n}")
-    w, u = np.linalg.eigh(p.m + q.m)
-    sel = w >= 2.0 - p.tol.atol_spectral
-    if not sel.any():
-        return make_projection(np.zeros((p.n, p.n)), p.tol)
-    b = u[:, sel]
-    return make_projection(b @ adjoint(b), p.tol)
+    """Projection onto range(p) intersect range(q): the e11 part of the
+    position, which counts angles below ~sqrt(2 atol_spectral) as zero."""
+    return position(p, q).e11
 
 
 @dataclass(frozen=True, eq=False)
-class HalmosParts:
-    """Five mutually orthogonal projections commuting with both p and q.
+class Position:
+    """The relative position of a pair (p, q), built once by :func:`position`.
 
-    e11 = p ^ q, e00 = p' ^ q', e10 = p ^ q', e01 = p' ^ q, and e0 is the
-    remainder (the generic part), where ' denotes the complement.
+    Principal vectors x_j of p and y_j of q (x_j* y_j = cos theta_j) span
+    orthogonal planes. If cos theta_j >= 1 - atol_spectral, x_j + y_j lies
+    in e11 = p ^ q and x_j - y_j in e00 = p' ^ q'; if sin theta_j >= 1 -
+    atol_spectral, the symmetric orthonormalization of (x_j, y_j) lies in
+    e10 = p ^ q' and e01 = p' ^ q, as do unpaired principal vectors. In
+    angle space either width is about sqrt(2 atol_spectral), 1.41e-3 by
+    default. The other planes form the generic part e0: ``x``, ``u`` =
+    (y_j - cos theta_j x_j)/sin theta_j and ascending ``angles``. The five
+    orthogonal parts sum to 1 and are validated when first read.
     """
 
-    e11: Projection
-    e00: Projection
-    e10: Projection
-    e01: Projection
-    e0: Projection
+    p: Projection
+    q: Projection
+    b11: np.ndarray  # orthonormal bases of e11,
+    b10: np.ndarray  # e10
+    b01: np.ndarray  # and e01
+    x: np.ndarray
+    u: np.ndarray
+    angles: np.ndarray
 
     def ranks(self) -> tuple[int, int, int, int, int]:
-        return (self.e11.rank, self.e00.rank, self.e10.rank,
-                self.e01.rank, self.e0.rank)
+        """Ranks of (e11, e00, e10, e01, e0)."""
+        r = [b.shape[1] for b in (self.b11, self.b10, self.b01)] + [2 * self.angles.size]
+        return (r[0], self.p.n - sum(r), r[1], r[2], r[3])
+
+    def _span(self, *bases) -> Projection:
+        b = np.hstack(bases)
+        return make_projection(b @ adjoint(b), self.p.tol)
+
+    e11 = cached_property(lambda self: self._span(self.b11))
+    e10 = cached_property(lambda self: self._span(self.b10))
+    e01 = cached_property(lambda self: self._span(self.b01))
+    e0 = cached_property(lambda self: self._span(self.x, self.u))
+
+    @cached_property
+    def e00(self) -> Projection:
+        b = np.hstack([self.b11, self.b10, self.b01, self.x, self.u])
+        return make_projection(np.eye(self.p.n) - b @ adjoint(b), self.p.tol)
+
+    def exists(self) -> bool:
+        return self.b10.shape[1] == self.b01.shape[1]
+
+    def unique(self) -> bool:
+        """No wedge parts; raises NoGeodesic when no geodesic exists."""
+        if not self.exists():
+            raise NoGeodesic(f"rank(p^q') = {self.b10.shape[1]} != "
+                             f"{self.b01.shape[1]} = rank(p'^q)")
+        return self.b10.shape[1] == 0
+
+    def distance(self) -> float:
+        if not self.unique():
+            return np.pi / 2
+        return float(self.angles.max(initial=0.0))
+
+
+HalmosParts = Position  # the five-part decomposition is read from the position
+
+
+def position(p: Projection, q: Projection) -> Position:
+    """The :class:`Position` of p and q: one eigh per range, one SVD."""
+    if p.n != q.n:
+        raise DimensionMismatch(f"ambient dimensions differ: {p.n} vs {q.n}")
+    atol = p.tol.atol_spectral
+    bp, bq = (np.linalg.eigh(r.m)[1][:, r.n - r.rank:] for r in (p, q))
+    left, cos, right_h = np.linalg.svd(adjoint(bp) @ bq)
+    xs, ys = bp @ left, bq @ adjoint(right_h)
+    k = cos.size
+    x, y = xs[:, :k], ys[:, :k]
+    cos = np.clip(cos, 0.0, 1.0)
+    meets = cos >= 1.0 - atol
+    wedges = ~meets & (np.sqrt(1.0 - cos * cos) >= 1.0 - atol)
+    gen = ~(meets | wedges)
+    both = x[:, meets] + y[:, meets]
+    # symmetric (Lowdin) orthonormalization of (x, y): the Gram matrix
+    # [[1, c], [c, 1]] has inverse square root [[a+b, a-b], [a-b, a+b]]/2
+    c, xw, yw = cos[wedges], x[:, wedges], y[:, wedges]
+    a, b = 1.0 / np.sqrt(1.0 + c), 1.0 / np.sqrt(1.0 - c)
+    d = y[:, gen] - cos[gen] * x[:, gen]
+    s = np.linalg.norm(d, axis=0)
+    angles = np.arctan2(s, cos[gen])
+    order = np.argsort(angles)
+    arrays = (both / np.linalg.norm(both, axis=0),
+              np.hstack([((a + b) * xw + (a - b) * yw) / 2, xs[:, k:]]),
+              np.hstack([((a - b) * xw + (a + b) * yw) / 2, ys[:, k:]]),
+              x[:, gen][:, order], (d / s)[:, order], angles[order])
+    for arr in arrays:
+        arr.flags.writeable = False
+    return Position(p, q, *arrays)
 
 
 def halmos_decompose(p: Projection, q: Projection) -> HalmosParts:
     """Split the ambient space by the relative position of p and q."""
-    if p.n != q.n:
-        raise DimensionMismatch(f"ambient dimensions differ: {p.n} vs {q.n}")
-    pc, qc = complement(p), complement(q)
-    e11 = meet(p, q)
-    e00 = meet(pc, qc)
-    e10 = meet(p, qc)
-    e01 = meet(pc, q)
-    rem = np.eye(p.n) - e11.m - e00.m - e10.m - e01.m
-    e0 = make_projection(rem, p.tol)
-    return HalmosParts(e11=e11, e00=e00, e10=e10, e01=e01, e0=e0)
+    return position(p, q)
 
 
 def range_basis(p: Projection) -> np.ndarray:
@@ -149,31 +215,19 @@ def compress(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def davis_symmetry(p: Projection, q: Projection) -> np.ndarray:
     """Self-adjoint unitary v0 on the generic part with v0 (p-q) v0 = q-p.
 
-    v0 is the polar factor of p + q - 1 restricted to the generic part,
-    embedded back as an n x n matrix supported on range(e0), so that
-    v0* = v0 and v0^2 = e0.
+    v0 is the polar factor of p + q - 1 on the generic part, embedded as
+    an n x n matrix with v0* = v0 and v0^2 = e0. In the basis (x, u) of a
+    generic plane, p + q - 1 = cos(theta) [[cos theta, sin theta],
+    [sin theta, -cos theta]], and that reflection is its polar factor.
     """
-    parts = halmos_decompose(p, q)
-    if parts.e0.rank == 0:
+    pos = position(p, q)
+    if pos.angles.size == 0:
         raise NoGenericPart("the pair has no generic part")
-    basis = range_basis(parts.e0)
-    b0 = compress(p.m + q.m, basis) - np.eye(parts.e0.rank)
-    v0 = numkit.polar_unitary(b0, p.tol)
-    return basis @ v0 @ adjoint(basis)
+    c, s, x, u = np.cos(pos.angles), np.sin(pos.angles), pos.x, pos.u
+    return (x * c + u * s) @ adjoint(x) + (x * s - u * c) @ adjoint(u)
 
 
 def principal_angles(p: Projection, q: Projection) -> np.ndarray:
-    """Ascending principal angles of the generic part, in (0, pi/2].
-
-    These are arccos(sqrt(lambda)) over the spectrum of q compressed to
-    the range of p restricted to the generic part, counted with
-    multiplicity; the list is empty when the projections commute.
-    """
-    parts = halmos_decompose(p, q)
-    if parts.e0.rank == 0:
-        return np.zeros(0)
-    pg = make_projection(parts.e0.m @ p.m @ parts.e0.m, p.tol)
-    basis = range_basis(pg)
-    lam = np.linalg.eigvalsh(compress(q.m, basis))
-    lam = np.clip(lam, 0.0, 1.0)
-    return np.sort(np.arccos(np.sqrt(lam)))
+    """Ascending principal angles of the generic part, in (0, pi/2),
+    counted with multiplicity; empty when the projections commute."""
+    return position(p, q).angles.copy()

@@ -33,8 +33,9 @@ def structured_pair(n11: int, n00: int, n10: int, n01: int, angles,
 
     Returns (p, q, info) where info records the ambient dimension and the
     intended ranks (e11, e00, e10, e01, e0). Angles must avoid 0 and
-    pi/2 by more than the spectral classification width, otherwise the
-    corresponding plane is absorbed into a meet or wedge part.
+    pi/2 by more than the classification width, about
+    sqrt(2 atol_spectral) in angle space (1.41e-3 by default), otherwise
+    the corresponding plane is absorbed into a meet or wedge part.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     g = angles.size
@@ -69,8 +70,10 @@ def random_pair(n: int, rng: np.random.Generator, force_wedge: bool = False,
     """Random pair in M_n with a randomly drawn position structure.
 
     With force_wedge the pair always has equal wedge ranks >= 1 (so a
-    geodesic exists but is not unique). Generic angles are kept away
-    from 0 and pi/2 so the spectral classification is unambiguous.
+    geodesic exists but is not unique). Generic angles are drawn from
+    [0.05, pi/2 - 0.05], far outside the classification width of about
+    sqrt(2 atol_spectral) (1.41e-3 by default) at 0 and pi/2, so the
+    classification is unambiguous.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -97,14 +100,14 @@ def random_pair(n: int, rng: np.random.Generator, force_wedge: bool = False,
 
 
 def spectral_symmetry_residual(p: Projection, q: Projection,
-                               parts: projlat.HalmosParts | None = None) -> float:
+                               pos: projlat.Position | None = None) -> float:
     """How far the spectrum of p - q on the generic part is from being
     symmetric about the origin (0.0 when there is no generic part)."""
-    if parts is None:
-        parts = projlat.halmos_decompose(p, q)
-    if parts.e0.rank == 0:
+    if pos is None:
+        pos = projlat.position(p, q)
+    if pos.angles.size == 0:
         return 0.0
-    basis = projlat.range_basis(parts.e0)
+    basis = np.hstack([pos.x, pos.u])
     lam = np.linalg.eigvalsh(projlat.compress(p.m - q.m, basis))
     return float(np.abs(lam + lam[::-1]).max())
 
@@ -116,43 +119,43 @@ def pair_diagnostics(p: Projection, q: Projection, seeds=(1, 2)) -> dict:
     the exponent contract, the wedge intertwining, spectral symmetry,
     and (for non-unique pairs) distinctness of seeded exponents.
     """
-    parts = projlat.halmos_decompose(p, q)
+    pos = projlat.position(p, q)
     eye = np.eye(p.n)
-    mats = [parts.e11.m, parts.e00.m, parts.e10.m, parts.e01.m, parts.e0.m]
+    mats = [pos.e11.m, pos.e00.m, pos.e10.m, pos.e01.m, pos.e0.m]
     sum_residual = operator_norm(sum(mats) - eye)
     commutator = max(operator_norm(e @ r.m - r.m @ e)
                      for e in mats for r in (p, q))
     pairwise = max((operator_norm(a @ b) for i, a in enumerate(mats)
                     for b in mats[i + 1:]), default=0.0)
-    exists = parts.e10.rank == parts.e01.rank
+    exists = pos.exists()
     report = {
         "n": p.n,
-        "ranks": list(parts.ranks()),
+        "ranks": list(pos.ranks()),
         "halmos_sum_residual": float(sum_residual),
         "halmos_commutator_residual": float(commutator),
         "halmos_pairwise_residual": float(pairwise),
-        "spectral_symmetry_residual": spectral_symmetry_residual(p, q, parts),
+        "spectral_symmetry_residual": spectral_symmetry_residual(p, q, pos),
         "exists": bool(exists),
-        "angles": [float(a) for a in projlat.principal_angles(p, q)],
+        "angles": [float(a) for a in pos.angles],
     }
     if not exists:
         return report
-    report["unique"] = parts.e10.rank == 0
-    g = geo.minimal_exponent(p, q)
+    report["unique"] = pos.unique()
+    g = geo.position_exponent(pos)
     res = geo.verify_geodesic(g)
     ez = numkit.exp_skew(g.z, p.tol)
     report.update({
-        "distance": geo.geodesic_distance(p, q),
+        "distance": pos.distance(),
         "exponent_skewness": res.skewness,
         "exponent_codiagonality": res.codiagonality,
         "exponent_norm_excess": res.norm_bound,
         "exponent_endpoint": res.endpoint,
         "wedge_intertwine": float(operator_norm(
-            ez @ parts.e10.m @ adjoint(ez) - parts.e01.m)),
+            ez @ pos.e10.m @ adjoint(ez) - pos.e01.m)),
     })
-    if parts.e10.rank > 0:
-        zs = [geo.minimal_exponent(
-            p, q, geo.partial_isometry(parts.e10, parts.e01, seed=s)).z
+    if pos.e10.rank > 0:
+        zs = [geo.position_exponent(
+            pos, geo.partial_isometry(pos.e10, pos.e01, seed=s)).z
             for s in seeds]
         report["seeded_exponent_gap"] = float(operator_norm(zs[0] - zs[1]))
     return report

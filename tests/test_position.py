@@ -1,0 +1,146 @@
+"""The relative position of a pair: its parts against an independent
+null-space oracle, planes inside the classification width, one position
+per diagnostic battery, a ceiling on dense kernel calls, and the
+eigenvalue form of make_projection's residuals."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import projgeo as pg
+from projgeo import jones, projlat, sampling
+from projgeo.errors import NotProjection
+
+from _helpers import adj, meet_oracle
+
+
+def part_matrices(pos):
+    return [pos.e11.m, pos.e00.m, pos.e10.m, pos.e01.m, pos.e0.m]
+
+
+def oracle_parts(p, q):
+    eye = np.eye(p.n)
+    meets = [meet_oracle(a, b) for a, b in
+             ((p.m, q.m), (eye - p.m, eye - q.m), (p.m, eye - q.m), (eye - p.m, q.m))]
+    return meets + [eye - sum(meets)]
+
+
+def split_residuals(pos, p, q):
+    """Sum, pairwise and commutator residuals of the five parts."""
+    mats = part_matrices(pos)
+    total = pg.operator_norm(sum(mats) - np.eye(p.n))
+    pairwise = max(pg.operator_norm(a @ b)
+                   for i, a in enumerate(mats) for b in mats[i + 1:])
+    commutator = max(pg.operator_norm(e @ r.m - r.m @ e)
+                     for e in mats for r in (p, q))
+    return total, pairwise, commutator
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_parts_match_oracle_and_ground_truth(n):
+    rng = np.random.default_rng(40 + n)
+    for i in range(8):
+        p, q, info = sampling.random_pair(n, rng, force_wedge=(i % 2 == 0))
+        pos = projlat.position(p, q)
+        assert pos.ranks() == info["ranks"]
+        assert tuple(e.rank for e in (pos.e11, pos.e00, pos.e10, pos.e01, pos.e0)) \
+            == info["ranks"]
+        for got, want in zip(part_matrices(pos), oracle_parts(p, q)):
+            assert pg.operator_norm(got - want) <= 1e-8
+        assert max(split_residuals(pos, p, q)) <= 1e-8
+        assert np.abs(pos.angles - info["angles"]).max(initial=0.0) <= 1e-9
+
+
+def test_unequal_and_extreme_ranks():
+    zero = pg.make_projection(np.zeros((3, 3)))
+    line = pg.make_projection(np.diag([1.0, 0.0, 0.0]))
+    eye = pg.make_projection(np.eye(3))
+    assert projlat.position(line, zero).ranks() == (0, 2, 1, 0, 0)
+    assert projlat.position(zero, eye).ranks() == (0, 0, 0, 3, 0)
+    assert projlat.position(eye, line).ranks() == (1, 0, 2, 0, 0)
+    assert not projlat.position(line, zero).exists()
+
+
+@pytest.mark.parametrize("theta, ranks", [
+    (1e-3, (2, 2, 1, 1, 2)),              # absorbed into the meets
+    (np.pi / 2 - 1e-3, (1, 1, 2, 2, 2)),  # absorbed into the wedges
+])
+def test_plane_inside_classification_width_splits_orthogonally(theta, ranks):
+    # 1e-3 lies inside sqrt(2 atol_spectral) ~ 1.41e-3 of 0 and of pi/2;
+    # the wedge pair (x, y) is not orthogonal there, so e00 = 1 - (sum of
+    # the other parts) is a projection only after the symmetric split
+    rng = np.random.default_rng(31)
+    p, q, _ = sampling.structured_pair(1, 1, 1, 1, [theta, 0.7], rng)
+    pos = projlat.position(p, q)
+    assert pos.ranks() == ranks
+    total, pairwise, _ = split_residuals(pos, p, q)
+    assert total <= 1e-12 and pairwise <= 1e-12
+    assert pos.angles == pytest.approx([0.7], abs=1e-12)
+
+
+def test_pair_diagnostics_builds_one_position(monkeypatch):
+    built = []
+    real = projlat.position
+
+    def counting(p, q):
+        built.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(projlat, "position", counting)
+    p, q, _ = sampling.random_pair(8, np.random.default_rng(33), force_wedge=True)
+    report = sampling.pair_diagnostics(p, q)
+    assert "seeded_exponent_gap" in report  # exponents with three witnesses
+    assert len(built) == 1
+    jp = jones.jones_pair(4, 2)
+    built.clear()
+    jones.index_distance(jp)
+    assert len(built) == 1
+
+
+# Dense kernel calls made by one minimal_exponent + geodesic_distance on
+# the n = 32 wedge pair below: 97 when each consumer rebuilt the position
+# from four eigh-clustered meets, 21 with one Position per call.
+KERNEL_CEILING = 21
+KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
+           (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
+           (scipy.linalg, "qr")]
+
+
+def test_kernel_call_ceiling(monkeypatch):
+    rng = np.random.default_rng(5)
+    p, q, info = sampling.structured_pair(3, 3, 4, 4, np.linspace(0.2, 1.3, 9), rng)
+    assert info["n"] == 32
+    calls = []
+    for module, name in KERNELS:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    pg.minimal_exponent(p, q)
+    assert pg.geodesic_distance(p, q) == pytest.approx(np.pi / 2)
+    assert len(calls) <= KERNEL_CEILING, sorted(calls)
+
+
+def test_make_projection_residuals_are_operator_norms():
+    rng = np.random.default_rng(34)
+    for n in (2, 5, 9):
+        for scale in (1e-10, 1e-8, 1e-6):
+            base = sampling.random_projection(n, n // 2, rng).m
+            m = base + scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            herm, sym, _, idem = projlat._residuals(m)
+            assert herm == pytest.approx(pg.operator_norm(m - adj(m)), abs=1e-12)
+            assert idem == pytest.approx(pg.operator_norm(sym @ sym - sym), abs=1e-12)
+
+
+def test_make_projection_rejection_threshold():
+    atol = pg.DEFAULT_TOL.atol_structure
+    base = np.diag([1.0, 0.0, 1.0])
+    skew = np.zeros((3, 3))
+    skew[0, 1], skew[1, 0] = 1.0, -1.0  # ||m - m*|| = 2 * (its scale)
+    bump = np.diag([1.0, 0.0, 0.0])      # ||sym^2 - sym|| ~ its scale
+    with pytest.raises(NotProjection, match="Hermiticity"):
+        pg.make_projection(base + atol * skew)
+    with pytest.raises(NotProjection, match="idempotency"):
+        pg.make_projection(base + 2 * atol * bump)
+    assert pg.make_projection(base + 0.25 * atol * skew).rank == 2
+    assert pg.make_projection(base + 0.5 * atol * bump).rank == 2
