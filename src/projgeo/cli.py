@@ -10,6 +10,7 @@ geodesic / endpoints too far).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -157,7 +158,6 @@ def cmd_geodesic(args) -> dict:
     q = _load_projection(args.q_file, tol)
     pos = projlat.position(p, q)
     g = geo.position_exponent(pos)
-    res = geo.verify_geodesic(g)
     ts = _float_list(args.t)
     rhos = _float_list(args.rho)
     tr = factor.NormalizedTrace(factor.FiniteAlgebra.full(p.n))
@@ -166,12 +166,7 @@ def cmd_geodesic(args) -> dict:
         "distance": pos.distance(),
         "rho_lengths": {repr(r): geo.rho_length(g, r, tr) for r in rhos},
         "t_samples": [float(t) for t in ts],
-        "residuals": {
-            "skewness": res.skewness,
-            "codiagonality": res.codiagonality,
-            "norm_bound": res.norm_bound,
-            "endpoint": res.endpoint,
-        },
+        "residuals": dataclasses.asdict(geo.verify_geodesic(g)),
     }
     if args.out:
         outdir = Path(args.out)

@@ -116,19 +116,22 @@ def hopf_rinow_certify(a: FiniteAlgebra, p: Projection,
     block, equal traces (equal ranks) force existence; that implication
     is a theorem, so its failure would signal a kernel bug.
     """
+    return _certify_blocks(a, p, q)[0]
+
+
+def _certify_blocks(a: FiniteAlgebra, p: Projection, q: Projection) -> tuple:
+    """The certificate of :func:`hopf_rinow_certify` and each block's position."""
     for x in (p, q):
         if not member_check(a, x.m, x.tol):
             raise NotMember("projection is not a member of the algebra")
-    ranks = []
-    for sl in a.slices():
-        _, _, r10, r01, _ = projlat.position(_block_projection(p, sl),
-                                             _block_projection(q, sl)).ranks()
-        ranks.append((r10, r01))
+    positions = [projlat.position(_block_projection(p, sl), _block_projection(q, sl))
+                 for sl in a.slices()]
+    ranks = [pos.ranks()[2:4] for pos in positions]
     exists = all(r10 == r01 for r10, r01 in ranks)
     if len(a.blocks) == 1 and p.rank == q.rank and not exists:
         raise InternalConsistencyError(
             "equal-trace projections in a factor must be joinable")
-    return HopfRinowCertificate(exists=exists, per_block_ranks=tuple(ranks))
+    return HopfRinowCertificate(exists=exists, per_block_ranks=tuple(ranks)), positions
 
 
 def orthogonal_pair(a: FiniteAlgebra, r, seed: int | None = None
@@ -183,14 +186,12 @@ def multi_geodesics(p: Projection, q: Projection, count: int, rho: float,
 def blockwise_minimal_exponent(a: FiniteAlgebra, p: Projection,
                                q: Projection) -> GeodesicExponent:
     """Assemble a minimal exponent inside the algebra, block by block."""
-    cert = hopf_rinow_certify(a, p, q)
+    cert, positions = _certify_blocks(a, p, q)
     if not cert.exists:
         raise RankMismatch(f"not joinable inside the algebra: {cert.per_block_ranks}")
     z = np.zeros((a.n, a.n), dtype=np.complex128)
-    for sl in a.slices():
-        g = geo.minimal_exponent(_block_projection(p, sl),
-                                 _block_projection(q, sl))
-        z[sl, sl] = g.z
+    for sl, pos in zip(a.slices(), positions):
+        z[sl, sl] = geo.position_exponent(pos).z
     g = GeodesicExponent(z=z, p=p, q=q)
     if geo.verify_geodesic(g).max() > geo.ENDPOINT_ATOL:
         raise InternalConsistencyError("blockwise exponent fails verification")

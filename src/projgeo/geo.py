@@ -10,13 +10,14 @@ normalized when the operator norm of z is at most pi/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from . import numkit, projlat
 from .errors import (BadRho, DimensionMismatch, InternalConsistencyError,
-                     InvariantViolation, RankMismatch, TooFewPoints)
+                     InvariantViolation, NotSkewHermitian, RankMismatch, TooFewPoints)
 from .numkit import adjoint, operator_norm
 from .projlat import Position, Projection
 
@@ -35,15 +36,6 @@ class PartialIsometry:
     target: Projection
 
 
-@dataclass(frozen=True, eq=False)
-class GeodesicExponent:
-    """Skew-Hermitian, p-codiagonal exponent carrying p to q at t = 1."""
-
-    z: np.ndarray
-    p: Projection
-    q: Projection
-
-
 @dataclass(frozen=True)
 class GeodesicResiduals:
     skewness: float
@@ -54,6 +46,45 @@ class GeodesicResiduals:
     def max(self) -> float:
         return max(self.skewness, self.codiagonality,
                    self.norm_bound, self.endpoint)
+
+
+@dataclass(frozen=True, eq=False)
+class GeodesicExponent:
+    """Skew-Hermitian, p-codiagonal exponent taking p to q at t = 1; z is read-only."""
+
+    z: np.ndarray
+    p: Projection
+    q: Projection
+
+    def __post_init__(self):
+        object.__setattr__(self, "z", np.array(self.z))
+        self.z.flags.writeable = False
+
+    @cached_property
+    def residuals(self) -> GeodesicResiduals:
+        """Skewness, codiagonality, excess over pi/2, and the endpoint error
+        by a general matrix exponential, so non-skew z are reported too."""
+        z, p, q = self.z, self.p.m, self.q.m
+        sym = 2 * p - np.eye(self.p.n)
+        skewness = operator_norm(z + adjoint(z))
+        codiag = operator_norm(z @ sym + sym @ z)
+        norm_excess = max(0.0, operator_norm(z) - HALF_PI)
+        ez = scipy.linalg.expm(z)
+        endpoint = operator_norm(ez @ p @ scipy.linalg.expm(-z) - q)
+        return GeodesicResiduals(skewness=skewness, codiagonality=codiag,
+                                 norm_bound=norm_excess, endpoint=endpoint)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, u) with 1j z = u diag(w) u*, once z passes the skewness check."""
+        if self.residuals.skewness > self.p.tol.atol_structure:
+            raise NotSkewHermitian("skewness residual exceeds atol_structure")
+        return np.linalg.eigh(1j * (self.z - adjoint(self.z)) / 2)
+
+    def unitary(self, t: float) -> np.ndarray:
+        """e^{tz} = u diag(e^{-itw}) u*."""
+        w, u = self.spectrum
+        return (u * np.exp(-1j * t * w)) @ adjoint(u)
 
 
 def geodesic_exists(p: Projection, q: Projection) -> bool:
@@ -137,7 +168,7 @@ def position_exponent(pos: Position,
 
 def geodesic_point(g: GeodesicExponent, t: float) -> Projection:
     """The projection e^{tz} p e^{-tz}, validated."""
-    u = numkit.exp_skew(t * g.z, g.p.tol)
+    u = g.unitary(t)
     return projlat.make_projection(u @ g.p.m @ adjoint(u), g.p.tol)
 
 
@@ -192,18 +223,5 @@ def curve_length(points, rho: float | None = None, trace=None) -> float:
 
 
 def verify_geodesic(g: GeodesicExponent) -> GeodesicResiduals:
-    """Residual report for an exponent: skewness, codiagonality, excess
-    over the pi/2 norm bound, and the endpoint conjugation error.
-
-    The endpoint is evaluated with a general matrix exponential so the
-    report stays meaningful for perturbed, non-skew inputs.
-    """
-    z, p, q = g.z, g.p.m, g.q.m
-    sym = 2 * p - np.eye(g.p.n)
-    skewness = operator_norm(z + adjoint(z))
-    codiag = operator_norm(z @ sym + sym @ z)
-    norm_excess = max(0.0, operator_norm(z) - HALF_PI)
-    ez = scipy.linalg.expm(z)
-    endpoint = operator_norm(ez @ p @ scipy.linalg.expm(-z) - q)
-    return GeodesicResiduals(skewness=skewness, codiagonality=codiag,
-                             norm_bound=norm_excess, endpoint=endpoint)
+    """The exponent's residual report, computed on the first call."""
+    return g.residuals

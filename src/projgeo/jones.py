@@ -28,6 +28,7 @@ from .numkit import DEFAULT_TOL, ToleranceProfile, adjoint, operator_norm
 from .projlat import Projection
 
 IDX_ATOL = 1e-9  # tolerance of the index-distance identities
+AXIOM_SAMPLES, AXIOM_SEED = 4, 7  # test matrices drawn by expectation_axioms
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -217,16 +218,15 @@ def _members(basis: np.ndarray, n: int) -> list[np.ndarray]:
     return [unvec(basis[:, j], n) for j in range(basis.shape[1])]
 
 
-def expectation_axioms(big: Projection, n: int, samples: int = 4,
-                       seed: int = 7) -> ExpectationAxioms:
+def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
     """Measure the conditional-expectation axioms for a projection acting
     on HS(M_n), against its own range algebra."""
     P = big.m
     basis = projlat.range_basis(big)
     members = _members(basis, n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(AXIOM_SEED)
     xs = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-          for _ in range(samples)]
+          for _ in range(AXIOM_SAMPLES)]
 
     def E(x):
         return unvec(P @ vec(x), n)
@@ -350,8 +350,9 @@ def index_distance(jp: JonesPair):
 class ExpectationPath:
     """Geodesic of expectation projections between two subalgebras.
 
-    Immutable handle; evaluation at any t is a pure function, so
-    concurrent use at distinct times is safe.
+    Immutable handle; evaluation at any t is a pure function. The
+    exponent caches its spectrum on first read (threads that race there
+    compute equal copies), so concurrent use at distinct times is safe.
     """
 
     z: GeodesicExponent  # exponent on the HS space of M_n
@@ -368,8 +369,7 @@ class ExpectationPath:
 
     def transport(self, t: float, x) -> np.ndarray:
         """Gamma_t(x): the propagator of the transport equation."""
-        u = numkit.exp_skew(t * self.z.z, self.z.p.tol)
-        return unvec(u @ vec(numkit.as_complex(x)), self.n)
+        return unvec(self.z.unitary(t) @ vec(numkit.as_complex(x)), self.n)
 
 
 def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
@@ -405,10 +405,9 @@ def transport_ode_solve(path: ExpectationPath, x0, steps: int):
     n = path.n
     Z = path.z.z
     P0 = path.end0.big.m
-    lam, u = np.linalg.eigh(1j * Z)
 
     def generator(t: float) -> np.ndarray:
-        w = (u * np.exp(-1j * t * lam)) @ adjoint(u)  # e^{tZ}
+        w = path.z.unitary(t)
         pt = w @ P0 @ adjoint(w)
         # [dE, E] with dE = ZP - PZ collapses to ZP + PZ - 2 PZP
         return Z @ pt + pt @ Z - 2.0 * pt @ Z @ pt
@@ -458,7 +457,7 @@ def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
     subalgebra (its basis together with the projections of ``xs``).
     """
     xs = [numkit.as_complex(x) for x in xs]
-    members = _members(projlat.range_basis(path.end0.big), path.n)
+    members = _members(path.end0.basis, path.n)
     members += [path.end0.expect(x) for x in xs]
     intertwine = mult = star = 0.0
     for t in ts:

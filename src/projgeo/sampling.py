@@ -14,6 +14,8 @@ from . import geo, numkit, projlat
 from .numkit import DEFAULT_TOL, ToleranceProfile, adjoint, operator_norm
 from .projlat import Projection
 
+WITNESS_SEEDS = (1, 2)  # of the partial isometries pair_diagnostics compares
+
 
 def random_projection(n: int, rank: int, rng: np.random.Generator,
                       tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
@@ -112,7 +114,7 @@ def spectral_symmetry_residual(p: Projection, q: Projection,
     return float(np.abs(lam + lam[::-1]).max())
 
 
-def pair_diagnostics(p: Projection, q: Projection, seeds=(1, 2)) -> dict:
+def pair_diagnostics(p: Projection, q: Projection) -> dict:
     """Run the full invariant battery on one pair; plain-value report.
 
     Covers the decomposition residuals, existence/uniqueness verdicts,
@@ -143,7 +145,7 @@ def pair_diagnostics(p: Projection, q: Projection, seeds=(1, 2)) -> dict:
     report["unique"] = pos.unique()
     g = geo.position_exponent(pos)
     res = geo.verify_geodesic(g)
-    ez = numkit.exp_skew(g.z, p.tol)
+    ez = g.unitary(1.0)
     report.update({
         "distance": pos.distance(),
         "exponent_skewness": res.skewness,
@@ -156,6 +158,6 @@ def pair_diagnostics(p: Projection, q: Projection, seeds=(1, 2)) -> dict:
     if pos.e10.rank > 0:
         zs = [geo.position_exponent(
             pos, geo.partial_isometry(pos.e10, pos.e01, seed=s)).z
-            for s in seeds]
+            for s in WITNESS_SEEDS]
         report["seeded_exponent_gap"] = float(operator_norm(zs[0] - zs[1]))
     return report

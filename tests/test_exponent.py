@@ -1,0 +1,116 @@
+"""The exponent owns what is computed from z: the residual report, made
+once and returned as stored by verify_geodesic, and the unitary group
+e^{tz}, taken from one eigendecomposition shared by every geodesic point,
+transport and ODE generator of a path. Blockwise exponents build one
+position per block."""
+
+import json
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import projgeo as pg
+from projgeo import cli, factor, geo, jones, projlat, sampling
+from projgeo.errors import NotSkewHermitian
+
+from _helpers import rotation_pair
+
+KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
+           (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
+           (scipy.linalg, "qr")]
+
+
+def count_kernels(monkeypatch, kernels=KERNELS):
+    calls = []
+    for module, name in kernels:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verify_geodesic_returns_the_stored_report(monkeypatch):
+    p, q, _ = sampling.structured_pair(1, 1, 2, 2, [0.3, 1.1], np.random.default_rng(8))
+    g = pg.minimal_exponent(p, q)
+    calls = count_kernels(monkeypatch)
+    res = pg.verify_geodesic(g)
+    assert calls == []  # the check inside minimal_exponent made the report
+    assert res is g.residuals
+    assert res.max() < geo.ENDPOINT_ATOL
+
+
+def test_z_is_a_read_only_copy():
+    p, q = rotation_pair(0.4)
+    z = pg.minimal_exponent(p, q).z.copy()
+    g = geo.GeodesicExponent(z=z, p=p, q=q)
+    with pytest.raises(ValueError):
+        g.z[0, 1] = 0.0
+    z[0, 1] = 0.0  # the caller's array is not frozen, nor seen by g
+    assert g.z[0, 1] != 0.0
+
+
+def test_unitary_is_the_matrix_exponential():
+    p, q, _ = sampling.structured_pair(0, 1, 1, 1, [0.7], np.random.default_rng(9))
+    g = pg.minimal_exponent(p, q)
+    for t in (-0.5, 0.25, 1.0):
+        assert pg.operator_norm(g.unitary(t) - scipy.linalg.expm(t * g.z)) < 1e-12
+
+
+def test_geodesic_point_rejects_a_non_skew_exponent():
+    p, q = rotation_pair(0.4)
+    g = pg.minimal_exponent(p, q)
+    bad = geo.GeodesicExponent(z=g.z + 1e-3 * np.eye(2), p=p, q=q)
+    for t in (0.0, 0.5):
+        with pytest.raises(NotSkewHermitian):
+            geo.geodesic_point(bad, t)
+
+
+def test_one_eigendecomposition_per_path(monkeypatch):
+    n = 4
+    path = jones.expectation_path(
+        jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4), n)
+    x0 = np.random.default_rng(10).normal(size=(n, n))
+    calls = count_kernels(monkeypatch, [(np.linalg, "eigh")])
+    for t in (0.25, 0.5, 1.0):
+        path.transport(t, x0)
+    for t in (0.3, 0.7):
+        path.projection_at(t)
+    _, states = jones.transport_ode_solve(path, x0, 100)
+    assert calls == ["eigh"]
+    assert pg.operator_norm(states[-1] - path.transport(1.0, x0)) < 1e-6
+
+
+def test_blockwise_exponent_builds_one_position_per_block(monkeypatch):
+    built = []
+    real = projlat.position
+
+    def counting(p, q):
+        built.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(projlat, "position", counting)
+    alg = factor.FiniteAlgebra(blocks=(2, 2), weights=(0.5, 0.5))
+    pm = np.zeros((4, 4), dtype=complex)
+    qm = np.zeros((4, 4), dtype=complex)
+    for i, sl in enumerate(alg.slices()):
+        bp, bq = rotation_pair(0.3 + 0.5 * i)
+        pm[sl, sl] = bp.m
+        qm[sl, sl] = bq.m
+    g = factor.blockwise_minimal_exponent(alg, pg.make_projection(pm),
+                                          pg.make_projection(qm))
+    assert len(built) == 2
+    assert pg.verify_geodesic(g).max() < geo.ENDPOINT_ATOL
+
+
+def test_geodesic_report_keeps_the_residual_keys(tmp_path, capsys):
+    p, q = rotation_pair(np.pi / 5)
+    pf, qf = tmp_path / "p.json", tmp_path / "q.json"
+    cli.write_matrix(pf, p.m)
+    cli.write_matrix(qf, q.m)
+    assert cli.main(["--json", "geodesic", str(pf), str(qf)]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]["residuals"]
+    want = pg.verify_geodesic(pg.minimal_exponent(p, q))
+    assert res == {"skewness": want.skewness, "codiagonality": want.codiagonality,
+                   "norm_bound": want.norm_bound, "endpoint": want.endpoint}
