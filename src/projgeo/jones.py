@@ -162,9 +162,31 @@ def _orthonormal_range(mats: list[np.ndarray], n: int,
     return u[:, :r]
 
 
-def _span_residual(basis: np.ndarray, x: np.ndarray) -> float:
-    v = vec(x)
-    return float(np.linalg.norm(v - basis @ (adjoint(basis) @ v)))
+def _span_residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Distance of each matrix of a stack from the span of the basis."""
+    v = mats.reshape(len(mats), basis.shape[0]).T
+    return np.linalg.norm(v - basis @ (adjoint(basis) @ v), axis=0)
+
+
+def _product_residual(basis: np.ndarray, members: np.ndarray) -> float:
+    """Largest distance of a product a @ b of members from the span, taken
+    one row a @ members at a time (all r^2 at once take O(r^2 n^2) memory)."""
+    return float(max((_span_residuals(basis, a @ members).max() for a in members),
+                     default=0.0))
+
+
+def _apply(op: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """unvec(op . vec(x)) for each matrix x of a (k, n, n) stack, by one
+    batched matrix-vector product (equal, bit for bit, to k of them)."""
+    return (op @ mats.reshape(len(mats), op.shape[1], 1)).reshape(mats.shape)
+
+
+def _max_norm(mats: np.ndarray) -> float:
+    """Largest operator norm over a stack of matrices, by one batched SVD
+    (equal, bit for bit, to the largest of their operator_norm values)."""
+    if mats.size == 0:
+        return 0.0
+    return float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
 
 
 def expectation_projection(spec: SubalgebraSpec, n: int,
@@ -179,12 +201,11 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
     mats = spanning_matrices(spec, n)
     basis = _orthonormal_range(mats, n, tol)
     members = _members(basis, n)
-    checks = [_span_residual(basis, np.eye(n))]
-    checks += [_span_residual(basis, adjoint(x)) for x in members]
-    checks += [_span_residual(basis, x @ y) for x in members for y in members]
-    if max(checks) > tol.atol_structure:
+    unit_star = np.concatenate([np.eye(n)[None], _adjoints(members)])
+    worst = max(_span_residuals(basis, unit_star).max(), _product_residual(basis, members))
+    if worst > tol.atol_structure:
         raise NotSubalgebra(
-            f"span is not a unital *-subalgebra (residual {max(checks):.3e})")
+            f"span is not a unital *-subalgebra (residual {worst:.3e})")
     big = projlat.make_projection(basis @ adjoint(basis), tol)
     ep = ExpectationProjection(big=big, spec=spec, n=n, basis=basis)
     res = expectation_axioms(big, n).max()
@@ -213,9 +234,13 @@ class ExpectationAxioms:
                    self.trace, self.bimodule, self.closure)
 
 
-def _members(basis: np.ndarray, n: int) -> list[np.ndarray]:
-    """The columns of an n^2 x r basis, as n x n matrices."""
-    return [unvec(basis[:, j], n) for j in range(basis.shape[1])]
+def _members(basis: np.ndarray, n: int) -> np.ndarray:
+    """The columns of an n^2 x r basis, as an (r, n, n) stack."""
+    return basis.T.reshape(-1, n, n)
+
+
+def _adjoints(mats: np.ndarray) -> np.ndarray:
+    return mats.conj().transpose(0, 2, 1)
 
 
 def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
@@ -225,23 +250,22 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
     basis = projlat.range_basis(big)
     members = _members(basis, n)
     rng = np.random.default_rng(AXIOM_SEED)
-    xs = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-          for _ in range(AXIOM_SAMPLES)]
-
-    def E(x):
-        return unvec(P @ vec(x), n)
+    xs = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                   for _ in range(AXIOM_SAMPLES)])
+    exs = _apply(P, xs)
 
     idem = operator_norm(P @ P - P)
-    unital = operator_norm(E(np.eye(n)) - np.eye(n))
-    star = max(operator_norm(E(adjoint(x)) - adjoint(E(x))) for x in xs)
-    tr = max(abs(np.trace(E(x)) - np.trace(x)) / n for x in xs)
-    bimod = 0.0
-    for a in members:
-        for b in members:
-            for x in xs:
-                bimod = max(bimod, operator_norm(E(a @ x @ b) - a @ E(x) @ b))
-    closure = max((_span_residual(basis, a @ b) for a in members for b in members),
-                  default=0.0)
+    unital = operator_norm(unvec(P @ vec(np.eye(n)), n) - np.eye(n))
+    star = _max_norm(_apply(P, _adjoints(xs)) - _adjoints(exs))
+    tr = max(abs(np.trace(ex) - np.trace(x)) / n for x, ex in zip(xs, exs))
+
+    def sandwich(a, ys):  # a y b for every member b and every y of the stack
+        return ((a @ ys)[None] @ members[:, None]).reshape(-1, n, n)
+
+    # one left factor a at a time, as in _product_residual
+    bimod = max((_max_norm(_apply(P, sandwich(a, xs)) - sandwich(a, exs))
+                 for a in members), default=0.0)
+    closure = _product_residual(basis, members)
     return ExpectationAxioms(idempotent=idem, unital=unital, star=star,
                              trace=float(tr), bimodule=bimod, closure=closure)
 
@@ -397,39 +421,43 @@ def transport_ode_solve(path: ExpectationPath, x0, steps: int):
 
     The state is the vectorized matrix; the generator is the commutator
     [dE_t, E_t] with E_t the geodesic projection at time t and dE_t its
-    exact derivative Z E_t - E_t Z (no finite differencing). Returns the
-    times and the transported matrices at steps + 1 uniform points.
+    exact derivative Z E_t - E_t Z (no finite differencing). It is applied
+    to the state, never formed, in the eigenbasis of the exponent's cached
+    spectrum i Z = u diag(w) u*: there Z is diag(-i w) and E_t is
+    d E_0' d* with d = e^{-i t w} and E_0' = u* E_0 u, so one generator
+    application costs three HS matrix-vector products. Returns the times
+    and the transported matrices at steps + 1 uniform points.
     """
     if steps < 100:
         raise ValueError("need at least 100 steps")
     n = path.n
-    Z = path.z.z
-    P0 = path.end0.big.m
+    w, u = path.z.spectrum
+    zw = -1j * w
+    p0 = adjoint(u) @ path.end0.big.m @ u
 
-    def generator(t: float) -> np.ndarray:
-        w = path.z.unitary(t)
-        pt = w @ P0 @ adjoint(w)
+    def generator(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+        def pt(v):
+            return d * (p0 @ (d.conj() * v))
+
         # [dE, E] with dE = ZP - PZ collapses to ZP + PZ - 2 PZP
-        return Z @ pt + pt @ Z - 2.0 * pt @ Z @ pt
+        a = pt(y)
+        return zw * a + pt(zw * y) - 2.0 * pt(zw * a)
 
     h = 1.0 / steps
-    y = vec(numkit.as_complex(x0))
-    times = np.linspace(0.0, 1.0, steps + 1)
-    states = np.empty((steps + 1, n, n), dtype=np.complex128)
-    states[0] = unvec(y, n)
-    a_t = generator(0.0)
+    ys = np.empty((steps + 1, n * n), dtype=np.complex128)
+    y = ys[0] = adjoint(u) @ vec(numkit.as_complex(x0))
+    d_t = np.ones(n * n, dtype=np.complex128)
     for j in range(steps):
         t = j * h
-        a_mid = generator(t + h / 2)
-        a_next = generator(t + h)
-        k1 = a_t @ y
-        k2 = a_mid @ (y + (h / 2) * k1)
-        k3 = a_mid @ (y + (h / 2) * k2)
-        k4 = a_next @ (y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        states[j + 1] = unvec(y, n)
-        a_t = a_next
-    return times, states
+        d_mid, d_next = np.exp((t + h / 2) * zw), np.exp((t + h) * zw)
+        k1 = generator(d_t, y)
+        k2 = generator(d_mid, y + (h / 2) * k1)
+        k3 = generator(d_mid, y + (h / 2) * k2)
+        k4 = generator(d_next, y + h * k3)
+        y = ys[j + 1] = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        d_t = d_next
+    times = np.linspace(0.0, 1.0, steps + 1)
+    return times, (ys @ u.T).reshape(steps + 1, n, n)
 
 
 @dataclass(frozen=True)
@@ -456,25 +484,19 @@ def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
     multiplicativity and *-preservation are checked on the initial
     subalgebra (its basis together with the projections of ``xs``).
     """
-    xs = [numkit.as_complex(x) for x in xs]
-    members = _members(path.end0.basis, path.n)
-    members += [path.end0.expect(x) for x in xs]
+    n, P0 = path.n, path.end0.big.m
+    xs = np.array([numkit.as_complex(x) for x in xs]).reshape(-1, n, n)
+    members = np.concatenate([_members(path.end0.basis, n), _apply(P0, xs)])
     intertwine = mult = star = 0.0
     for t in ts:
-        pt = path.projection_at(t).m
-
-        def E_t(x, pt=pt):
-            return unvec(pt @ vec(x), path.n)
-
-        for x in xs:
-            lhs = path.transport(t, path.end0.expect(path.transport(-t, x)))
-            intertwine = max(intertwine, operator_norm(lhs - E_t(x)))
-        gammas = [path.transport(t, a) for a in members]
-        for (a, ga) in zip(members, gammas):
-            star = max(star, operator_norm(path.transport(t, adjoint(a)) - adjoint(ga)))
-            for (b, gb) in zip(members, gammas):
-                mult = max(mult, operator_norm(path.transport(t, a @ b) - ga @ gb))
-    Z, P0 = path.z.z, path.end0.big.m
+        ut = path.z.unitary(t)  # Gamma_t, and Gamma_{-t} = ut*
+        lhs = _apply(ut, _apply(P0, _apply(adjoint(ut), xs)))
+        intertwine = max(intertwine, _max_norm(lhs - _apply(path.projection_at(t).m, xs)))
+        gammas = _apply(ut, members)
+        star = max(star, _max_norm(_apply(ut, _adjoints(members)) - _adjoints(gammas)))
+        for a, ga in zip(members, gammas):
+            mult = max(mult, _max_norm(_apply(ut, a @ members) - ga @ gammas))
+    Z = path.z.z
     codiag = operator_norm(Z @ P0 + P0 @ Z - Z)
     return PropagatorReport(intertwine=intertwine, multiplicative=mult,
                             star=star, codiagonal=codiag)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import projgeo as pg
-from projgeo import factor, jones
+from projgeo import factor, jones, projlat
 from projgeo.errors import InvariantViolation, NotSubalgebra, TooFar
 
 from _helpers import adj
@@ -131,6 +131,28 @@ class TestExpectationPath:
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             ax = jones.expectation_axioms(path.projection_at(t), 2)
             assert ax.max() < 1e-8
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_batched_axioms_equal_the_per_matrix_loop(self, n):
+        path = jones.expectation_path(
+            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4), n)
+        big = path.projection_at(0.5)
+        P = big.m
+        basis = projlat.range_basis(big)
+        members = [basis[:, j].reshape(n, n) for j in range(basis.shape[1])]
+        rng = np.random.default_rng(jones.AXIOM_SEED)
+        xs = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+              for _ in range(jones.AXIOM_SAMPLES)]
+
+        def E(x):
+            return (P @ x.reshape(-1)).reshape(n, n)
+
+        bimod = max(pg.operator_norm(E(a @ x @ b) - a @ E(x) @ b)
+                    for a in members for b in members for x in xs)
+        star = max(pg.operator_norm(E(adj(x)) - adj(E(x))) for x in xs)
+        ax = jones.expectation_axioms(big, n)
+        assert ax.bimodule == bimod
+        assert ax.star == star
 
     def test_too_far_at_quarter_turn(self):
         gap = pg.operator_norm(

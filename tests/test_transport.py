@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import projgeo as pg
-from projgeo import jones
+from projgeo import geo, jones
 
 from _helpers import adj
 
@@ -10,6 +10,37 @@ from _helpers import adj
 def eighth_turn_path():
     return jones.expectation_path(
         jones.diagonal_spec(2), jones.rotated_diagonal_spec(2, np.pi / 8), 2)
+
+
+def dense_rk4(path, x0, steps):
+    """Reference solver: RK4 with the generator formed as a dense
+    n^2 x n^2 matrix at every stage time."""
+    n = path.n
+    Z = path.z.z
+    P0 = path.end0.big.m
+
+    def generator(t):
+        w = path.z.unitary(t)
+        pt = w @ P0 @ adj(w)
+        return Z @ pt + pt @ Z - 2.0 * pt @ Z @ pt
+
+    h = 1.0 / steps
+    y = np.asarray(x0, dtype=complex).reshape(-1)
+    states = np.empty((steps + 1, n, n), dtype=complex)
+    states[0] = y.reshape(n, n)
+    a_t = generator(0.0)
+    for j in range(steps):
+        t = j * h
+        a_mid = generator(t + h / 2)
+        a_next = generator(t + h)
+        k1 = a_t @ y
+        k2 = a_mid @ (y + (h / 2) * k1)
+        k3 = a_mid @ (y + (h / 2) * k2)
+        k4 = a_next @ (y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states[j + 1] = y.reshape(n, n)
+        a_t = a_next
+    return np.linspace(0.0, 1.0, steps + 1), states
 
 
 class TestTransportOde:
@@ -55,12 +86,63 @@ class TestTransportOde:
             assert pg.operator_norm(proj - state) < 1e-9
 
 
+class TestMatrixFreeSolver:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 8])
+    @pytest.mark.parametrize("seed", [60, 61])
+    def test_matches_the_dense_generator(self, n, theta, seed):
+        path = jones.expectation_path(
+            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, theta), n)
+        rng = np.random.default_rng(seed)
+        x0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        times, states = jones.transport_ode_solve(path, x0, 200)
+        ref_times, ref = dense_rk4(path, x0, 200)
+        assert states.shape == ref.shape == (201, n, n)
+        assert np.array_equal(times, ref_times)
+        assert np.abs(states - ref).max() <= 1e-12
+
+    def test_generator_is_never_formed(self, monkeypatch):
+        path = eighth_turn_path()
+        calls = []
+        real_eigh, real_unitary = np.linalg.eigh, geo.GeodesicExponent.unitary
+
+        def eigh(*args, **kwargs):
+            calls.append("eigh")
+            return real_eigh(*args, **kwargs)
+
+        def unitary(self, t):
+            calls.append("unitary")
+            return real_unitary(self, t)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(geo.GeodesicExponent, "unitary", unitary)
+        jones.transport_ode_solve(path, np.diag([1.0, -1.0]), 200)
+        assert calls == ["eigh"]
+
+    def test_five_by_five(self):
+        n = 5  # Hilbert-Schmidt dimension 25
+        path = jones.expectation_path(
+            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, np.pi / 8), n)
+        rng = np.random.default_rng(62)
+        x0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        _, states = jones.transport_ode_solve(path, x0, 200)
+        for t in (0.5, 1.0):
+            gx = path.transport(t, x0)
+            assert abs(np.linalg.norm(gx) - np.linalg.norm(x0)) <= 1e-12 * np.linalg.norm(x0)
+        assert pg.operator_norm(states[-1] - path.transport(1.0, x0)) <= 1e-6
+
+
 class TestPropagatorChecks:
     def test_zero_time_is_exact(self):
         path = eighth_turn_path()
         rng = np.random.default_rng(51)
         xs = [rng.normal(size=(2, 2)) for _ in range(2)]
         rep = jones.propagator_checks(path, (0.0,), xs)
+        assert rep.max() < 1e-12
+
+    def test_no_test_matrices(self):
+        rep = jones.propagator_checks(eighth_turn_path(), (0.5,), [])
+        assert rep.intertwine == 0.0
         assert rep.max() < 1e-12
 
     def test_matrix_unit_multiplicativity(self):
@@ -89,3 +171,26 @@ class TestPropagatorChecks:
             assert pg.operator_norm(y - adj(y)) < 1e-8
             assert np.allclose(np.linalg.eigvalsh(y), np.linalg.eigvalsh(x),
                                atol=1e-8)
+
+    def test_batched_residuals_equal_the_per_matrix_loop(self):
+        n = 3
+        path = jones.expectation_path(
+            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4), n)
+        rng = np.random.default_rng(54)
+        xs = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+              for _ in range(2)]
+        members = [path.end0.basis[:, j].reshape(n, n)
+                   for j in range(path.end0.basis.shape[1])]
+        members += [path.end0.expect(x) for x in xs]
+        ts = (0.25, 0.75)
+        mult = star = 0.0
+        for t in ts:
+            for a in members:
+                ga = path.transport(t, a)
+                star = max(star, pg.operator_norm(path.transport(t, adj(a)) - adj(ga)))
+                for b in members:
+                    mult = max(mult, pg.operator_norm(
+                        path.transport(t, a @ b) - ga @ path.transport(t, b)))
+        rep = jones.propagator_checks(path, ts, xs)
+        assert rep.multiplicative == mult
+        assert rep.star == star
