@@ -77,7 +77,6 @@ from .numkit import (
     rho_norm,
 )
 from .projlat import (
-    HalmosParts,
     Position,
     Projection,
     complement,

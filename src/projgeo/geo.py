@@ -61,23 +61,37 @@ class GeodesicExponent:
         self.z.flags.writeable = False
 
     @cached_property
+    def skewness(self) -> float:
+        """||z + z*||, the residual that gates :attr:`spectrum`."""
+        return operator_norm(self.z + adjoint(self.z))
+
+    @cached_property
     def residuals(self) -> GeodesicResiduals:
-        """Skewness, codiagonality, excess over pi/2, and the endpoint error
-        by a general matrix exponential, so non-skew z are reported too."""
+        """Skewness, codiagonality, excess over pi/2, and the endpoint error.
+
+        For a z that passes the skewness check the norm and e^z are read
+        from :attr:`spectrum`; any other z is reported through a general
+        matrix exponential."""
         z, p, q = self.z, self.p.m, self.q.m
         sym = 2 * p - np.eye(self.p.n)
-        skewness = operator_norm(z + adjoint(z))
         codiag = operator_norm(z @ sym + sym @ z)
-        norm_excess = max(0.0, operator_norm(z) - HALF_PI)
-        ez = scipy.linalg.expm(z)
-        endpoint = operator_norm(ez @ p @ scipy.linalg.expm(-z) - q)
-        return GeodesicResiduals(skewness=skewness, codiagonality=codiag,
-                                 norm_bound=norm_excess, endpoint=endpoint)
+        if self.skewness <= self.p.tol.atol_structure:
+            w, u = self.spectrum
+            norm = float(np.abs(w).max())
+            ez = (u * np.exp(-1j * w)) @ adjoint(u)
+            endpoint = operator_norm(ez @ p @ adjoint(ez) - q)
+        else:
+            norm = operator_norm(z)
+            ez = scipy.linalg.expm(z)
+            endpoint = operator_norm(ez @ p @ scipy.linalg.expm(-z) - q)
+        return GeodesicResiduals(skewness=self.skewness, codiagonality=codiag,
+                                 norm_bound=max(0.0, norm - HALF_PI),
+                                 endpoint=endpoint)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, u) with 1j z = u diag(w) u*, once z passes the skewness check."""
-        if self.residuals.skewness > self.p.tol.atol_structure:
+        if self.skewness > self.p.tol.atol_structure:
             raise NotSkewHermitian("skewness residual exceeds atol_structure")
         return np.linalg.eigh(1j * (self.z - adjoint(self.z)) / 2)
 
@@ -141,23 +155,26 @@ def minimal_exponent(p: Projection, q: Projection,
 
 def position_exponent(pos: Position,
                       w: PartialIsometry | None = None) -> GeodesicExponent:
-    """:func:`minimal_exponent` of the pair of a position already built."""
-    p, q = pos.p, pos.q
-    if operator_norm(p.m - q.m) <= p.tol.atol_structure:
-        return GeodesicExponent(z=np.zeros((p.n, p.n), dtype=np.complex128), p=p, q=q)
+    """:func:`minimal_exponent` of the pair of a position already built.
+
+    The default witness is read from the position's wedge bases: the
+    pivoted-QR bases of p^q' and p'^q matched in index order, which is
+    ``partial_isometry(pos.e10, pos.e01).w`` without building either part."""
     # the rotation by theta_j carrying x_j to cos(theta_j) x_j + sin(theta_j) u_j
     th, x, u = pos.angles, pos.x, pos.u
     z = (u * th) @ adjoint(x) - (x * th) @ adjoint(u)
     if not pos.unique():
         if w is None:
-            w = partial_isometry(pos.e10, pos.e01)
-        elif (operator_norm(adjoint(w.w) @ w.w - pos.e10.m) > ENDPOINT_ATOL
-              or operator_norm(w.w @ adjoint(w.w) - pos.e01.m) > ENDPOINT_ATOL):
-            raise InvariantViolation("supplied isometry does not witness p^q' ~ p'^q")
-        # swaps the two wedge parts: e^z = i (w + w*) there
-        z = z + 1j * HALF_PI * (w.w + adjoint(w.w))
+            v = projlat._pivoted_basis(pos.b01) @ adjoint(projlat._pivoted_basis(pos.b10))
+        else:
+            v = w.w
+            if (operator_norm(adjoint(v) @ v - pos.e10.m) > ENDPOINT_ATOL
+                    or operator_norm(v @ adjoint(v) - pos.e01.m) > ENDPOINT_ATOL):
+                raise InvariantViolation("supplied isometry does not witness p^q' ~ p'^q")
+        # swaps the two wedge parts: e^z = i (v + v*) there
+        z = z + 1j * HALF_PI * (v + adjoint(v))
     z = (z - adjoint(z)) / 2
-    g = GeodesicExponent(z=z, p=p, q=q)
+    g = GeodesicExponent(z=z, p=pos.p, q=pos.q)
     res = verify_geodesic(g)
     if res.max() > ENDPOINT_ATOL:
         raise InternalConsistencyError(

@@ -208,7 +208,7 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
             f"span is not a unital *-subalgebra (residual {worst:.3e})")
     big = projlat.make_projection(basis @ adjoint(basis), tol)
     ep = ExpectationProjection(big=big, spec=spec, n=n, basis=basis)
-    res = expectation_axioms(big, n).max()
+    res = _axioms(big.m, basis, n).max()
     if res > tol.atol_structure:
         raise InternalConsistencyError(
             f"expectation axioms fail on a validated subalgebra ({res:.3e})")
@@ -245,9 +245,14 @@ def _adjoints(mats: np.ndarray) -> np.ndarray:
 
 def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
     """Measure the conditional-expectation axioms for a projection acting
-    on HS(M_n), against its own range algebra."""
-    P = big.m
-    basis = projlat.range_basis(big)
+    on HS(M_n), against its own range algebra (spanned by
+    ``projlat.range_basis(big)``)."""
+    return _axioms(big.m, projlat.range_basis(big), n)
+
+
+def _axioms(P: np.ndarray, basis: np.ndarray, n: int) -> ExpectationAxioms:
+    """:func:`expectation_axioms` of the projection P with range basis
+    ``basis`` (n^2 x r, orthonormal), against that range algebra."""
     members = _members(basis, n)
     rng = np.random.default_rng(AXIOM_SEED)
     xs = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -2,10 +2,11 @@
 position of a pair (its five parts, principal angles and principal
 vectors) and the reflection symmetry of its generic part.
 
-A position comes from one SVD of Bp* Bq over orthonormal range bases
-(Bjorck & Golub). A plane joins a meet when the cosine of its principal
-angle is within atol_spectral of 1 and a wedge when its sine is: an
-angle width of about sqrt(2 atol_spectral), 1.41e-3 by default.
+A position comes from one SVD of Bp* Bq over the orthonormal range bases
+that each projection computes once (Bjorck & Golub). A plane joins a meet
+when the cosine of its principal angle is within atol_spectral of 1 and a
+wedge when its sine is: an angle width of about sqrt(2 atol_spectral),
+1.41e-3 by default.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ class Projection:
     """A validated Hermitian idempotent matrix.
 
     Instances are produced by :func:`make_projection` or :func:`from_span`;
-    the matrix is made read-only so values can be shared freely.
+    the matrix is made read-only so values can be shared freely. ``basis``
+    (n x rank, orthonormal, read-only) is the eigenvectors of eigenvalue 1
+    from one eigh, taken when first read; every position of the projection
+    shares it.
     """
 
     m: np.ndarray
@@ -37,6 +41,12 @@ class Projection:
     @property
     def n(self) -> int:
         return self.m.shape[0]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        b = np.linalg.eigh(self.m)[1][:, self.n - self.rank:]
+        b.flags.writeable = False
+        return b
 
 
 def _residuals(m: np.ndarray):
@@ -152,15 +162,13 @@ class Position:
         return float(self.angles.max(initial=0.0))
 
 
-HalmosParts = Position  # the five-part decomposition is read from the position
-
-
 def position(p: Projection, q: Projection) -> Position:
-    """The :class:`Position` of p and q: one eigh per range, one SVD."""
+    """The :class:`Position` of p and q: one SVD of the range bases' product
+    (and one eigh per range whose basis was not yet read)."""
     if p.n != q.n:
         raise DimensionMismatch(f"ambient dimensions differ: {p.n} vs {q.n}")
     atol = p.tol.atol_spectral
-    bp, bq = (np.linalg.eigh(r.m)[1][:, r.n - r.rank:] for r in (p, q))
+    bp, bq = p.basis, q.basis
     left, cos, right_h = np.linalg.svd(adjoint(bp) @ bq)
     xs, ys = bp @ left, bq @ adjoint(right_h)
     k = cos.size
@@ -187,24 +195,36 @@ def position(p: Projection, q: Projection) -> Position:
     return Position(p, q, *arrays)
 
 
-def halmos_decompose(p: Projection, q: Projection) -> HalmosParts:
+def halmos_decompose(p: Projection, q: Projection) -> Position:
     """Split the ambient space by the relative position of p and q."""
     return position(p, q)
+
+
+def _pivoted_basis(b: np.ndarray) -> np.ndarray:
+    """The column-pivoted QR basis of b b*, for b with orthonormal columns.
+
+    A pivoted QR b* P = Q R of the k x n matrix b* gives b b* P = (b Q) R,
+    a pivoted QR of b b* with the same pivots, since b preserves the norms
+    that choose them: b Q is the basis a pivoted QR of the n x n matrix
+    b b* would give, up to the phases fixed here, at O(n k^2) cost.
+    """
+    if b.shape[1] == 0:
+        return np.zeros(b.shape, dtype=np.complex128)
+    qmat, _, _ = scipy.linalg.qr(adjoint(b), pivoting=True)
+    return numkit.fix_phases(b @ qmat)
 
 
 def range_basis(p: Projection) -> np.ndarray:
     """Deterministic orthonormal basis (n x rank) of range(p).
 
-    Column-pivoted QR of the projection matrix keeps each basis vector
+    A column-pivoted QR of the projection matrix keeps each basis vector
     inside the support of the columns it came from, so block-diagonal
     projections get block-supported bases even when the rank exceeds 1
-    (an eigenvector basis of the degenerate eigenvalue 1 would not).
-    Phases are fixed to make the basis reproducible.
+    (an eigenvector basis of the degenerate eigenvalue 1 would not). It is
+    taken through ``p.basis`` (see :func:`_pivoted_basis`), and phases are
+    fixed to make the basis reproducible.
     """
-    if p.rank == 0:
-        return np.zeros((p.n, 0), dtype=np.complex128)
-    qmat, _, _ = scipy.linalg.qr(p.m, pivoting=True)
-    return numkit.fix_phases(qmat[:, : p.rank])
+    return _pivoted_basis(p.basis)
 
 
 def compress(m: np.ndarray, basis: np.ndarray) -> np.ndarray:

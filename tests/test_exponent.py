@@ -1,7 +1,9 @@
 """The exponent owns what is computed from z: the residual report, made
 once and returned as stored by verify_geodesic, and the unitary group
-e^{tz}, taken from one eigendecomposition shared by every geodesic point,
-transport and ODE generator of a path. Blockwise exponents build one
+e^{tz}, taken from one eigendecomposition shared by the report, every
+geodesic point, transport and ODE generator of a path. A z off skew is
+reported through a general matrix exponential. The default wedge witness
+is read from the position's wedge bases. Blockwise exponents build one
 position per block."""
 
 import json
@@ -14,7 +16,7 @@ import projgeo as pg
 from projgeo import cli, factor, geo, jones, projlat, sampling
 from projgeo.errors import NotSkewHermitian
 
-from _helpers import rotation_pair
+from _helpers import adj, rotation_pair
 
 KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
            (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
@@ -69,16 +71,17 @@ def test_geodesic_point_rejects_a_non_skew_exponent():
 
 def test_one_eigendecomposition_per_path(monkeypatch):
     n = 4
+    calls = count_kernels(monkeypatch, [(np.linalg, "eigh")])
     path = jones.expectation_path(
         jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4), n)
     x0 = np.random.default_rng(10).normal(size=(n, n))
-    calls = count_kernels(monkeypatch, [(np.linalg, "eigh")])
     for t in (0.25, 0.5, 1.0):
         path.transport(t, x0)
     for t in (0.3, 0.7):
         path.projection_at(t)
     _, states = jones.transport_ode_solve(path, x0, 100)
-    assert calls == ["eigh"]
+    # one per range basis of the two ends, one for the spectrum (verification)
+    assert calls == ["eigh"] * 3
     assert pg.operator_norm(states[-1] - path.transport(1.0, x0)) < 1e-6
 
 
@@ -114,3 +117,75 @@ def test_geodesic_report_keeps_the_residual_keys(tmp_path, capsys):
     want = pg.verify_geodesic(pg.minimal_exponent(p, q))
     assert res == {"skewness": want.skewness, "codiagonality": want.codiagonality,
                    "norm_bound": want.norm_bound, "endpoint": want.endpoint}
+
+
+def expm_endpoint(g):
+    z = g.z
+    return pg.operator_norm(
+        scipy.linalg.expm(z) @ g.p.m @ scipy.linalg.expm(-z) - g.q.m)
+
+
+def test_spectrum_endpoint_equals_the_general_exponential():
+    rng = np.random.default_rng(11)
+    for n in (3, 6, 9):
+        p, q, _ = sampling.random_pair(n, rng, force_wedge=True)
+        g = pg.minimal_exponent(p, q)
+        # an arbitrary skew z, so that the endpoint residual is far from 0
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        other = geo.GeodesicExponent(z=(h - adj(h)) / 4, p=p, q=q)
+        for e in (g, other):
+            assert e.residuals.endpoint == pytest.approx(expm_endpoint(e), abs=1e-12)
+            assert e.residuals.norm_bound == pytest.approx(
+                max(0.0, pg.operator_norm(e.z) - np.pi / 2), abs=1e-12)
+        assert other.residuals.endpoint > 0.1
+
+
+def test_non_skew_exponent_gets_a_general_exponential_report(monkeypatch):
+    p, q = rotation_pair(0.4)
+    g = pg.minimal_exponent(p, q)
+    bad = geo.GeodesicExponent(z=g.z + 1e-3 * np.eye(2), p=p, q=q)
+    calls = count_kernels(monkeypatch)
+    res = pg.verify_geodesic(bad)
+    assert calls.count("expm") == 2 and "eigh" not in calls
+    assert res.skewness == pytest.approx(2e-3, rel=1e-9)
+    assert res.endpoint == expm_endpoint(bad)
+    with pytest.raises(NotSkewHermitian):
+        bad.spectrum
+
+
+@pytest.mark.parametrize("n", range(4, 33, 4))
+def test_default_witness_is_the_pivoted_partial_isometry(n):
+    rng = np.random.default_rng(70 + n)
+    for _ in range(4):
+        p, q, _ = sampling.random_pair(n, rng, force_wedge=True)
+        pos = projlat.position(p, q)
+        w = pg.partial_isometry(pos.e10, pos.e01)
+        assert pg.operator_norm(
+            geo.position_exponent(pos).z - geo.position_exponent(pos, w).z) <= 1e-12
+
+
+def wedge_block(a, theta):
+    """p, q in M_4 with p^q' spanned by cos(a) f0 + sin(a) f1, p'^q by its
+    rotation -sin(a) f0 + cos(a) f1, and one generic plane at theta."""
+    s = np.array([np.cos(a), np.sin(a), 0, 0])
+    t = np.array([-np.sin(a), np.cos(a), 0, 0])
+    g = np.array([0, 0, np.cos(theta), np.sin(theta)])
+    f2 = np.array([0, 0, 1.0, 0])
+    return np.outer(s, s) + np.outer(f2, f2), np.outer(t, t) + np.outer(g, g)
+
+
+def test_block_diagonal_pair_gets_a_block_diagonal_exponent():
+    # block a on the even coordinates and block b on the odd ones, so that
+    # eigh mixes the blocks in a degenerate eigenspace; distinct wedge
+    # weights make the QR pivots, and so the witness's pairing of source
+    # and target vectors, free of ties
+    (pa, qa), (pb, qb) = wedge_block(0.3, 0.5), wedge_block(0.6, 1.1)
+    a, b = np.arange(0, 8, 2), np.arange(1, 8, 2)
+    pm, qm = np.zeros((8, 8)), np.zeros((8, 8))
+    for idx, pblock, qblock in ((a, pa, qa), (b, pb, qb)):
+        pm[np.ix_(idx, idx)], qm[np.ix_(idx, idx)] = pblock, qblock
+    p, q = pg.make_projection(pm), pg.make_projection(qm)
+    g = pg.minimal_exponent(p, q)
+    assert projlat.position(p, q).ranks() == (0, 0, 2, 2, 4)
+    assert np.abs(g.z[np.ix_(a, b)]).max() <= 1e-12
+    assert np.abs(g.z[np.ix_(b, a)]).max() <= 1e-12

@@ -1,14 +1,15 @@
 """The relative position of a pair: its parts against an independent
 null-space oracle, planes inside the classification width, one position
-per diagnostic battery, a ceiling on dense kernel calls, and the
-eigenvalue form of make_projection's residuals."""
+per diagnostic battery, a ceiling on dense kernel calls, no repeated
+factorization on the geodesic path, and the eigenvalue form of
+make_projection's residuals."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import projgeo as pg
-from projgeo import jones, projlat, sampling
+from projgeo import geo, jones, projlat, sampling
 from projgeo.errors import NotProjection
 
 from _helpers import adj, meet_oracle
@@ -119,6 +120,27 @@ def test_kernel_call_ceiling(monkeypatch):
     pg.minimal_exponent(p, q)
     assert pg.geodesic_distance(p, q) == pytest.approx(np.pi / 2)
     assert len(calls) <= KERNEL_CEILING, sorted(calls)
+
+
+def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
+    # the same n = 32 wedge pair: the range bases of p and q and the
+    # exponent's spectrum are the only eigh; no expm and no n x n QR
+    rng = np.random.default_rng(5)
+    p, q, _ = sampling.structured_pair(3, 3, 4, 4, np.linspace(0.2, 1.3, 9), rng)
+    calls = []
+    for module, name in KERNELS:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(args[0])))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    g = pg.minimal_exponent(p, q)
+    assert pg.verify_geodesic(g).max() < geo.ENDPOINT_ATOL
+    pg.geodesic_point(g, 0.5)
+    assert pg.geodesic_distance(p, q) == pytest.approx(np.pi / 2)
+    names = [name for name, _ in calls]
+    assert names.count("expm") == 0
+    assert names.count("eigh") == 3
+    assert [shape for name, shape in calls if name == "qr"] == [(4, 32), (4, 32)]
 
 
 def test_make_projection_residuals_are_operator_norms():
