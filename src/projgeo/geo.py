@@ -184,9 +184,13 @@ def position_exponent(pos: Position,
 
 
 def geodesic_point(g: GeodesicExponent, t: float) -> Projection:
-    """The projection e^{tz} p e^{-tz}, validated."""
-    u = g.unitary(t)
-    return projlat.make_projection(u @ g.p.m @ adjoint(u), g.p.tol)
+    """The projection e^{tz} p e^{-tz}, validated.
+
+    Its range is e^{tz} range(p), so it is built from the orthonormal basis
+    ``g.unitary(t) @ g.p.basis`` and validated through that basis's
+    orthonormality residual, with no eigendecomposition of its own.
+    """
+    return projlat._from_orthonormal(g.unitary(t) @ g.p.basis, g.p.tol)
 
 
 def geodesic_distance(p: Projection, q: Projection) -> float:
@@ -199,8 +203,24 @@ def geodesic_distance(p: Projection, q: Projection) -> float:
 
 
 def rho_length(g: GeodesicExponent, rho: float, trace=None) -> float:
-    """Length of the geodesic in the trace rho-norm: ||z||_rho."""
-    return numkit.rho_norm(g.z, rho, trace, g.p.tol)
+    """Length of the geodesic in the trace rho-norm: ||z||_rho.
+
+    For a z that passes the skewness check, |z|^rho = u diag(|w|^rho) u*
+    is read from :attr:`GeodesicExponent.spectrum` (i z = u diag(w) u*),
+    and tr(|z|^rho)/n is sum |w|^rho / n when ``trace`` is None; any other
+    z goes through :func:`numkit.rho_norm`.
+    """
+    if rho < 1:
+        raise BadRho(f"rho must be >= 1, got {rho}")
+    if g.skewness > g.p.tol.atol_structure:
+        return numkit.rho_norm(g.z, rho, trace, g.p.tol)
+    w, u = g.spectrum
+    powered = np.abs(w) ** rho
+    if trace is None:
+        val = float(powered.sum()) / g.p.n
+    else:
+        val = complex(trace((u * powered) @ adjoint(u))).real
+    return max(val, 0.0) ** (1.0 / rho)
 
 
 def _stack_points(points) -> np.ndarray:
@@ -216,27 +236,37 @@ def _stack_points(points) -> np.ndarray:
     return mats
 
 
-def curve_length(points, rho: float | None = None, trace=None) -> float:
+def curve_length(points, rho: float | None | list | tuple = None,
+                 trace=None) -> float | list[float]:
     """Chordal length of a discretized curve of projections.
 
     Sums ||points[k+1] - points[k]|| in the operator norm, or in the
     trace rho-norm when ``rho`` is given. The chordal sum approximates
     the smooth length from below as the partition refines. ``points``
     may be a sequence of Projection objects or a stacked (N, n, n) array
-    of projection matrices.
+    of projection matrices. ``rho`` may also be a list or tuple of orders
+    (None for the operator norm); the lengths then come back as a list in
+    the same order, all read from one eigvalsh of the difference stack.
     """
-    if rho is not None and rho < 1:
-        raise BadRho(f"rho must be >= 1, got {rho}")
+    orders = rho if isinstance(rho, (list, tuple)) else [rho]
+    for r in orders:
+        if r is not None and r < 1:
+            raise BadRho(f"rho must be >= 1, got {r}")
     mats = _stack_points(points)
     diffs = mats[1:] - mats[:-1]
+    n = mats.shape[1]
     # differences of Hermitian matrices: singular values = |eigenvalues|
     svals = np.abs(np.linalg.eigvalsh(diffs))
-    if rho is None:
-        return float(svals.max(axis=1).sum())
-    if trace is None:
-        n = mats.shape[1]
-        return float((((svals ** rho).sum(axis=1) / n) ** (1.0 / rho)).sum())
-    return float(sum(numkit.rho_norm(d, rho, trace) for d in diffs))
+
+    def length(r) -> float:
+        if r is None:
+            return float(svals.max(axis=1).sum())
+        if trace is None:
+            return float((((svals ** r).sum(axis=1) / n) ** (1.0 / r)).sum())
+        return float(sum(numkit.rho_norm(d, r, trace) for d in diffs))
+
+    lengths = [length(r) for r in orders]
+    return lengths if orders is rho else lengths[0]
 
 
 def verify_geodesic(g: GeodesicExponent) -> GeodesicResiduals:

@@ -206,7 +206,7 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
     if worst > tol.atol_structure:
         raise NotSubalgebra(
             f"span is not a unital *-subalgebra (residual {worst:.3e})")
-    big = projlat.make_projection(basis @ adjoint(basis), tol)
+    big = projlat._from_orthonormal(basis, tol)
     ep = ExpectationProjection(big=big, spec=spec, n=n, basis=basis)
     res = _axioms(big.m, basis, n).max()
     if res > tol.atol_structure:

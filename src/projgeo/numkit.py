@@ -76,9 +76,10 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value."""
+    """Largest singular value; 0.0 without an SVD for an exactly zero (or
+    empty) matrix, such as the skewness z + z* of a z built skew."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.size == 0:
+    if not a.any():  # NaN counts as nonzero and reaches the SVD
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
 

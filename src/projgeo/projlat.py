@@ -3,7 +3,7 @@ position of a pair (its five parts, principal angles and principal
 vectors) and the reflection symmetry of its generic part.
 
 A position comes from one SVD of Bp* Bq over the orthonormal range bases
-that each projection computes once (Bjorck & Golub). A plane joins a meet
+that each projection carries from birth (Bjorck & Golub). A plane joins a meet
 when the cosine of its principal angle is within atol_spectral of 1 and a
 wedge when its sine is: an angle width of about sqrt(2 atol_spectral),
 1.41e-3 by default.
@@ -20,62 +20,95 @@ import scipy.linalg
 from . import numkit
 from .errors import (DimensionMismatch, NoGenericPart, NoGeodesic,
                      NotProjection, RankDeficient)
-from .numkit import DEFAULT_TOL, ToleranceProfile, adjoint
+from .numkit import DEFAULT_TOL, ToleranceProfile, adjoint, operator_norm
 
 
 @dataclass(frozen=True, eq=False)
 class Projection:
     """A validated Hermitian idempotent matrix.
 
-    Instances are produced by :func:`make_projection` or :func:`from_span`;
-    the matrix is made read-only so values can be shared freely. ``basis``
-    (n x rank, orthonormal, read-only) is the eigenvectors of eigenvalue 1
-    from one eigh, taken when first read; every position of the projection
-    shares it.
+    Instances are produced by :func:`make_projection`, or from orthonormal
+    columns by :func:`from_span`, the parts of a :class:`Position`,
+    ``geo.geodesic_point`` and ``jones.expectation_projection``; the
+    matrix is made read-only so values can be shared freely. ``basis``
+    (n x rank, orthonormal, read-only) is an orthonormal basis of the
+    range, fixed at birth: the eigenvalue-1 eigenvectors of the one eigh
+    that validated the matrix, or the orthonormal columns the projection
+    was built from. Every position of the projection shares it.
     """
 
     m: np.ndarray
     tol: ToleranceProfile
     rank: int
+    basis: np.ndarray
 
     @property
     def n(self) -> int:
         return self.m.shape[0]
 
-    @cached_property
-    def basis(self) -> np.ndarray:
-        b = np.linalg.eigh(self.m)[1][:, self.n - self.rank:]
-        b.flags.writeable = False
-        return b
 
-
-def _residuals(m: np.ndarray):
-    """Operator-norm residuals ||m - m*|| (m - m* is normal) and ||sym^2 - sym||
-    (eigenvalues lam^2 - lam), with sym = (m + m*)/2 and its spectrum."""
-    herm = float(np.abs(np.linalg.eigvalsh(1j * (m - adjoint(m)))).max())
-    sym = (m + adjoint(m)) / 2
-    eigs = np.linalg.eigvalsh(sym)
-    idem = float(np.abs(eigs * eigs - eigs).max())
-    return herm, sym, eigs, idem
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
     """Validate and wrap a matrix as an orthogonal projection.
 
-    The entries are re-symmetrized as (m + m*)/2 before the idempotency
-    and spectral checks, but a Hermiticity residual above atol_structure
-    in the original input is already grounds for rejection.
+    The entries are re-symmetrized as sym = (m + m*)/2 before the
+    idempotency and spectral checks, but a Hermiticity residual
+    ||m - m*|| above atol_structure in the original input is already
+    grounds for rejection. That residual is settled by the Frobenius norm,
+    which bounds the operator norm, unless the bound exceeds the tolerance;
+    only then are the eigenvalues of the normal matrix i(m - m*) taken.
+    One eigh of sym gives the idempotency residual max |lam^2 - lam|, the
+    spectrum, the rank and the range basis.
     """
-    herm, sym, eigs, idem = _residuals(numkit.as_complex(m))
-    if herm > tol.atol_structure:
-        raise NotProjection(f"Hermiticity residual {herm:.3e} > atol_structure")
+    m = numkit.as_complex(m)
+    skew = m - adjoint(m)
+    if np.linalg.norm(skew) > tol.atol_structure:
+        herm = float(np.abs(np.linalg.eigvalsh(1j * skew)).max())
+        if herm > tol.atol_structure:
+            raise NotProjection(f"Hermiticity residual {herm:.3e} > atol_structure")
+    sym = (m + adjoint(m)) / 2
+    eigs, vecs = np.linalg.eigh(sym)
+    idem = float(np.abs(eigs * eigs - eigs).max())
     if idem > tol.atol_structure:
         raise NotProjection(f"idempotency residual {idem:.3e} > atol_structure")
     off = np.minimum(np.abs(eigs), np.abs(eigs - 1.0))
     if off.max() > tol.atol_spectral:
         raise NotProjection("spectrum not within atol_spectral of {0, 1}")
-    sym.flags.writeable = False
-    return Projection(m=sym, tol=tol, rank=int((eigs > 0.5).sum()))
+    rank = int((eigs > 0.5).sum())
+    # eigenvalues ascend: the last rank columns span the range
+    basis = vecs[:, sym.shape[0] - rank:].copy()
+    return Projection(m=_frozen(sym), tol=tol, rank=rank, basis=_frozen(basis))
+
+
+def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile) -> Projection:
+    """The projection b b* onto the span of n x k orthonormal columns b.
+
+    It is validated through eps = ||b* b - 1||, a k x k residual, and
+    rejected unless eps <= min(atol_structure / 2, atol_spectral, 1/4).
+    That bound implies every check of :func:`make_projection`, up to the
+    rounding of the product: b b* is Hermitian, and its nonzero
+    eigenvalues are those of b* b, which lie in [1 - eps, 1 + eps], so the
+    spectrum is within eps <= atol_spectral of {0, 1}, the idempotency
+    residual max |lam (lam - 1)| <= (1 + eps) eps <= atol_structure, and
+    the rank (eigenvalues above 1/2) is k. The Frobenius norm bounds eps
+    and settles it unless it exceeds the tolerance. b itself becomes the
+    read-only ``basis``.
+    """
+    k = b.shape[1]
+    bound = min(tol.atol_structure / 2, tol.atol_spectral, 0.25)
+    gram_err = adjoint(b) @ b - np.eye(k)
+    if np.linalg.norm(gram_err) > bound:
+        eps = operator_norm(gram_err)
+        if eps > bound:
+            raise NotProjection(
+                f"orthonormality residual {eps:.3e} of the range basis > {bound:.3e}")
+    m = b @ adjoint(b)
+    m = (m + adjoint(m)) / 2
+    return Projection(m=_frozen(m), tol=tol, rank=k, basis=_frozen(b))
 
 
 def from_span(columns, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
@@ -89,7 +122,7 @@ def from_span(columns, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     if k == 0 or s[-1] <= tol.rank_cutoff(max(n, k), s[0]):
         raise RankDeficient(f"columns do not have numerical rank {k}")
-    return make_projection(u @ adjoint(u), tol)
+    return _from_orthonormal(u, tol)
 
 
 def complement(p: Projection) -> Projection:
@@ -133,8 +166,7 @@ class Position:
         return (r[0], self.p.n - sum(r), r[1], r[2], r[3])
 
     def _span(self, *bases) -> Projection:
-        b = np.hstack(bases)
-        return make_projection(b @ adjoint(b), self.p.tol)
+        return _from_orthonormal(np.hstack(bases), self.p.tol)
 
     e11 = cached_property(lambda self: self._span(self.b11))
     e10 = cached_property(lambda self: self._span(self.b10))
@@ -163,8 +195,7 @@ class Position:
 
 
 def position(p: Projection, q: Projection) -> Position:
-    """The :class:`Position` of p and q: one SVD of the range bases' product
-    (and one eigh per range whose basis was not yet read)."""
+    """The :class:`Position` of p and q: one SVD of the range bases' product."""
     if p.n != q.n:
         raise DimensionMismatch(f"ambient dimensions differ: {p.n} vs {q.n}")
     atol = p.tol.atol_spectral

@@ -254,6 +254,39 @@ class TestRhoLength:
         with pytest.raises(BadRho):
             pg.rho_length(pg.minimal_exponent(p, q), 0.9)
 
+    @pytest.mark.parametrize("rho", [1.0, 2.0, 4.0, 7.5])
+    def test_spectrum_length_equals_rho_norm(self, rho):
+        # no meet parts, so z is invertible; on a kernel of z, rho_norm's
+        # eigenvalues of z* z carry rounding noise whose square root
+        # (rho = 1) is ~1e-9, and the singular values are the reference
+        rng = np.random.default_rng(28)
+        for n11, n00 in ((0, 0), (1, 2)):
+            p, q, _ = sampling.structured_pair(n11, n00, 2, 2, [0.3, 0.9, 1.4], rng)
+            g = pg.minimal_exponent(p, q)
+            svals = np.linalg.svd(g.z, compute_uv=False)
+            for trace in (None, factor.NormalizedTrace(factor.FiniteAlgebra.full(p.n))):
+                value = pg.rho_length(g, rho, trace)
+                if n11 + n00 == 0:
+                    assert abs(value - pg.rho_norm(g.z, rho, trace)) <= 1e-12
+                assert abs(value - ((svals ** rho).sum() / p.n) ** (1 / rho)) <= 1e-12
+
+    def test_non_skew_exponent_takes_rho_norm(self, monkeypatch):
+        p, q = rotation_pair(0.5)
+        g = pg.minimal_exponent(p, q)
+        bad = geo.GeodesicExponent(z=g.z + 1e-3 * np.eye(2), p=p, q=q)
+        calls = []
+        real = geo.numkit.rho_norm
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geo.numkit, "rho_norm", counting)
+        assert pg.rho_length(bad, 2.0) == real(bad.z, 2.0)
+        assert len(calls) == 1 and calls[0] is bad.z
+        pg.rho_length(g, 2.0)
+        assert len(calls) == 1
+
 
 class TestCurveLength:
     def test_two_equal_points(self):
@@ -279,6 +312,17 @@ class TestCurveLength:
         pts = [pg.geodesic_point(g, t) for t in np.linspace(0, 1, 400)]
         assert abs(pg.curve_length(pts, rho=2.0) - pg.rho_length(g, 2.0)) < 1e-3
 
+    def test_several_orders_equal_one_order_at_a_time(self):
+        rng = np.random.default_rng(29)
+        p, q, _ = random_joinable_pair(5, rng)
+        g = pg.minimal_exponent(p, q)
+        curve = next(perturbed_curves(g, rng, count=1, samples=200))
+        orders = [None, 2.0, 1.0, 4.0]
+        assert pg.curve_length(curve, rho=orders) == \
+            [pg.curve_length(curve, rho=rho) for rho in orders]
+        with pytest.raises(BadRho):
+            pg.curve_length(curve, rho=(2.0, 0.5))
+
     def test_perturbed_curves_are_no_shorter(self):
         rng = np.random.default_rng(27)
         p, q, _ = random_joinable_pair(5, rng)
@@ -291,6 +335,22 @@ class TestCurveLength:
             for rho in (2.0, 4.0):
                 assert pg.curve_length(curve, rho=rho) >= \
                     pg.rho_length(g, rho) - 1e-6
+
+
+class TestGeodesicPoint:
+    def test_basis_is_the_rotated_range(self):
+        rng = np.random.default_rng(30)
+        p, q, _ = sampling.structured_pair(1, 1, 2, 2, [0.4, 1.2], rng)
+        g = pg.minimal_exponent(p, q)
+        for t in (0.0, 0.3, 0.5, 1.0):
+            pt = pg.geodesic_point(g, t)
+            b = pt.basis
+            assert pt.rank == p.rank == b.shape[1]
+            assert pg.operator_norm(adj(b) @ b - np.eye(b.shape[1])) <= 1e-12
+            assert pg.operator_norm(b @ adj(b) - pt.m) <= 1e-12
+            u = g.unitary(t)
+            assert pg.operator_norm(pt.m - u @ p.m @ adj(u)) <= 1e-12
+        assert pg.operator_norm(pg.geodesic_point(g, 1.0).m - q.m) <= 1e-12
 
 
 class TestVerifyGeodesic:

@@ -69,6 +69,25 @@ class TestIndexDistance:
         assert info.value.expected == pytest.approx(expected, abs=1e-12)
 
 
+class TestBasicConstruction:
+    """The index theorem on a Jones basic construction C < M_k < M_{k^2}:
+    e1 projects HS(M_k) onto C 1 and acts on HS(M_{k^2}) by left
+    multiplication, e2 is the expectation onto M_k (x) 1. Then
+    e1 e2 e1 = tau e1 with tau = 1/k^2 and d(e1, e2) = arccos(tau^(1/2))
+    (Jones 1983; Pimsner & Popa 1986)."""
+
+    @pytest.mark.parametrize("k,ranks", [(2, (0, 8, 0, 0, 8)),
+                                         (3, (0, 63, 0, 0, 18))])
+    def test_index_theorem(self, k, ranks):
+        unit = np.eye(k).reshape(-1) / np.sqrt(k)
+        e1 = pg.make_projection(np.kron(np.outer(unit, unit), np.eye(k * k)))
+        e2 = jones.expectation_projection(jones.TensorFactor(k, k), k * k).big
+        tau = 1.0 / k ** 2
+        assert pg.operator_norm(e1.m @ e2.m @ e1.m - tau * e1.m) <= 1e-12
+        assert projlat.position(e1, e2).ranks() == ranks
+        assert abs(pg.geodesic_distance(e1, e2) - np.arccos(1.0 / k)) <= 1e-12
+
+
 class TestExpectationProjection:
     def test_diagonal_pinching(self):
         ep = jones.expectation_projection(jones.diagonal_spec(2), 2)

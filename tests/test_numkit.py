@@ -136,6 +136,26 @@ class TestOperatorNorm:
     def test_zero(self):
         assert numkit.operator_norm(np.zeros((2, 2))) == 0.0
 
+    def test_zero_and_nan_paths(self, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert numkit.operator_norm(np.zeros((192, 192))) == 0.0
+        assert numkit.operator_norm(np.zeros((0, 0))) == 0.0
+        assert calls == []
+        nan = np.zeros((3, 3))
+        nan[1, 2] = np.nan
+        try:
+            result = numkit.operator_norm(nan)
+        except np.linalg.LinAlgError:
+            result = np.nan
+        assert calls == [(3, 3)] and np.isnan(result)
+
     def test_rank_one(self):
         xi = np.array([1.0, 1j]) / np.sqrt(2)
         eta = np.array([1.0, -1.0]) / np.sqrt(2)

@@ -1,8 +1,8 @@
 """The relative position of a pair: its parts against an independent
 null-space oracle, planes inside the classification width, one position
 per diagnostic battery, a ceiling on dense kernel calls, no repeated
-factorization on the geodesic path, and the eigenvalue form of
-make_projection's residuals."""
+factorization on the geodesic path, and make_projection's decisions on
+operator-norm residuals."""
 
 import numpy as np
 import pytest
@@ -100,8 +100,10 @@ def test_pair_diagnostics_builds_one_position(monkeypatch):
 
 # Dense kernel calls made by one minimal_exponent + geodesic_distance on
 # the n = 32 wedge pair below: 97 when each consumer rebuilt the position
-# from four eigh-clustered meets, 21 with one Position per call.
-KERNEL_CEILING = 21
+# from four eigh-clustered meets, 21 with one Position per call, 7 once
+# each projection carries its range basis from birth and the exactly zero
+# skewness of a z built skew takes no SVD.
+KERNEL_CEILING = 7
 KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
            (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
            (scipy.linalg, "qr")]
@@ -123,8 +125,9 @@ def test_kernel_call_ceiling(monkeypatch):
 
 
 def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
-    # the same n = 32 wedge pair: the range bases of p and q and the
-    # exponent's spectrum are the only eigh; no expm and no n x n QR
+    # the same n = 32 wedge pair, from its matrices: one eigh per input
+    # projection and one for the exponent's spectrum; no eigvalsh, no expm
+    # and no n x n QR
     rng = np.random.default_rng(5)
     p, q, _ = sampling.structured_pair(3, 3, 4, 4, np.linspace(0.2, 1.3, 9), rng)
     calls = []
@@ -133,25 +136,39 @@ def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
             calls.append((_name, np.shape(args[0])))
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
+    p, q = pg.make_projection(p.m), pg.make_projection(q.m)
     g = pg.minimal_exponent(p, q)
     assert pg.verify_geodesic(g).max() < geo.ENDPOINT_ATOL
     pg.geodesic_point(g, 0.5)
     assert pg.geodesic_distance(p, q) == pytest.approx(np.pi / 2)
     names = [name for name, _ in calls]
     assert names.count("expm") == 0
+    assert names.count("eigvalsh") == 0
     assert names.count("eigh") == 3
     assert [shape for name, shape in calls if name == "qr"] == [(4, 32), (4, 32)]
 
 
-def test_make_projection_residuals_are_operator_norms():
+def test_make_projection_decides_on_operator_norms():
     rng = np.random.default_rng(34)
+    atol = pg.DEFAULT_TOL.atol_structure
     for n in (2, 5, 9):
         for scale in (1e-10, 1e-8, 1e-6):
             base = sampling.random_projection(n, n // 2, rng).m
             m = base + scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-            herm, sym, _, idem = projlat._residuals(m)
-            assert herm == pytest.approx(pg.operator_norm(m - adj(m)), abs=1e-12)
-            assert idem == pytest.approx(pg.operator_norm(sym @ sym - sym), abs=1e-12)
+            herm = pg.operator_norm(m - adj(m))
+            sym = (m + adj(m)) / 2
+            idem = pg.operator_norm(sym @ sym - sym)
+            if herm > atol or idem > atol:
+                kind = "Hermiticity" if herm > atol else "idempotency"
+                with pytest.raises(NotProjection, match=kind) as err:
+                    pg.make_projection(m)
+                reported = float(str(err.value).split()[2])
+                assert reported == pytest.approx(herm if herm > atol else idem, rel=1e-3)
+            else:
+                p = pg.make_projection(m)
+                assert p.rank == n // 2
+                # the basis rounds each eigenvalue of sym to 0 or 1
+                assert pg.operator_norm(p.basis @ adj(p.basis) - p.m) <= 2 * idem + 1e-12
 
 
 def test_make_projection_rejection_threshold():

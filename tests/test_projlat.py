@@ -42,6 +42,44 @@ class TestMakeProjection:
         p = pg.make_projection(np.diag([1.0, 0.0]))
         with pytest.raises(ValueError):
             p.m[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            p.basis[0, 0] = 5.0
+
+    def test_basis_spans_the_range(self):
+        p = sampling.random_projection(7, 3, np.random.default_rng(12))
+        assert p.basis.shape == (7, 3)
+        assert pg.operator_norm(adj(p.basis) @ p.basis - np.eye(3)) <= 1e-12
+        assert pg.operator_norm(p.basis @ adj(p.basis) - p.m) <= 1e-12
+
+    def test_hermiticity_decided_by_the_operator_norm(self):
+        # m - m* = 2i c I has operator norm 2c and Frobenius norm 4c, so
+        # the Frobenius bound alone cannot accept at 2c just below atol
+        atol = pg.DEFAULT_TOL.atol_structure
+        base = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
+        below = base + 1j * (0.45 * atol) * np.eye(4)
+        assert np.linalg.norm(below - adj(below)) > atol
+        p = pg.make_projection(below)
+        assert p.rank == 2
+        with pytest.raises(NotProjection,
+                           match=r"^Hermiticity residual 1\.100e-08 > atol_structure$"):
+            pg.make_projection(base + 1j * (0.55 * atol) * np.eye(4))
+
+
+class TestFromOrthonormal:
+    def test_basis_and_rank(self):
+        b = np.linalg.qr(np.random.default_rng(13).normal(size=(6, 2)))[0]
+        p = projlat._from_orthonormal(b, pg.DEFAULT_TOL)
+        assert p.rank == 2 and p.basis is b
+        assert pg.operator_norm(p.m - b @ adj(b)) <= 1e-15
+        assert pg.make_projection(p.m).rank == 2
+
+    def test_rejects_a_basis_that_is_not_orthonormal(self):
+        tol = pg.DEFAULT_TOL
+        for b in (np.array([[1.0 + 1e-6], [0.0]]),
+                  np.array([[1.0, np.sqrt(0.5)], [0.0, np.sqrt(0.5)]]),
+                  np.array([[1.0, 1.0], [0.0, 0.0]])):
+            with pytest.raises(NotProjection, match="orthonormality"):
+                projlat._from_orthonormal(b, tol)
 
 
 class TestFromSpan:
