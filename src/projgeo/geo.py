@@ -9,7 +9,7 @@ normalized when the operator norm of z is at most pi/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -50,15 +50,43 @@ class GeodesicResiduals:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicExponent:
-    """Skew-Hermitian, p-codiagonal exponent taking p to q at t = 1; z is read-only."""
+    """Skew-Hermitian, p-codiagonal exponent taking p to q at t = 1; z is read-only.
+
+    Built from z alone, its :attr:`spectrum` is one eigh of i z. Built by
+    :meth:`from_spectrum`, as :func:`position_exponent` builds it, z is made
+    from a thin spectrum that needs no eigendecomposition."""
 
     z: np.ndarray
     p: Projection
     q: Projection
+    _thin: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "z", np.array(self.z))
         self.z.flags.writeable = False
+
+    @classmethod
+    def from_spectrum(cls, w: np.ndarray, v: np.ndarray, p: Projection,
+                      q: Projection) -> GeodesicExponent:
+        """The exponent z = -i V diag(w) V* of real w and n x m orthonormal V.
+
+        (w, V) becomes its :attr:`spectrum` as given. V* V = 1 is checked
+        once within atol_structure, and a failure raises
+        InternalConsistencyError. V diag(w) V* is made exactly Hermitian,
+        so that z is exactly skew and 1j z = V diag(w) V* up to rounding."""
+        w, v = np.array(w, dtype=np.float64), np.array(v, dtype=np.complex128)
+        eps = projlat._orthonormality_residual(v, p.tol.atol_structure)
+        if eps > p.tol.atol_structure:
+            raise InternalConsistencyError(
+                f"orthonormality residual {eps:.3e} of the exponent's "
+                "eigenvectors > atol_structure")
+        h = (v * w) @ adjoint(v)
+        g = cls(z=-0.5j * (h + adjoint(h)), p=p, q=q)
+        for arr in (w, v):
+            arr.flags.writeable = False
+        object.__setattr__(g, "_thin", (w, v))
+        return g
 
     @cached_property
     def skewness(self) -> float:
@@ -76,9 +104,9 @@ class GeodesicExponent:
         sym = 2 * p - np.eye(self.p.n)
         codiag = operator_norm(z @ sym + sym @ z)
         if self.skewness <= self.p.tol.atol_structure:
-            w, u = self.spectrum
-            norm = float(np.abs(w).max())
-            ez = (u * np.exp(-1j * w)) @ adjoint(u)
+            w, v = self.spectrum
+            norm = float(np.abs(w).max(initial=0.0))
+            ez = _spectral_exp(w, v, 1.0)
             endpoint = operator_norm(ez @ p @ adjoint(ez) - q)
         else:
             norm = operator_norm(z)
@@ -90,15 +118,26 @@ class GeodesicExponent:
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, u) with 1j z = u diag(w) u*, once z passes the skewness check."""
+        """(w, V) with 1j z = V diag(w) V* and V* V = 1, once z passes the
+        skewness check.
+
+        V is the thin n x m basis :meth:`from_spectrum` was given, which
+        spans the support of z (m = 2k for k rotated planes), or else the
+        n x n eigenvectors of one eigh of i z."""
         if self.skewness > self.p.tol.atol_structure:
             raise NotSkewHermitian("skewness residual exceeds atol_structure")
+        if self._thin is not None:
+            return self._thin
         return np.linalg.eigh(1j * (self.z - adjoint(self.z)) / 2)
 
     def unitary(self, t: float) -> np.ndarray:
-        """e^{tz} = u diag(e^{-itw}) u*."""
-        w, u = self.spectrum
-        return (u * np.exp(-1j * t * w)) @ adjoint(u)
+        """e^{tz} = 1 + V (e^{-itw} - 1) V*, which is the identity off span V."""
+        return _spectral_exp(*self.spectrum, t)
+
+
+def _spectral_exp(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """1 + V (e^{-itw} - 1) V*: e^{tz} for 1j z = V diag(w) V*, V* V = 1."""
+    return np.eye(v.shape[0]) + (v * np.expm1(-1j * t * w)) @ adjoint(v)
 
 
 def geodesic_exists(p: Projection, q: Projection) -> bool:
@@ -157,24 +196,33 @@ def position_exponent(pos: Position,
                       w: PartialIsometry | None = None) -> GeodesicExponent:
     """:func:`minimal_exponent` of the pair of a position already built.
 
-    The default witness is read from the position's wedge bases: the
+    The exponent is built from the spectrum the position holds. Each
+    generic plane (x_j, u_j) at angle theta_j gives the eigenvectors
+    (x_j +- i u_j)/sqrt(2) of i z with eigenvalues +-theta_j. On the wedge
+    parts z = i(pi/2)(v + v*) for the witness v, so each column a of a
+    basis of p^q' gives (a +- v a)/sqrt(2) with eigenvalues -+pi/2. The
+    default witness is read from the position's wedge bases: the
     pivoted-QR bases of p^q' and p'^q matched in index order, which is
-    ``partial_isometry(pos.e10, pos.e01).w`` without building either part."""
-    # the rotation by theta_j carrying x_j to cos(theta_j) x_j + sin(theta_j) u_j
+    ``partial_isometry(pos.e10, pos.e01).w`` without building either part;
+    its v a is the pivoted basis of p'^q itself."""
     th, x, u = pos.angles, pos.x, pos.u
-    z = (u * th) @ adjoint(x) - (x * th) @ adjoint(u)
+    cols, ws = [x + 1j * u, x - 1j * u], [th, -th]
     if not pos.unique():
         if w is None:
-            v = projlat._pivoted_basis(pos.b01) @ adjoint(projlat._pivoted_basis(pos.b10))
+            a, va = projlat._pivoted_basis(pos.b10), projlat._pivoted_basis(pos.b01)
         else:
             v = w.w
             if (operator_norm(adjoint(v) @ v - pos.e10.m) > ENDPOINT_ATOL
                     or operator_norm(v @ adjoint(v) - pos.e01.m) > ENDPOINT_ATOL):
                 raise InvariantViolation("supplied isometry does not witness p^q' ~ p'^q")
+            a = pos.b10
+            va = v @ a
         # swaps the two wedge parts: e^z = i (v + v*) there
-        z = z + 1j * HALF_PI * (v + adjoint(v))
-    z = (z - adjoint(z)) / 2
-    g = GeodesicExponent(z=z, p=pos.p, q=pos.q)
+        half_pi = np.full(a.shape[1], HALF_PI)
+        cols += [a + va, a - va]
+        ws += [-half_pi, half_pi]
+    g = GeodesicExponent.from_spectrum(np.concatenate(ws), np.hstack(cols) / np.sqrt(2),
+                                       pos.p, pos.q)
     res = verify_geodesic(g)
     if res.max() > ENDPOINT_ATOL:
         raise InternalConsistencyError(
@@ -205,8 +253,8 @@ def geodesic_distance(p: Projection, q: Projection) -> float:
 def rho_length(g: GeodesicExponent, rho: float, trace=None) -> float:
     """Length of the geodesic in the trace rho-norm: ||z||_rho.
 
-    For a z that passes the skewness check, |z|^rho = u diag(|w|^rho) u*
-    is read from :attr:`GeodesicExponent.spectrum` (i z = u diag(w) u*),
+    For a z that passes the skewness check, |z|^rho = V diag(|w|^rho) V*
+    is read from :attr:`GeodesicExponent.spectrum` (i z = V diag(w) V*),
     and tr(|z|^rho)/n is sum |w|^rho / n when ``trace`` is None; any other
     z goes through :func:`numkit.rho_norm`.
     """
@@ -214,12 +262,12 @@ def rho_length(g: GeodesicExponent, rho: float, trace=None) -> float:
         raise BadRho(f"rho must be >= 1, got {rho}")
     if g.skewness > g.p.tol.atol_structure:
         return numkit.rho_norm(g.z, rho, trace, g.p.tol)
-    w, u = g.spectrum
+    w, v = g.spectrum
     powered = np.abs(w) ** rho
     if trace is None:
         val = float(powered.sum()) / g.p.n
     else:
-        val = complex(trace((u * powered) @ adjoint(u))).real
+        val = complex(trace((v * powered) @ adjoint(v))).real
     return max(val, 0.0) ** (1.0 / rho)
 
 

@@ -379,9 +379,11 @@ def index_distance(jp: JonesPair):
 class ExpectationPath:
     """Geodesic of expectation projections between two subalgebras.
 
-    Immutable handle; evaluation at any t is a pure function. The
-    exponent caches its spectrum on first read (threads that race there
-    compute equal copies), so concurrent use at distinct times is safe.
+    Immutable handle; evaluation at any t is a pure function. The exponent
+    carries its thin spectrum (w, V) from birth, V (n^2 x 2k) spanning the
+    k generic planes of (E_0, E_1) on which Z rotates, so no
+    eigendecomposition runs after construction and concurrent use at
+    distinct times is safe.
     """
 
     z: GeodesicExponent  # exponent on the HS space of M_n
@@ -426,43 +428,50 @@ def transport_ode_solve(path: ExpectationPath, x0, steps: int):
 
     The state is the vectorized matrix; the generator is the commutator
     [dE_t, E_t] with E_t the geodesic projection at time t and dE_t its
-    exact derivative Z E_t - E_t Z (no finite differencing). It is applied
-    to the state, never formed, in the eigenbasis of the exponent's cached
-    spectrum i Z = u diag(w) u*: there Z is diag(-i w) and E_t is
-    d E_0' d* with d = e^{-i t w} and E_0' = u* E_0 u, so one generator
-    application costs three HS matrix-vector products. Returns the times
+    exact derivative Z E_t - E_t Z (no finite differencing). The exponent's
+    spectrum i Z = V diag(w) V* is thin: V (n^2 x m) spans the support of
+    Z, a sum of parts of the position of (E_0, E_1), so Z, E_0 and every
+    E_t commute with V V* and the generator vanishes off span V. The
+    component x0 - V V* x0 is carried unchanged and RK4 runs on the m
+    coordinates V* x. There Z is diag(zw) with zw = -i w, and the generator
+    is A(t) = D_t A_0 D_t* with D_t = diag(e^{t zw}) and
+    A_0 = Z P_0 + P_0 Z - 2 P_0 Z P_0, P_0 = V* E_0 V. So each RK4 step
+    matrix is R_j = D_{t_j} R_0 D_{t_j}*, where R_0 takes the usual four
+    stages from A(0), A(h/2) and A(h), and the coordinates rotated back by
+    D_{t_j}* advance by the one m x m matrix D_h* R_0. Returns the times
     and the transported matrices at steps + 1 uniform points.
     """
     if steps < 100:
         raise ValueError("need at least 100 steps")
     n = path.n
-    w, u = path.z.spectrum
+    w, v = path.z.spectrum
     zw = -1j * w
-    p0 = adjoint(u) @ path.end0.big.m @ u
+    c = adjoint(v) @ path.end0.basis
+    p0 = c @ adjoint(c)
+    # [dE, E] with dE = ZP - PZ collapses to ZP + PZ - 2 PZP
+    a0 = zw[:, None] * p0 + p0 * zw - 2.0 * p0 @ (zw[:, None] * p0)
 
-    def generator(d: np.ndarray, y: np.ndarray) -> np.ndarray:
-        def pt(v):
-            return d * (p0 @ (d.conj() * v))
-
-        # [dE, E] with dE = ZP - PZ collapses to ZP + PZ - 2 PZP
-        a = pt(y)
-        return zw * a + pt(zw * y) - 2.0 * pt(zw * a)
+    def generator(t: float) -> np.ndarray:
+        d = np.exp(t * zw)
+        return d[:, None] * a0 * d.conj()
 
     h = 1.0 / steps
-    ys = np.empty((steps + 1, n * n), dtype=np.complex128)
-    y = ys[0] = adjoint(u) @ vec(numkit.as_complex(x0))
-    d_t = np.ones(n * n, dtype=np.complex128)
+    eye = np.eye(w.size)
+    a_mid = generator(h / 2)
+    k1 = a0
+    k2 = a_mid @ (eye + (h / 2) * k1)
+    k3 = a_mid @ (eye + (h / 2) * k2)
+    k4 = generator(h) @ (eye + h * k3)
+    step = np.exp(h * zw).conj()[:, None] * (eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+    x = vec(numkit.as_complex(x0))
+    rotated = np.empty((steps + 1, w.size), dtype=np.complex128)
+    rotated[0] = adjoint(v) @ x
     for j in range(steps):
-        t = j * h
-        d_mid, d_next = np.exp((t + h / 2) * zw), np.exp((t + h) * zw)
-        k1 = generator(d_t, y)
-        k2 = generator(d_mid, y + (h / 2) * k1)
-        k3 = generator(d_mid, y + (h / 2) * k2)
-        k4 = generator(d_next, y + h * k3)
-        y = ys[j + 1] = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        d_t = d_next
+        rotated[j + 1] = step @ rotated[j]
     times = np.linspace(0.0, 1.0, steps + 1)
-    return times, (ys @ u.T).reshape(steps + 1, n, n)
+    coords = np.exp(np.outer(times, zw)) * rotated
+    states = (x - v @ rotated[0]) + coords @ v.T
+    return times, states.reshape(steps + 1, n, n)
 
 
 @dataclass(frozen=True)

@@ -159,20 +159,20 @@ def rho_norm(a, rho: float, trace=None, tol: ToleranceProfile = DEFAULT_TOL) -> 
 
     ``trace`` is any callable implementing a normalized trace (tau(I) = 1);
     when omitted, the normalized trace of the full matrix algebra,
-    tr(x)/n, is used.
+    tr(x)/n, is used. One SVD a = U diag(s) V* gives |a|^rho =
+    V diag(s^rho) V*, so a kernel of a contributes exact zeros (powering
+    the eigenvalues of a* a by rho/2 would lift their rounding noise to
+    ~1e-9 at rho = 1).
     """
     if rho < 1:
         raise BadRho(f"rho must be >= 1, got {rho}")
     a = as_complex(a)
     n = a.shape[0]
-    gram = adjoint(a) @ a
-    w, u = np.linalg.eigh((gram + adjoint(gram)) / 2)
-    w = np.clip(w, 0.0, None)
-    powered = w ** (rho / 2.0)
     if trace is None:
-        val = float(powered.sum()) / n
+        val = float((np.linalg.svd(a, compute_uv=False) ** rho).sum()) / n
     else:
-        val = complex(trace((u * powered) @ adjoint(u))).real
+        _, s, vh = np.linalg.svd(a)
+        val = complex(trace((adjoint(vh) * s ** rho) @ vh)).real
     return max(val, 0.0) ** (1.0 / rho)
 
 

@@ -98,17 +98,22 @@ def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile) -> Projection:
     and settles it unless it exceeds the tolerance. b itself becomes the
     read-only ``basis``.
     """
-    k = b.shape[1]
     bound = min(tol.atol_structure / 2, tol.atol_spectral, 0.25)
-    gram_err = adjoint(b) @ b - np.eye(k)
-    if np.linalg.norm(gram_err) > bound:
-        eps = operator_norm(gram_err)
-        if eps > bound:
-            raise NotProjection(
-                f"orthonormality residual {eps:.3e} of the range basis > {bound:.3e}")
+    eps = _orthonormality_residual(b, bound)
+    if eps > bound:
+        raise NotProjection(
+            f"orthonormality residual {eps:.3e} of the range basis > {bound:.3e}")
     m = b @ adjoint(b)
     m = (m + adjoint(m)) / 2
-    return Projection(m=_frozen(m), tol=tol, rank=k, basis=_frozen(b))
+    return Projection(m=_frozen(m), tol=tol, rank=b.shape[1], basis=_frozen(b))
+
+
+def _orthonormality_residual(b: np.ndarray, bound: float) -> float:
+    """||b* b - 1|| of n x k columns b, settled by its Frobenius upper bound
+    unless that exceeds ``bound``; only then is the operator norm taken."""
+    gram_err = adjoint(b) @ b - np.eye(b.shape[1])
+    frob = float(np.linalg.norm(gram_err))
+    return frob if frob <= bound else operator_norm(gram_err)
 
 
 def from_span(columns, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:

@@ -1,10 +1,11 @@
 """The exponent owns what is computed from z: the residual report, made
 once and returned as stored by verify_geodesic, and the unitary group
-e^{tz}, taken from one eigendecomposition shared by the report, every
-geodesic point, transport and ODE generator of a path. A z off skew is
-reported through a general matrix exponential. The default wedge witness
-is read from the position's wedge bases. Blockwise exponents build one
-position per block."""
+e^{tz}, taken from one spectrum shared by the report, every geodesic
+point, transport and ODE generator of a path. A constructed exponent
+reads its thin spectrum off the position, with no eigendecomposition; a z
+off skew is reported through a general matrix exponential. The default
+wedge witness is read from the position's wedge bases. Blockwise exponents
+build one position per block."""
 
 import json
 
@@ -80,9 +81,9 @@ def test_one_eigendecomposition_per_path(monkeypatch):
     for t in (0.3, 0.7):
         path.projection_at(t)
     _, states = jones.transport_ode_solve(path, x0, 100)
-    # the ends are built from the orthonormal bases of their spans, so the
-    # spectrum (verification) is the only eigendecomposition
-    assert calls == ["eigh"]
+    # the ends are built from the orthonormal bases of their spans, and the
+    # exponent from the spectrum its position holds
+    assert calls == []
     assert pg.operator_norm(states[-1] - path.transport(1.0, x0)) < 1e-6
 
 
@@ -190,3 +191,62 @@ def test_block_diagonal_pair_gets_a_block_diagonal_exponent():
     assert projlat.position(p, q).ranks() == (0, 0, 2, 2, 4)
     assert np.abs(g.z[np.ix_(a, b)]).max() <= 1e-12
     assert np.abs(g.z[np.ix_(b, a)]).max() <= 1e-12
+
+
+def zero_exponent_cases():
+    rng = np.random.default_rng(12)
+    p = sampling.random_projection(5, 2, rng)
+    yield p, p
+    p, q, _ = sampling.structured_pair(2, 3, 0, 0, [], rng)  # meet and complement only
+    yield p, q
+
+
+def test_zero_exponent_has_an_empty_spectrum():
+    for p, q in zero_exponent_cases():
+        g = pg.minimal_exponent(p, q)
+        w, v = g.spectrum
+        assert w.size == 0 and v.shape == (p.n, 0)
+        for t in (-0.5, 0.25, 1.0):
+            assert np.array_equal(g.unitary(t), np.eye(p.n))
+        assert g.residuals.norm_bound == 0.0
+        for rho in (1.0, 2.0):
+            assert pg.rho_length(g, rho) == 0.0
+        assert pg.operator_norm(pg.geodesic_point(g, 0.5).m - p.m) <= 1e-12
+
+
+def test_trivial_path_has_an_empty_spectrum():
+    n = 3
+    path = jones.expectation_path(jones.diagonal_spec(n), jones.diagonal_spec(n), n)
+    assert path.z.spectrum[0].size == 0
+    x0 = np.random.default_rng(13).normal(size=(n, n)) + 0j
+    _, states = jones.transport_ode_solve(path, x0, 100)
+    assert all(np.array_equal(s, x0) for s in states)
+
+
+def explicit_exponent(pos, v):
+    """The exponent as a sum of generator matrices: the rotation of each
+    generic plane plus i(pi/2)(v + v*) on the wedge parts."""
+    th, x, u = pos.angles, pos.x, pos.u
+    return (u * th) @ adj(x) - (x * th) @ adj(u) + 1j * (np.pi / 2) * (v + adj(v))
+
+
+@pytest.mark.parametrize("n11, n00, wedge, k", [
+    (0, 0, 0, 3), (2, 1, 0, 2), (0, 0, 2, 0), (1, 2, 1, 3), (3, 3, 4, 9)])
+@pytest.mark.parametrize("seed", [14, 15])
+def test_thin_spectrum_reproduces_z(n11, n00, wedge, k, seed):
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.05, np.pi / 2 - 0.05, size=k)
+    p, q, _ = sampling.structured_pair(n11, n00, wedge, wedge, angles, rng)
+    pos = projlat.position(p, q)
+    witnesses = [None] + [pg.partial_isometry(pos.e10, pos.e01, seed=s)
+                          for s in (1, 2) if wedge]
+    for wit in witnesses:
+        g = geo.position_exponent(pos, wit)
+        w, v = g.spectrum
+        assert w.size == 2 * (k + wedge)
+        assert np.abs(adj(v) @ v - np.eye(w.size)).max() <= 1e-12
+        assert np.abs(1j * g.z - (v * w) @ adj(v)).max() <= 1e-12
+        for t in (-0.5, 0.25, 1.0):
+            assert pg.operator_norm(g.unitary(t) - scipy.linalg.expm(t * g.z)) <= 1e-12
+        vw = (pg.partial_isometry(pos.e10, pos.e01) if wit is None else wit).w
+        assert pg.operator_norm(g.z - explicit_exponent(pos, vw)) <= 1e-12

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo import numkit
+from projgeo import factor, geo, numkit, sampling
 from projgeo.errors import (
     BadRho,
     BranchCut,
@@ -187,6 +187,16 @@ class TestRhoNorm:
             top = numkit.operator_norm(a)
             assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
             assert all(v <= top + 1e-12 for v in vals)
+
+    @pytest.mark.parametrize("rho", [1.0, 1.5, 2.0])
+    def test_matrix_with_a_kernel_matches_its_singular_values(self, rho):
+        # the exponent of a pair with meet parts has a kernel
+        p, q, _ = sampling.structured_pair(1, 2, 2, 2, [0.3, 0.9, 1.4],
+                                           np.random.default_rng(0))
+        z = geo.minimal_exponent(p, q).z
+        want = ((np.linalg.svd(z, compute_uv=False) ** rho).mean()) ** (1 / rho)
+        for trace in (None, factor.NormalizedTrace(factor.FiniteAlgebra.full(p.n))):
+            assert abs(numkit.rho_norm(z, rho, trace) - want) <= 1e-12
 
     def test_custom_trace_matches_default_on_full_algebra(self):
         rng = np.random.default_rng(7)

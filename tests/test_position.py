@@ -126,8 +126,8 @@ def test_kernel_call_ceiling(monkeypatch):
 
 def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
     # the same n = 32 wedge pair, from its matrices: one eigh per input
-    # projection and one for the exponent's spectrum; no eigvalsh, no expm
-    # and no n x n QR
+    # projection, and the exponent's spectrum read off the position; no
+    # eigvalsh, no expm and no n x n QR
     rng = np.random.default_rng(5)
     p, q, _ = sampling.structured_pair(3, 3, 4, 4, np.linspace(0.2, 1.3, 9), rng)
     calls = []
@@ -144,7 +144,7 @@ def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
     names = [name for name, _ in calls]
     assert names.count("expm") == 0
     assert names.count("eigvalsh") == 0
-    assert names.count("eigh") == 3
+    assert names.count("eigh") == 2
     assert [shape for name, shape in calls if name == "qr"] == [(4, 32), (4, 32)]
 
 
