@@ -238,7 +238,7 @@ def cmd_transport(args) -> dict:
           for _ in range(3)]
     prop = jones.propagator_checks(path, (0.25, 0.75), xs)
     results = {
-        "gap": numkit.operator_norm(path.end0.big.m - path.end1.big.m),
+        "gap": path.gap,
         "steps": args.steps,
         "ode_vs_propagator": ode_residual,
         "convergence_order": order,

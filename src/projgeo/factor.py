@@ -185,14 +185,22 @@ def multi_geodesics(p: Projection, q: Projection, count: int, rho: float,
 
 def blockwise_minimal_exponent(a: FiniteAlgebra, p: Projection,
                                q: Projection) -> GeodesicExponent:
-    """Assemble a minimal exponent inside the algebra, block by block."""
+    """Assemble a minimal exponent inside the algebra, block by block.
+
+    Each block's thin spectrum (w, V) is embedded in the block's rows, so
+    the exponent is built from the concatenated spectrum with no
+    eigendecomposition of the assembled z."""
     cert, positions = _certify_blocks(a, p, q)
     if not cert.exists:
         raise RankMismatch(f"not joinable inside the algebra: {cert.per_block_ranks}")
-    z = np.zeros((a.n, a.n), dtype=np.complex128)
+    ws, vs = [], []
     for sl, pos in zip(a.slices(), positions):
-        z[sl, sl] = geo.position_exponent(pos).z
-    g = GeodesicExponent(z=z, p=p, q=q)
+        w, v = geo.position_exponent(pos).spectrum
+        embedded = np.zeros((a.n, v.shape[1]), dtype=np.complex128)
+        embedded[sl] = v
+        ws.append(w)
+        vs.append(embedded)
+    g = GeodesicExponent.from_spectrum(np.concatenate(ws), np.hstack(vs), p, q)
     if geo.verify_geodesic(g).max() > geo.ENDPOINT_ATOL:
         raise InternalConsistencyError("blockwise exponent fails verification")
     return g

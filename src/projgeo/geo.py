@@ -284,6 +284,15 @@ def _stack_points(points) -> np.ndarray:
     return mats
 
 
+def _even_power_sums(diffs: np.ndarray, m: int) -> np.ndarray:
+    """The sum of sigma_i^{2m} for each Hermitian D of a (k, n, n) stack.
+
+    It is tr(D^{2m}) = ||D^m||_F^2, the sum of squares of the real and
+    imaginary parts of D^m; no eigensolver runs."""
+    x = np.linalg.matrix_power(diffs, m).view(np.float64)
+    return np.einsum("kij,kij->k", x, x)
+
+
 def curve_length(points, rho: float | None | list | tuple = None,
                  trace=None) -> float | list[float]:
     """Chordal length of a discretized curve of projections.
@@ -294,7 +303,15 @@ def curve_length(points, rho: float | None | list | tuple = None,
     may be a sequence of Projection objects or a stacked (N, n, n) array
     of projection matrices. ``rho`` may also be a list or tuple of orders
     (None for the operator norm); the lengths then come back as a list in
-    the same order, all read from one eigvalsh of the difference stack.
+    the same order, each equal to the length of its order alone.
+
+    Under the default trace tr/n, an even order rho = 2m takes each step's
+    sum of sigma_i^rho from the Frobenius norm of a matrix power (see
+    :func:`_even_power_sums`), with no eigensolver. The operator norm and
+    any other order read the steps' singular values, |eigenvalues| of the
+    Hermitian differences, from one batched eigvalsh, which runs only when
+    such an order is asked for. Under a ``trace``, each step's rho-norm is
+    :func:`numkit.rho_norm`.
     """
     orders = rho if isinstance(rho, (list, tuple)) else [rho]
     for r in orders:
@@ -303,15 +320,21 @@ def curve_length(points, rho: float | None | list | tuple = None,
     mats = _stack_points(points)
     diffs = mats[1:] - mats[:-1]
     n = mats.shape[1]
-    # differences of Hermitian matrices: singular values = |eigenvalues|
-    svals = np.abs(np.linalg.eigvalsh(diffs))
+    svals = None
+    if any(r is None or (trace is None and r % 2 != 0) for r in orders):
+        # differences of Hermitian matrices: singular values = |eigenvalues|
+        svals = np.abs(np.linalg.eigvalsh(diffs))
 
     def length(r) -> float:
         if r is None:
             return float(svals.max(axis=1).sum())
-        if trace is None:
-            return float((((svals ** r).sum(axis=1) / n) ** (1.0 / r)).sum())
-        return float(sum(numkit.rho_norm(d, r, trace) for d in diffs))
+        if trace is not None:
+            return float(sum(numkit.rho_norm(d, r, trace) for d in diffs))
+        if r % 2 == 0:
+            sums = _even_power_sums(diffs, int(r) // 2)
+        else:
+            sums = (svals ** r).sum(axis=1)
+        return float(((sums / n) ** (1.0 / r)).sum())
 
     lengths = [length(r) for r in orders]
     return lengths if orders is rho else lengths[0]

@@ -202,13 +202,14 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
     basis = _orthonormal_range(mats, n, tol)
     members = _members(basis, n)
     unit_star = np.concatenate([np.eye(n)[None], _adjoints(members)])
-    worst = max(_span_residuals(basis, unit_star).max(), _product_residual(basis, members))
+    closure = _product_residual(basis, members)
+    worst = max(_span_residuals(basis, unit_star).max(), closure)
     if worst > tol.atol_structure:
         raise NotSubalgebra(
             f"span is not a unital *-subalgebra (residual {worst:.3e})")
     big = projlat._from_orthonormal(basis, tol)
     ep = ExpectationProjection(big=big, spec=spec, n=n, basis=basis)
-    res = _axioms(big.m, basis, n).max()
+    res = _axioms(big.m, basis, n, closure).max()
     if res > tol.atol_structure:
         raise InternalConsistencyError(
             f"expectation axioms fail on a validated subalgebra ({res:.3e})")
@@ -247,12 +248,15 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
     """Measure the conditional-expectation axioms for a projection acting
     on HS(M_n), against its own range algebra (spanned by
     ``projlat.range_basis(big)``)."""
-    return _axioms(big.m, projlat.range_basis(big), n)
+    basis = projlat.range_basis(big)
+    return _axioms(big.m, basis, n, _product_residual(basis, _members(basis, n)))
 
 
-def _axioms(P: np.ndarray, basis: np.ndarray, n: int) -> ExpectationAxioms:
+def _axioms(P: np.ndarray, basis: np.ndarray, n: int,
+            closure: float) -> ExpectationAxioms:
     """:func:`expectation_axioms` of the projection P with range basis
-    ``basis`` (n^2 x r, orthonormal), against that range algebra."""
+    ``basis`` (n^2 x r, orthonormal), against that range algebra, whose
+    product residual ``closure`` the caller has measured."""
     members = _members(basis, n)
     rng = np.random.default_rng(AXIOM_SEED)
     xs = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -270,7 +274,6 @@ def _axioms(P: np.ndarray, basis: np.ndarray, n: int) -> ExpectationAxioms:
     # one left factor a at a time, as in _product_residual
     bimod = max((_max_norm(_apply(P, sandwich(a, xs)) - sandwich(a, exs))
                  for a in members), default=0.0)
-    closure = _product_residual(basis, members)
     return ExpectationAxioms(idempotent=idem, unital=unital, star=star,
                              trace=float(tr), bimodule=bimod, closure=closure)
 
@@ -390,6 +393,7 @@ class ExpectationPath:
     end0: ExpectationProjection
     end1: ExpectationProjection
     n: int
+    gap: float  # ||E_0 - E_1||, measured once when the path is built
 
     def projection_at(self, t: float) -> Projection:
         return geo.geodesic_point(self.z, t)
@@ -420,7 +424,7 @@ def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
     if check_distance and gap >= 1.0 - tol.atol_spectral:
         raise TooFar(f"||e0 - e1|| = {gap:.6f} is not below 1")
     z = geo.minimal_exponent(end0.big, end1.big)
-    return ExpectationPath(z=z, end0=end0, end1=end1, n=n)
+    return ExpectationPath(z=z, end0=end0, end1=end1, n=n, gap=gap)
 
 
 def transport_ode_solve(path: ExpectationPath, x0, steps: int):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projgeo as pg
-from projgeo import cli
+from projgeo import cli, jones
 
 from _helpers import rotation_pair
 
@@ -148,6 +148,10 @@ class TestTransport:
         assert res["propagator"]["multiplicative"] < 1e-8
         for ax in res["expectation_axioms"].values():
             assert max(ax.values()) < 1e-8
+        path = jones.expectation_path(
+            jones.diagonal_spec(2), jones.rotated_diagonal_spec(2, np.pi / 8), 2)
+        assert res["gap"] == path.gap == pg.operator_norm(
+            path.end0.big.m - path.end1.big.m)
 
     def test_quarter_turn_exits_3(self, capsys):
         assert cli.main(["transport", "--spec0", "diagonal",

@@ -5,7 +5,7 @@ point, transport and ODE generator of a path. A constructed exponent
 reads its thin spectrum off the position, with no eigendecomposition; a z
 off skew is reported through a general matrix exponential. The default
 wedge witness is read from the position's wedge bases. Blockwise exponents
-build one position per block."""
+build one position per block and embed the blocks' thin spectra."""
 
 import json
 
@@ -106,6 +106,36 @@ def test_blockwise_exponent_builds_one_position_per_block(monkeypatch):
     g = factor.blockwise_minimal_exponent(alg, pg.make_projection(pm),
                                           pg.make_projection(qm))
     assert len(built) == 2
+    assert pg.verify_geodesic(g).max() < geo.ENDPOINT_ATOL
+
+
+def test_blockwise_exponent_embeds_the_block_spectra(monkeypatch):
+    alg = factor.FiniteAlgebra(blocks=(2, 3), weights=(0.4, 0.6))
+    rng = np.random.default_rng(11)
+    pm = np.zeros((5, 5), dtype=complex)
+    qm = np.zeros((5, 5), dtype=complex)
+    blocks = [rotation_pair(0.7), sampling.structured_pair(0, 1, 1, 1, [], rng)[:2]]
+    for sl, (bp, bq) in zip(alg.slices(), blocks):
+        pm[sl, sl] = bp.m
+        qm[sl, sl] = bq.m
+    p, q = pg.make_projection(pm), pg.make_projection(qm)
+    shapes = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    g = factor.blockwise_minimal_exponent(alg, p, q)
+    # only the per-block make_projection calls decompose anything
+    assert shapes and all(s in ((2, 2), (3, 3)) for s in shapes)
+    w, v = g.spectrum
+    assert v.shape == (5, w.size) and w.size == 4
+    dense = np.zeros((5, 5), dtype=complex)
+    for sl, (bp, bq) in zip(alg.slices(), blocks):
+        dense[sl, sl] = pg.minimal_exponent(bp, bq).z
+    assert np.abs(g.z - dense).max() <= 1e-14
     assert pg.verify_geodesic(g).max() < geo.ENDPOINT_ATOL
 
 

@@ -323,6 +323,51 @@ class TestCurveLength:
         with pytest.raises(BadRho):
             pg.curve_length(curve, rho=(2.0, 0.5))
 
+    @staticmethod
+    def eigvalsh_length(curve, rho):
+        """The chordal rho-length from the eigenvalues of each step."""
+        s = np.abs(np.linalg.eigvalsh(curve[1:] - curve[:-1]))
+        return float((((s ** rho).sum(axis=1) / curve.shape[1]) ** (1.0 / rho)).sum())
+
+    def test_even_orders_match_the_eigenvalue_formula(self):
+        rng = np.random.default_rng(31)
+        p, q, _ = random_joinable_pair(6, rng)
+        g = pg.minimal_exponent(p, q)
+        perturbed = next(perturbed_curves(g, rng, count=1, samples=300))
+        # rank-one projections turning in a plane of C^4: steps of rank 2
+        ts = np.linspace(0.0, 1.0, 200)
+        vs = np.zeros((ts.size, 4), dtype=complex)
+        vs[:, 0], vs[:, 2] = np.cos(ts), np.exp(0.3j) * np.sin(ts)
+        low_rank = np.einsum("ti,tj->tij", vs, vs.conj())
+        curves = {"perturbed": perturbed,
+                  "repeated points": np.repeat(perturbed[::10], 3, axis=0),
+                  "low rank": low_rank,
+                  "constant": np.repeat(p.m[None], 5, axis=0)}
+        for name, curve in curves.items():
+            for rho in (2.0, 4.0, 6.0):
+                want = self.eigvalsh_length(curve, rho)
+                got = pg.curve_length(curve, rho=rho)
+                assert abs(got - want) <= 1e-12 * want, (name, rho, got, want)
+
+    def test_even_orders_run_no_eigensolver(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        p, q, _ = random_joinable_pair(5, rng)
+        curve = next(perturbed_curves(pg.minimal_exponent(p, q), rng, count=1,
+                                      samples=100))
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for rho, solves in [(2.0, 0), (4.0, 0), ([2.0, 4.0], 0),
+                            ([None, 2.0, 4.0], 1), (1.0, 1)]:
+            calls.clear()
+            pg.curve_length(curve, rho=rho)
+            assert len(calls) == solves, rho
+
     def test_perturbed_curves_are_no_shorter(self):
         rng = np.random.default_rng(27)
         p, q, _ = random_joinable_pair(5, rng)

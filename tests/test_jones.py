@@ -104,6 +104,18 @@ class TestExpectationProjection:
         ax = jones.expectation_axioms(ep.big, 4)
         assert ax.max() < 1e-8
 
+    def test_closure_is_measured_once(self, monkeypatch):
+        calls = []
+        real = jones._product_residual
+
+        def counting(basis, members):
+            calls.append(real(basis, members))
+            return calls[-1]
+
+        monkeypatch.setattr(jones, "_product_residual", counting)
+        ep = jones.expectation_projection(jones.TensorFactor(k=2, m=2), 4)
+        assert calls == [real(ep.basis, jones._members(ep.basis, 4))]
+
     def test_star_closure_required(self):
         raiser = np.array([[0.0, 1.0], [0.0, 0.0]])
         spec = jones.MatrixSpan(mats=(np.eye(2), raiser))
@@ -172,6 +184,12 @@ class TestExpectationPath:
         ax = jones.expectation_axioms(big, n)
         assert ax.bimodule == bimod
         assert ax.star == star
+
+    def test_gap_is_the_distance_of_the_ends(self):
+        path = jones.expectation_path(
+            jones.diagonal_spec(3), jones.rotated_diagonal_spec(3, 0.4), 3)
+        assert path.gap == pg.operator_norm(path.end0.big.m - path.end1.big.m)
+        assert 0.0 < path.gap < 1.0
 
     def test_too_far_at_quarter_turn(self):
         gap = pg.operator_norm(

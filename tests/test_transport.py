@@ -13,17 +13,35 @@ def eighth_turn_path():
         jones.diagonal_spec(2), jones.rotated_diagonal_spec(2, np.pi / 8), 2)
 
 
+def conjugated_tensor_path(k, m, rng):
+    """A tensor factor against a small unitary conjugate of itself, which
+    has many generic planes (m = 6 and 30 thin coordinates at k, m = 2, 3
+    and 4, 2)."""
+    n = k * m
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    u = scipy.linalg.expm(0.2 * (h - adj(h)) / np.linalg.norm(h - adj(h), 2))
+    spec0 = jones.TensorFactor(k, m)
+    spec1 = jones.MatrixSpan(mats=tuple(
+        u @ a @ adj(u) for a in jones.spanning_matrices(spec0, n)))
+    return jones.expectation_path(spec0, spec1, n)
+
+
+def dense_generator(path, t):
+    """The transport generator Z E_t + E_t Z - 2 E_t Z E_t as a dense
+    n^2 x n^2 matrix."""
+    Z = path.z.z
+    w = path.z.unitary(t)
+    pt = w @ path.end0.big.m @ adj(w)
+    return Z @ pt + pt @ Z - 2.0 * pt @ Z @ pt
+
+
 def dense_rk4(path, x0, steps):
     """Reference solver: RK4 with the generator formed as a dense
     n^2 x n^2 matrix at every stage time."""
     n = path.n
-    Z = path.z.z
-    P0 = path.end0.big.m
 
     def generator(t):
-        w = path.z.unitary(t)
-        pt = w @ P0 @ adj(w)
-        return Z @ pt + pt @ Z - 2.0 * pt @ Z @ pt
+        return dense_generator(path, t)
 
     h = 1.0 / steps
     y = np.asarray(x0, dtype=complex).reshape(-1)
@@ -104,22 +122,34 @@ class TestMatrixFreeSolver:
 
     @pytest.mark.parametrize("k, m, seed", [(2, 3, 63), (4, 2, 64)])
     def test_matches_the_dense_generator_beyond_rank_two(self, k, m, seed):
-        # a tensor factor against a small unitary conjugate of itself has
-        # many generic planes (m = 6 and 30 thin coordinates here)
         n = k * m
         rng = np.random.default_rng(seed)
-        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        u = scipy.linalg.expm(0.2 * (h - adj(h)) / np.linalg.norm(h - adj(h), 2))
-        spec0 = jones.TensorFactor(k, m)
-        spec1 = jones.MatrixSpan(mats=tuple(
-            u @ a @ adj(u) for a in jones.spanning_matrices(spec0, n)))
-        path = jones.expectation_path(spec0, spec1, n)
+        path = conjugated_tensor_path(k, m, rng)
         assert path.z.spectrum[0].size > 2
         x0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         _, states = jones.transport_ode_solve(path, x0, 200)
         _, ref = dense_rk4(path, x0, 200)
         assert states.shape == ref.shape == (201, n, n)
         assert np.abs(states - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("which", ["rotated diagonal", "tensor 2x3"])
+    def test_generator_vanishes_off_the_span(self, which):
+        # the solver carries x0 - V V* x0 unchanged, which holds because the
+        # dense generator annihilates every vector orthogonal to span V
+        rng = np.random.default_rng(65)
+        if which == "tensor 2x3":
+            path = conjugated_tensor_path(2, 3, rng)
+        else:
+            path = jones.expectation_path(
+                jones.diagonal_spec(3), jones.rotated_diagonal_spec(3, np.pi / 8), 3)
+        v = path.z.spectrum[1]
+        dim = path.n ** 2
+        x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        x -= v @ (adj(v) @ x)
+        x /= np.linalg.norm(x)
+        assert np.abs(adj(v) @ x).max() < 1e-14
+        for t in (0.0, 0.5, 1.0):
+            assert np.linalg.norm(dense_generator(path, t) @ x) < 1e-13
 
     def test_generator_is_never_formed(self, monkeypatch):
         calls = []
