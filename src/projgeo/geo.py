@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from . import numkit, projlat
-from .errors import (BadRho, DimensionMismatch, InternalConsistencyError,
+from .errors import (DimensionMismatch, InternalConsistencyError,
                      InvariantViolation, NotSkewHermitian, RankMismatch, TooFewPoints)
 from .numkit import adjoint, operator_norm
 from .projlat import Position, Projection
@@ -258,8 +258,7 @@ def rho_length(g: GeodesicExponent, rho: float, trace=None) -> float:
     and tr(|z|^rho)/n is sum |w|^rho / n when ``trace`` is None; any other
     z goes through :func:`numkit.rho_norm`.
     """
-    if rho < 1:
-        raise BadRho(f"rho must be >= 1, got {rho}")
+    numkit.check_rho(rho)
     if g.skewness > g.p.tol.atol_structure:
         return numkit.rho_norm(g.z, rho, trace, g.p.tol)
     w, v = g.spectrum
@@ -315,8 +314,8 @@ def curve_length(points, rho: float | None | list | tuple = None,
     """
     orders = rho if isinstance(rho, (list, tuple)) else [rho]
     for r in orders:
-        if r is not None and r < 1:
-            raise BadRho(f"rho must be >= 1, got {r}")
+        if r is not None:
+            numkit.check_rho(r)
     mats = _stack_points(points)
     diffs = mats[1:] - mats[:-1]
     n = mats.shape[1]

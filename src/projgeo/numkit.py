@@ -154,6 +154,13 @@ def log_unitary_principal(w, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return (z - adjoint(z)) / 2
 
 
+def check_rho(rho) -> None:
+    """Raise BadRho unless rho is a finite order >= 1 (inf and nan pass a
+    plain ``rho < 1`` test)."""
+    if not 1 <= rho < float("inf"):
+        raise BadRho(f"rho must be a finite number >= 1, got {rho}")
+
+
 def rho_norm(a, rho: float, trace=None, tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """Noncommutative L^rho norm (tau((a* a)^{rho/2}))^{1/rho}.
 
@@ -164,8 +171,7 @@ def rho_norm(a, rho: float, trace=None, tol: ToleranceProfile = DEFAULT_TOL) -> 
     the eigenvalues of a* a by rho/2 would lift their rounding noise to
     ~1e-9 at rho = 1).
     """
-    if rho < 1:
-        raise BadRho(f"rho must be >= 1, got {rho}")
+    check_rho(rho)
     a = as_complex(a)
     n = a.shape[0]
     if trace is None:

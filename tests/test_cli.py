@@ -125,6 +125,10 @@ class TestJones:
     def test_m1_exits_2(self, capsys):
         assert cli.main(["jones", "--m", "1"]) == 2
 
+    def test_non_finite_rho_exits_2(self, capsys):
+        assert cli.main(["jones", "--m", "2", "--rho", "inf"]) == 2
+        assert "error: rho must be a finite number >= 1, got inf" in capsys.readouterr().err
+
 
 class TestTransport:
     def test_identical_specs(self, capsys):

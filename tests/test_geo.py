@@ -254,11 +254,19 @@ class TestRhoLength:
         with pytest.raises(BadRho):
             pg.rho_length(pg.minimal_exponent(p, q), 0.9)
 
+    @pytest.mark.parametrize("rho", [np.inf, np.nan])
+    def test_non_finite_rho(self, rho):
+        p, q = rotation_pair(0.5)
+        g = pg.minimal_exponent(p, q)
+        tr = factor.NormalizedTrace(factor.FiniteAlgebra.full(p.n))
+        for trace in (None, tr):
+            with pytest.raises(BadRho):
+                pg.rho_length(g, rho, trace)
+
     @pytest.mark.parametrize("rho", [1.0, 2.0, 4.0, 7.5])
     def test_spectrum_length_equals_rho_norm(self, rho):
-        # no meet parts, so z is invertible; on a kernel of z, rho_norm's
-        # eigenvalues of z* z carry rounding noise whose square root
-        # (rho = 1) is ~1e-9, and the singular values are the reference
+        # the second pair has meet parts, so z has a kernel; rho_norm's SVD
+        # gives it exact zeros, and the singular values are the reference
         rng = np.random.default_rng(28)
         for n11, n00 in ((0, 0), (1, 2)):
             p, q, _ = sampling.structured_pair(n11, n00, 2, 2, [0.3, 0.9, 1.4], rng)
@@ -266,8 +274,7 @@ class TestRhoLength:
             svals = np.linalg.svd(g.z, compute_uv=False)
             for trace in (None, factor.NormalizedTrace(factor.FiniteAlgebra.full(p.n))):
                 value = pg.rho_length(g, rho, trace)
-                if n11 + n00 == 0:
-                    assert abs(value - pg.rho_norm(g.z, rho, trace)) <= 1e-12
+                assert abs(value - pg.rho_norm(g.z, rho, trace)) <= 1e-12
                 assert abs(value - ((svals ** rho).sum() / p.n) ** (1 / rho)) <= 1e-12
 
     def test_non_skew_exponent_takes_rho_norm(self, monkeypatch):
@@ -322,6 +329,15 @@ class TestCurveLength:
             [pg.curve_length(curve, rho=rho) for rho in orders]
         with pytest.raises(BadRho):
             pg.curve_length(curve, rho=(2.0, 0.5))
+
+    @pytest.mark.parametrize("rho", [np.inf, np.nan])
+    def test_non_finite_rho(self, rho):
+        # unchecked, rho = inf would read 2.0 here, the number of steps:
+        # each step's sum of sigma^inf is 0 and 0 ** (1 / inf) is 1
+        curve = np.stack([np.diag([1.0, 0.0])] * 3)
+        for orders in (rho, [2.0, rho]):
+            with pytest.raises(BadRho):
+                pg.curve_length(curve, rho=orders)
 
     @staticmethod
     def eigvalsh_length(curve, rho):

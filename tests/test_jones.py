@@ -3,7 +3,8 @@ import pytest
 
 import projgeo as pg
 from projgeo import factor, jones, projlat
-from projgeo.errors import InvariantViolation, NotSubalgebra, TooFar
+from projgeo.errors import (InternalConsistencyError, InvariantViolation,
+                             NotSubalgebra, TooFar)
 
 from _helpers import adj
 
@@ -136,6 +137,91 @@ class TestExpectationProjection:
         x = np.array([[1.0, 1.0], [0.5, -2.0]])
         expected = u @ np.diag(np.diag(adj(u) @ x @ u)) @ adj(u)
         assert np.allclose(ep.expect(x), expected)
+
+
+def record(monkeypatch, owner, name):
+    """Wrap owner.name; each call appends (args, result) to the list returned."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestMaxNorm:
+    """_max_norm prunes by Frobenius norms and must still return the
+    largest first singular value of one batched SVD, bit for bit."""
+
+    @staticmethod
+    def reference(stack):
+        return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
+
+    def test_rank_one_ties(self):
+        # equal Frobenius and operator norms, up to rounding, in every matrix
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 6, 10):
+            u = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
+            v = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            stack = 1e-15 * u[:, :, None] * v[:, None, :].conj()
+            assert jones._max_norm(stack) == self.reference(stack)
+
+    def test_all_zero_and_empty(self):
+        zeros = np.zeros((5, 4, 4), dtype=np.complex128)
+        assert jones._max_norm(zeros) == self.reference(zeros) == 0.0
+        assert jones._max_norm(np.zeros((0, 4, 4), dtype=np.complex128)) == 0.0
+
+    def test_largest_frobenius_norm_is_not_the_largest_norm(self, monkeypatch):
+        # ||I_4||_F = 2 > 1.5, but ||diag(1.5, 0, 0, 0)|| = 1.5 > ||I_4|| = 1
+        small = 0.1 * np.eye(4)[None] * np.ones((3, 1, 1))
+        stack = np.concatenate([np.eye(4)[None], small,
+                                np.diag([1.5, 0.0, 0.0, 0.0])[None]]).astype(complex)
+        assert jones._max_norm(stack) == self.reference(stack) == 1.5
+        svds = record(monkeypatch, np.linalg, "svd")
+        jones._max_norm(stack)
+        # one SVD of I_4, then one of the only matrix that could beat it
+        assert [np.shape(args[0]) for args, _ in svds] == [(4, 4), (1, 4, 4)]
+
+
+class TestBuildTimeAxiomCheck:
+    def test_build_runs_one_svd(self, monkeypatch):
+        # the range SVD of _orthonormal_range (n^2 x 6 spanning columns);
+        # the axiom check takes Frobenius bounds and runs none
+        svds = record(monkeypatch, np.linalg, "svd")
+        jones.expectation_projection(jones.rotated_diagonal_spec(6, 0.3), 6)
+        assert [np.shape(args[0]) for args, _ in svds] == [(36, 6)]
+
+    def test_exact_check_decides_above_the_bound_tolerance(self, monkeypatch):
+        exact = record(monkeypatch, jones, "_exact_axioms")
+        spec = jones.rotated_diagonal_spec(6, 0.3)
+        jones.expectation_projection(spec, 6)
+        assert exact == []
+        # every residual stack now bounds at 1 > atol_structure
+        monkeypatch.setattr(jones, "_frobenius_max", lambda mats: 1.0)
+        ep = jones.expectation_projection(spec, 6)
+        assert len(exact) == 1 and exact[0][1].max() < 1e-13
+        assert ep.big.rank == 6
+
+    def test_axiom_failure_carries_the_exact_value(self, monkeypatch):
+        # span{1, e12, e21} is unital and *-closed but not product-closed
+        # (e12 e21 = e11); with the closure check disabled the build reaches
+        # the axiom check, which fails on the bimodule property
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        spec = jones.MatrixSpan(mats=(np.eye(2), e12, e12.T))
+        with pytest.raises(NotSubalgebra):
+            jones.expectation_projection(spec, 2)
+        monkeypatch.setattr(jones, "_product_residual", lambda basis, members: 0.0)
+        exact = record(monkeypatch, jones, "_exact_axioms")
+        with pytest.raises(InternalConsistencyError) as info:
+            jones.expectation_projection(spec, 2)
+        [(_, axioms)] = exact
+        assert axioms.bimodule > 0.1
+        assert f"({axioms.max():.3e})" in str(info.value)
 
 
 class TestExpectationPath:

@@ -179,6 +179,12 @@ class TestRhoNorm:
         with pytest.raises(BadRho):
             numkit.rho_norm(np.eye(2), 0.5)
 
+    @pytest.mark.parametrize("rho", [np.inf, np.nan])
+    def test_non_finite_rho(self, rho):
+        # neither fails "rho < 1"; unchecked, rho = inf would read 1.0 here
+        with pytest.raises(BadRho):
+            numkit.rho_norm(np.diag([0.5, 0.2]), rho)
+
     def test_monotone_and_bounded_by_operator_norm(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
