@@ -36,10 +36,6 @@ def vec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.complex128).reshape(-1)
 
 
-def unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(v, dtype=np.complex128).reshape(n, n)
-
-
 # ---------------------------------------------------------------------------
 # subalgebra specifications
 
@@ -141,7 +137,8 @@ def spanning_matrices(spec: SubalgebraSpec, n: int) -> list[np.ndarray]:
 class ExpectationProjection:
     """Orthogonal projection of HS(M_n) onto a vectorized *-subalgebra.
 
-    The induced map E(x) = unvec(big . vec(x)) is the trace-preserving
+    The induced map E(x) = B (B* vec x), B the orthonormal ``basis`` (so
+    ``big.m`` is the symmetrized B B*), is the trace-preserving
     conditional expectation onto the subalgebra.
     """
 
@@ -151,7 +148,7 @@ class ExpectationProjection:
     basis: np.ndarray  # n^2 x r, orthonormal columns spanning the range
 
     def expect(self, x) -> np.ndarray:
-        return unvec(self.big.m @ vec(numkit.as_complex(x)), self.n)
+        return _expect(self.basis, numkit.as_complex(x)[None])[0]
 
 
 def _orthonormal_range(mats: list[np.ndarray], n: int,
@@ -175,10 +172,21 @@ def _product_residual(basis: np.ndarray, members: np.ndarray) -> float:
                      default=0.0))
 
 
-def _apply(op: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """unvec(op . vec(x)) for each matrix x of a (k, n, n) stack, by one
-    batched matrix-vector product (equal, bit for bit, to k of them)."""
-    return (op @ mats.reshape(len(mats), op.shape[1], 1)).reshape(mats.shape)
+def _expect(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """E(x) = B (B* vec x), E = B B* for B = ``basis``, applied to each
+    matrix of a stack by two gemms: rows vec(x) times conj(B), then B^T."""
+    rows = mats.reshape(len(mats), basis.shape[0])
+    return ((rows @ basis.conj()) @ basis.T).reshape(mats.shape)
+
+
+def _gamma(z: GeodesicExponent, t: float, mats: np.ndarray) -> np.ndarray:
+    """Gamma_t(x) = e^{tZ} vec x = x + V ((e^{-itw} - 1) V* x), from the
+    exponent's spectrum i Z = V diag(w) V*, for each matrix of a stack;
+    no n^2 x n^2 unitary is formed."""
+    w, v = z.spectrum
+    rows = mats.reshape(len(mats), v.shape[0])
+    coords = (rows @ v.conj()) * np.expm1(-1j * t * w)
+    return (rows + coords @ v.T).reshape(mats.shape)
 
 
 def _frobenius_norms(mats: np.ndarray) -> np.ndarray:
@@ -232,13 +240,11 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
     closure under adjoints and products and the presence of the identity
     are validated, raising NotSubalgebra on failure.
 
-    The conditional-expectation axioms are then settled by the upper
-    bounds of :func:`_bound_axioms`. They measure E = B B*, B the
-    orthonormal ``basis``, whose symmetrized matrix is ``big.m``, in the
-    factored form E(V) = B (B* V), with Frobenius norms and no SVD. Only
-    when a bound exceeds ``atol_structure`` do the exact operator-norm
-    residuals of ``big.m`` decide (:func:`_exact_axioms`), and their value
-    goes into the InternalConsistencyError.
+    The conditional-expectation axioms of E = B B*, B the orthonormal
+    ``basis``, are then settled by upper bounds: :func:`_axioms` with
+    Frobenius norms, which run no SVD. Only when a bound exceeds
+    ``atol_structure`` (or is nan) do the exact operator-norm residuals
+    decide, and their value goes into the InternalConsistencyError.
     """
     mats = spanning_matrices(spec, n)
     basis = _orthonormal_range(mats, n, tol)
@@ -252,8 +258,8 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
     big = projlat._from_orthonormal(basis, tol)
     ep = ExpectationProjection(big=big, spec=spec, n=n, basis=basis)
     # written "not <=" so that a nan bound also goes to the exact check
-    if not _bound_axioms(basis, n, closure).max() <= tol.atol_structure:
-        res = _exact_axioms(big.m, basis, n, closure).max()
+    if not _axioms(basis, n, closure, _frobenius_max).max() <= tol.atol_structure:
+        res = _axioms(basis, n, closure, _max_norm).max()
         if res > tol.atol_structure:
             raise InternalConsistencyError(
                 f"expectation axioms fail on a validated subalgebra ({res:.3e})")
@@ -289,79 +295,50 @@ def _adjoints(mats: np.ndarray) -> np.ndarray:
 
 
 def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
-    """Measure the conditional-expectation axioms for a projection acting
-    on HS(M_n), against its own range algebra (spanned by
-    ``projlat.range_basis(big)``)."""
-    basis = projlat.range_basis(big)
-    return _exact_axioms(big.m, basis, n,
-                         _product_residual(basis, _members(basis, n)))
+    """Measure the conditional-expectation axioms of E = B B* on HS(M_n),
+    B = ``big.basis``, against its own range algebra, each residual an
+    exact operator norm. E equals ``big.m`` to rounding for every
+    projection the library builds from orthonormal columns."""
+    basis = big.basis
+    return _axioms(basis, n, _product_residual(basis, _members(basis, n)), _max_norm)
 
 
 def _sandwich(a: np.ndarray, ys: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """a y b for every y of the stack and every member b, y-major, by
-    batched products (equal, bit for bit, to (a @ y) @ b one at a time)."""
-    n = a.shape[0]
-    return ((a @ ys)[:, None] @ members[None]).reshape(-1, n, n)
-
-
-def _sandwich_gemm(a: np.ndarray, ys: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The products of :func:`_sandwich`, in another order, by one gemm
-    (a y_1; ...; a y_k) @ [b_1 ... b_r]; not bit-identical to them."""
+    """a y b for every y of the stack and every member b, y-major, by one
+    gemm (a y_1; ...; a y_k) @ [b_1 ... b_r]."""
     n, r = a.shape[0], len(members)
     prod = (a @ ys).reshape(-1, n) @ members.transpose(1, 0, 2).reshape(n, r * n)
     return prod.reshape(-1, n, r, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
 
 
-def _exact_axioms(P: np.ndarray, basis: np.ndarray, n: int,
-                  closure: float) -> ExpectationAxioms:
-    """The axioms of the dense n^2 x n^2 projection P, each residual an
-    exact operator norm (:func:`_max_norm`)."""
-    return _axioms(basis, n, closure, operator_norm(P @ P - P),
-                   lambda mats: _apply(P, mats), _max_norm, _sandwich)
-
-
-def _bound_axioms(basis: np.ndarray, n: int, closure: float) -> ExpectationAxioms:
-    """Upper bounds of the axiom residuals of E = B B*, B = ``basis``: each
-    a Frobenius norm taken in the factored form E(V) = B (B* V), so no
-    n^2 x n^2 matrix is formed. The idempotency E E - E = B M B* with
-    M = G - 1, G = B* B, has ||B M B*||_F^2 = tr(M G M G), from r x r
-    matrices."""
+def _axioms(basis: np.ndarray, n: int, closure: float, norm) -> ExpectationAxioms:
+    """The axioms of E = B B*, B = ``basis`` (n^2 x r, orthonormal), onto
+    the range algebra B spans, applied as :func:`_expect`. ``norm``
+    measures the largest residual of a stack: :func:`_frobenius_max` for
+    upper bounds, :func:`_max_norm` for operator norms. The idempotency
+    E E - E = B M B* with M = G - 1, G = B* B, has the norm of the r x r
+    matrix M G (both are max |s^2 (s^2 - 1)| over the singular values s of
+    B); the product residual ``closure`` comes measured by the caller."""
+    members = _members(basis, n)
     r = basis.shape[1]
     gram = adjoint(basis) @ basis
-    mg = (gram - np.eye(r)) @ gram
-    idem = math.sqrt(abs(np.sum(mg * mg.T)))
-    left = basis.conj()
-
-    def expect(mats):  # rows vec(x) times conj(B) B^T
-        return ((mats.reshape(len(mats), -1) @ left) @ basis.T).reshape(mats.shape)
-
-    return _axioms(basis, n, closure, idem, expect, _frobenius_max, _sandwich_gemm)
-
-
-def _axioms(basis: np.ndarray, n: int, closure: float, idempotent: float,
-            expect, norm, sandwich) -> ExpectationAxioms:
-    """The axioms of an expectation onto the range algebra spanned by
-    ``basis`` (n^2 x r, orthonormal). ``expect`` applies it to each matrix
-    of a (k, n, n) stack, ``norm`` measures the largest residual of a
-    stack and ``sandwich`` forms the bimodule products; the idempotency
-    and the product residual ``closure`` come measured by the caller."""
-    members = _members(basis, n)
+    idempotent = norm(((gram - np.eye(r)) @ gram)[None])
     rng = np.random.default_rng(AXIOM_SEED)
     xs = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                    for _ in range(AXIOM_SAMPLES)])
-    exs = expect(xs)
+    exs = _expect(basis, xs)
     eye = np.eye(n, dtype=np.complex128)
 
-    unital = norm(expect(eye[None]) - eye)
-    star = norm(expect(_adjoints(xs)) - _adjoints(exs))
+    unital = norm(_expect(basis, eye[None]) - eye)
+    star = norm(_expect(basis, _adjoints(xs)) - _adjoints(exs))
     tr = max(abs(np.trace(ex) - np.trace(x)) / n for x, ex in zip(xs, exs))
     # one left factor a at a time, as in _product_residual; a x b and
     # a E(x) b come from one call, as the two halves of its stack
     both = np.concatenate([xs, exs])
 
     def bimodule(a) -> float:
-        prods = sandwich(a, both, members).reshape(2, -1, n, n)
-        return norm(expect(prods[0]) - prods[1])
+        prods = _sandwich(a, both, members).reshape(2, -1, n, n)
+        return norm(_expect(basis, prods[0]) - prods[1])
 
     bimod = max(map(bimodule, members), default=0.0)
     return ExpectationAxioms(idempotent=idempotent, unital=unital, star=star,
@@ -483,18 +460,22 @@ class ExpectationPath:
     end0: ExpectationProjection
     end1: ExpectationProjection
     n: int
-    gap: float  # ||E_0 - E_1||, measured once when the path is built
+    gap: float  # ||E_0 - E_1||, read off the position when the path is built
 
     def projection_at(self, t: float) -> Projection:
         return geo.geodesic_point(self.z, t)
 
+    def _basis_at(self, t: float) -> np.ndarray:
+        """B_t = Gamma_t B_0, an orthonormal basis of the range of E_t."""
+        return _gamma(self.z, t, self.end0.basis.T).T
+
     def expect(self, t: float, x) -> np.ndarray:
-        """E(t, x): the expectation at time t applied to x."""
-        return unvec(self.projection_at(t).m @ vec(numkit.as_complex(x)), self.n)
+        """E(t, x): the expectation at time t applied to x, as B_t (B_t* x)."""
+        return _expect(self._basis_at(t), numkit.as_complex(x)[None])[0]
 
     def transport(self, t: float, x) -> np.ndarray:
         """Gamma_t(x): the propagator of the transport equation."""
-        return unvec(self.z.unitary(t) @ vec(numkit.as_complex(x)), self.n)
+        return _gamma(self.z, t, numkit.as_complex(x)[None])[0]
 
 
 def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
@@ -507,13 +488,22 @@ def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
     points stay conditional expectations. Passing check_distance=False
     skips the guard; the resulting path is the experiment for the open
     boundary regime and comes with no guarantees.
+
+    The gap is read off the position of (e0, e1), built once and handed to
+    the exponent: 1 when a wedge part is classified (a principal angle
+    with sine at least 1 - atol_spectral, or unpaired range), and the sine
+    of the largest generic angle otherwise, which is ||e0 - e1|| with the
+    planes absorbed into a meet counted as angle 0. TooFar is raised
+    exactly when a wedge part is classified.
     """
     end0 = expectation_projection(spec0, n, tol)
     end1 = expectation_projection(spec1, n, tol)
-    gap = operator_norm(end0.big.m - end1.big.m)
-    if check_distance and gap >= 1.0 - tol.atol_spectral:
+    pos = projlat.position(end0.big, end1.big)
+    wedge = pos.b10.shape[1] + pos.b01.shape[1] > 0
+    gap = 1.0 if wedge else math.sin(pos.angles.max(initial=0.0))
+    if check_distance and wedge:
         raise TooFar(f"||e0 - e1|| = {gap:.6f} is not below 1")
-    z = geo.minimal_exponent(end0.big, end1.big)
+    z = geo.position_exponent(pos)
     return ExpectationPath(z=z, end0=end0, end1=end1, n=n, gap=gap)
 
 
@@ -591,20 +581,22 @@ def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
     ``xs`` are arbitrary test matrices for the intertwining identity;
     multiplicativity and *-preservation are checked on the initial
     subalgebra (its basis together with the projections of ``xs``).
+    Gamma_t is applied as :func:`_gamma` and E_t as B_t B_t* with
+    B_t = Gamma_t B_0, so no n^2 x n^2 matrix is formed. The codiagonal
+    residual ||Z P_0 + P_0 Z - Z|| is the exponent's measured
+    codiagonality ||Z S + S Z|| halved, since Z S + S Z = 2 (Z P_0 + P_0 Z - Z)
+    for S = 2 P_0 - 1.
     """
-    n, P0 = path.n, path.end0.big.m
+    n, z, b0 = path.n, path.z, path.end0.basis
     xs = np.array([numkit.as_complex(x) for x in xs]).reshape(-1, n, n)
-    members = np.concatenate([_members(path.end0.basis, n), _apply(P0, xs)])
+    members = np.concatenate([_members(b0, n), _expect(b0, xs)])
     intertwine = mult = star = 0.0
     for t in ts:
-        ut = path.z.unitary(t)  # Gamma_t, and Gamma_{-t} = ut*
-        lhs = _apply(ut, _apply(P0, _apply(adjoint(ut), xs)))
-        intertwine = max(intertwine, _max_norm(lhs - _apply(path.projection_at(t).m, xs)))
-        gammas = _apply(ut, members)
-        star = max(star, _max_norm(_apply(ut, _adjoints(members)) - _adjoints(gammas)))
+        lhs = _gamma(z, t, _expect(b0, _gamma(z, -t, xs)))
+        intertwine = max(intertwine, _max_norm(lhs - _expect(path._basis_at(t), xs)))
+        gammas = _gamma(z, t, members)
+        star = max(star, _max_norm(_gamma(z, t, _adjoints(members)) - _adjoints(gammas)))
         for a, ga in zip(members, gammas):
-            mult = max(mult, _max_norm(_apply(ut, a @ members) - ga @ gammas))
-    Z = path.z.z
-    codiag = operator_norm(Z @ P0 + P0 @ Z - Z)
-    return PropagatorReport(intertwine=intertwine, multiplicative=mult,
-                            star=star, codiagonal=codiag)
+            mult = max(mult, _max_norm(_gamma(z, t, a @ members) - ga @ gammas))
+    return PropagatorReport(intertwine=intertwine, multiplicative=mult, star=star,
+                            codiagonal=z.residuals.codiagonality / 2)

@@ -197,14 +197,17 @@ class TestBuildTimeAxiomCheck:
         assert [np.shape(args[0]) for args, _ in svds] == [(36, 6)]
 
     def test_exact_check_decides_above_the_bound_tolerance(self, monkeypatch):
-        exact = record(monkeypatch, jones, "_exact_axioms")
+        axioms = record(monkeypatch, jones, "_axioms")
         spec = jones.rotated_diagonal_spec(6, 0.3)
         jones.expectation_projection(spec, 6)
-        assert exact == []
+        # one pass, with the Frobenius bounds
+        assert [args[3] for args, _ in axioms] == [jones._frobenius_max]
         # every residual stack now bounds at 1 > atol_structure
         monkeypatch.setattr(jones, "_frobenius_max", lambda mats: 1.0)
+        axioms.clear()
         ep = jones.expectation_projection(spec, 6)
-        assert len(exact) == 1 and exact[0][1].max() < 1e-13
+        assert len(axioms) == 2 and axioms[1][0][3] is jones._max_norm
+        assert axioms[1][1].max() < 1e-13
         assert ep.big.rank == 6
 
     def test_axiom_failure_carries_the_exact_value(self, monkeypatch):
@@ -216,12 +219,13 @@ class TestBuildTimeAxiomCheck:
         with pytest.raises(NotSubalgebra):
             jones.expectation_projection(spec, 2)
         monkeypatch.setattr(jones, "_product_residual", lambda basis, members: 0.0)
-        exact = record(monkeypatch, jones, "_exact_axioms")
+        axioms = record(monkeypatch, jones, "_axioms")
         with pytest.raises(InternalConsistencyError) as info:
             jones.expectation_projection(spec, 2)
-        [(_, axioms)] = exact
-        assert axioms.bimodule > 0.1
-        assert f"({axioms.max():.3e})" in str(info.value)
+        [_, (args, exact)] = axioms
+        assert args[3] is jones._max_norm
+        assert exact.bimodule > 0.1
+        assert f"({exact.max():.3e})" in str(info.value)
 
 
 class TestExpectationPath:
@@ -264,17 +268,63 @@ class TestExpectationPath:
         def E(x):
             return (P @ x.reshape(-1)).reshape(n, n)
 
-        bimod = max(pg.operator_norm(E(a @ x @ b) - a @ E(x) @ b)
-                    for a in members for b in members for x in xs)
-        star = max(pg.operator_norm(E(adj(x)) - adj(E(x))) for x in xs)
+        refs = {
+            "bimodule": max(pg.operator_norm(E(a @ x @ b) - a @ E(x) @ b)
+                            for a in members for b in members for x in xs),
+            "star": max(pg.operator_norm(E(adj(x)) - adj(E(x))) for x in xs),
+            "idempotent": pg.operator_norm(P @ P - P),
+            "unital": pg.operator_norm(E(np.eye(n)) - np.eye(n)),
+            "trace": max(abs(np.trace(E(x)) - np.trace(x)) / n for x in xs),
+        }
         ax = jones.expectation_axioms(big, n)
-        assert ax.bimodule == bimod
-        assert ax.star == star
+        for name, ref in refs.items():
+            assert abs(getattr(ax, name) - ref) <= 1e-14 * max(1.0, ref), name
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_factored_operators_match_the_dense_matrices(self, n):
+        path = jones.expectation_path(
+            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4), n)
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+        def close(got, ref):
+            return pg.operator_norm(got - ref) <= 1e-14 * max(1.0, pg.operator_norm(ref))
+
+        for t in (0.0, 0.25, 0.5, 1.0):
+            gamma = (path.z.unitary(t) @ x.reshape(-1)).reshape(n, n)
+            e_t = (path.projection_at(t).m @ x.reshape(-1)).reshape(n, n)
+            assert close(path.transport(t, x), gamma)
+            assert close(path.expect(t, x), e_t)
+        for end in (path.end0, path.end1):
+            assert close(end.expect(x), (end.big.m @ x.reshape(-1)).reshape(n, n))
+
+    def test_path_work_forms_no_hilbert_schmidt_matrix(self, monkeypatch):
+        # the factored E = B B* and Gamma_t = 1 + V (e^{-itw} - 1) V* run no
+        # SVD of an n^2 x n^2 matrix, form no unitary and take no new basis;
+        # the gap comes from the position, with no operator_norm
+        n = 4
+        norms = record(monkeypatch, jones, "operator_norm")
+        path = jones.expectation_path(
+            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4), n)
+        assert norms == []
+        big = path.projection_at(0.5)
+        svds = record(monkeypatch, np.linalg, "svd")
+        unitaries = record(monkeypatch, jones.geo.GeodesicExponent, "unitary")
+        bases = record(monkeypatch, projlat, "range_basis")
+        x = np.random.default_rng(43).normal(size=(n, n))
+        jones.expectation_axioms(big, n)
+        jones.propagator_checks(path, (0.25, 0.75), [x])
+        path.transport(0.5, x)
+        path.expect(0.5, x)
+        assert svds and all(np.shape(args[0])[-2:] != (n * n, n * n)
+                            for args, _ in svds)
+        assert unitaries == [] and bases == []
 
     def test_gap_is_the_distance_of_the_ends(self):
         path = jones.expectation_path(
             jones.diagonal_spec(3), jones.rotated_diagonal_spec(3, 0.4), 3)
-        assert path.gap == pg.operator_norm(path.end0.big.m - path.end1.big.m)
+        ref = pg.operator_norm(path.end0.big.m - path.end1.big.m)
+        assert abs(path.gap - ref) <= 1e-14 * max(1.0, ref)
         assert 0.0 < path.gap < 1.0
 
     def test_too_far_at_quarter_turn(self):

@@ -244,5 +244,8 @@ class TestPropagatorChecks:
                     mult = max(mult, pg.operator_norm(
                         path.transport(t, a @ b) - ga @ path.transport(t, b)))
         rep = jones.propagator_checks(path, ts, xs)
-        assert rep.multiplicative == mult
-        assert rep.star == star
+        assert abs(rep.multiplicative - mult) <= 1e-14 * max(1.0, mult)
+        assert abs(rep.star - star) <= 1e-14 * max(1.0, star)
+        z, p0 = path.z.z, path.end0.big.m
+        codiag = pg.operator_norm(z @ p0 + p0 @ z - z)
+        assert abs(rep.codiagonal - codiag) <= 1e-14 * max(1.0, codiag)
