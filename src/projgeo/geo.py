@@ -9,7 +9,7 @@ normalized when the operator norm of z is at most pi/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -48,23 +48,21 @@ class GeodesicResiduals:
                    self.norm_bound, self.endpoint)
 
 
-@dataclass(frozen=True, eq=False)
 class GeodesicExponent:
     """Skew-Hermitian, p-codiagonal exponent taking p to q at t = 1; z is read-only.
 
     Built from z alone, its :attr:`spectrum` is one eigh of i z. Built by
-    :meth:`from_spectrum`, as :func:`position_exponent` builds it, z is made
-    from a thin spectrum that needs no eigendecomposition."""
+    :meth:`from_spectrum`, as :func:`position_exponent` builds it, it holds
+    a thin spectrum that needs no eigendecomposition, and the dense z is
+    formed only when first read. Instances are immutable."""
 
-    z: np.ndarray
-    p: Projection
-    q: Projection
-    _thin: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False)
+    def __init__(self, z, p: Projection, q: Projection):
+        z = np.array(z)
+        z.flags.writeable = False
+        self.__dict__.update(z=z, p=p, q=q, _thin=None)
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", np.array(self.z))
-        self.z.flags.writeable = False
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def from_spectrum(cls, w: np.ndarray, v: np.ndarray, p: Projection,
@@ -73,20 +71,29 @@ class GeodesicExponent:
 
         (w, V) becomes its :attr:`spectrum` as given. V* V = 1 is checked
         once within atol_structure, and a failure raises
-        InternalConsistencyError. V diag(w) V* is made exactly Hermitian,
-        so that z is exactly skew and 1j z = V diag(w) V* up to rounding."""
+        InternalConsistencyError. z is made from V diag(w) V* symmetrized
+        to be exactly Hermitian, so that z is exactly skew: its skewness is
+        0 without forming z."""
         w, v = np.array(w, dtype=np.float64), np.array(v, dtype=np.complex128)
         eps = projlat._orthonormality_residual(v, p.tol.atol_structure)
         if eps > p.tol.atol_structure:
             raise InternalConsistencyError(
                 f"orthonormality residual {eps:.3e} of the exponent's "
                 "eigenvectors > atol_structure")
-        h = (v * w) @ adjoint(v)
-        g = cls(z=-0.5j * (h + adjoint(h)), p=p, q=q)
         for arr in (w, v):
             arr.flags.writeable = False
-        object.__setattr__(g, "_thin", (w, v))
+        g = cls.__new__(cls)
+        g.__dict__.update(p=p, q=q, _thin=(w, v), skewness=0.0)
         return g
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        """-i V diag(w) V* from the thin spectrum, formed on first read."""
+        w, v = self._thin
+        h = (v * w) @ adjoint(v)
+        z = -0.5j * (h + adjoint(h))
+        z.flags.writeable = False
+        return z
 
     @cached_property
     def skewness(self) -> float:
@@ -97,24 +104,46 @@ class GeodesicExponent:
     def residuals(self) -> GeodesicResiduals:
         """Skewness, codiagonality, excess over pi/2, and the endpoint error.
 
-        For a z that passes the skewness check the norm and e^z are read
-        from :attr:`spectrum`; any other z is reported through a general
-        matrix exponential."""
-        z, p, q = self.z, self.p.m, self.q.m
-        sym = 2 * p - np.eye(self.p.n)
-        codiag = operator_norm(z @ sym + sym @ z)
-        if self.skewness <= self.p.tol.atol_structure:
-            w, v = self.spectrum
-            norm = float(np.abs(w).max(initial=0.0))
-            ez = _spectral_exp(w, v, 1.0)
-            endpoint = operator_norm(ez @ p @ adjoint(ez) - q)
-        else:
-            norm = operator_norm(z)
-            ez = scipy.linalg.expm(z)
-            endpoint = operator_norm(ez @ p @ scipy.linalg.expm(-z) - q)
+        For a z that passes the skewness check every residual is the exact
+        operator norm of thin factors, with P = Bp Bp* and Q = Bq Bq* the
+        range projections of the bases p and q carry:
+
+        - endpoint: (e^z P e^-z - Q)^2 is the sum of P'(1 - Q)P' and
+          (1 - P')Q(1 - P') for P' = e^z P e^-z, two positive parts on
+          orthogonal ranges, so ||e^z P e^-z - Q|| is the larger of
+          ||(1 - Q) e^z Bp|| and ||(1 - P) e^-z Bq||, n x rank matrices.
+          For equal ranks the two are equal, both sqrt(1 - s^2) with s the
+          least singular value of the square matrix Bq* e^z Bp, so only the
+          first is taken;
+        - codiagonality: z S + S z = 2 (P z P - P' z P') for S = 2P - 1 and
+          P' = 1 - P, again two parts on orthogonal ranges; ||P z P|| is
+          that of the rank x rank core Bp* (i z) Bp, and with P' V = Q R,
+          ||P' z P'|| is that of the m x m core R diag(w) R*.
+
+        Each norm is the largest |eigenvalue| of a Hermitian matrix of order
+        rank or m, so a thin spectrum (m < n) factors no n x n matrix. Any
+        other z is reported through a general matrix exponential."""
+        if self.skewness > self.p.tol.atol_structure:
+            z, p, q = self.z, self.p.m, self.q.m
+            sym = 2 * p - np.eye(self.p.n)
+            return GeodesicResiduals(
+                skewness=self.skewness,
+                codiagonality=operator_norm(z @ sym + sym @ z),
+                norm_bound=max(0.0, operator_norm(z) - HALF_PI),
+                endpoint=operator_norm(
+                    scipy.linalg.expm(z) @ p @ scipy.linalg.expm(-z) - q))
+        w, v = self.spectrum
+        bp, bq = self.p.basis, self.q.basis
+        endpoint = _norm_off(bq, self.apply(1.0, bp))
+        if self.p.rank != self.q.rank:
+            endpoint = max(endpoint, _norm_off(bp, self.apply(-1.0, bq)))
+        c = adjoint(v) @ bp
+        r = np.linalg.qr(v - bp @ adjoint(c), mode="r")
+        codiag = 2 * max(_hermitian_norm((adjoint(c) * w) @ c),
+                         _hermitian_norm((r * w) @ adjoint(r)))
+        norm = float(np.abs(w).max(initial=0.0))
         return GeodesicResiduals(skewness=self.skewness, codiagonality=codiag,
-                                 norm_bound=max(0.0, norm - HALF_PI),
-                                 endpoint=endpoint)
+                                 norm_bound=max(0.0, norm - HALF_PI), endpoint=endpoint)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -130,14 +159,28 @@ class GeodesicExponent:
             return self._thin
         return np.linalg.eigh(1j * (self.z - adjoint(self.z)) / 2)
 
+    def apply(self, t: float, b: np.ndarray) -> np.ndarray:
+        """e^{tz} b = b + V ((e^{-itw} - 1) V* b) for an n x k matrix b; no
+        n x n unitary is formed."""
+        w, v = self.spectrum
+        return b + v @ (np.expm1(-1j * t * w)[:, None] * (adjoint(v) @ b))
+
     def unitary(self, t: float) -> np.ndarray:
         """e^{tz} = 1 + V (e^{-itw} - 1) V*, which is the identity off span V."""
-        return _spectral_exp(*self.spectrum, t)
+        return self.apply(t, np.eye(self.p.n))
 
 
-def _spectral_exp(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """1 + V (e^{-itw} - 1) V*: e^{tz} for 1j z = V diag(w) V*, V* V = 1."""
-    return np.eye(v.shape[0]) + (v * np.expm1(-1j * t * w)) @ adjoint(v)
+def _hermitian_norm(h: np.ndarray) -> float:
+    """The operator norm of a Hermitian matrix: its largest |eigenvalue|."""
+    return float(np.abs(np.linalg.eigvalsh(h)).max(initial=0.0))
+
+
+def _norm_off(b: np.ndarray, x: np.ndarray) -> float:
+    """||(1 - b b*) x|| for orthonormal columns b and an n x k matrix x, from
+    the k x k Gram of the residual x - b (b* x), formed explicitly so that a
+    small norm keeps its relative accuracy."""
+    d = x - b @ (adjoint(b) @ x)
+    return float(np.sqrt(_hermitian_norm(adjoint(d) @ d)))
 
 
 def geodesic_exists(p: Projection, q: Projection) -> bool:
@@ -235,10 +278,11 @@ def geodesic_point(g: GeodesicExponent, t: float) -> Projection:
     """The projection e^{tz} p e^{-tz}, validated.
 
     Its range is e^{tz} range(p), so it is built from the orthonormal basis
-    ``g.unitary(t) @ g.p.basis`` and validated through that basis's
-    orthonormality residual, with no eigendecomposition of its own.
+    ``g.apply(t, g.p.basis)``, with no n x n unitary, and validated through
+    that basis's orthonormality residual, with no eigendecomposition of its
+    own.
     """
-    return projlat._from_orthonormal(g.unitary(t) @ g.p.basis, g.p.tol)
+    return projlat._from_orthonormal(g.apply(t, g.p.basis), g.p.tol)
 
 
 def geodesic_distance(p: Projection, q: Projection) -> float:
@@ -254,9 +298,10 @@ def rho_length(g: GeodesicExponent, rho: float, trace=None) -> float:
     """Length of the geodesic in the trace rho-norm: ||z||_rho.
 
     For a z that passes the skewness check, |z|^rho = V diag(|w|^rho) V*
-    is read from :attr:`GeodesicExponent.spectrum` (i z = V diag(w) V*),
-    and tr(|z|^rho)/n is sum |w|^rho / n when ``trace`` is None; any other
-    z goes through :func:`numkit.rho_norm`.
+    is read from :attr:`GeodesicExponent.spectrum` (i z = V diag(w) V*).
+    Its normalized trace is sum |w|^rho / n when ``trace`` is None, and
+    ``trace.of_factored(V, |w|^rho)`` under a ``factor.NormalizedTrace``,
+    with no n x n product; any other z goes through :func:`numkit.rho_norm`.
     """
     numkit.check_rho(rho)
     if g.skewness > g.p.tol.atol_structure:
@@ -266,7 +311,7 @@ def rho_length(g: GeodesicExponent, rho: float, trace=None) -> float:
     if trace is None:
         val = float(powered.sum()) / g.p.n
     else:
-        val = complex(trace((v * powered) @ adjoint(v))).real
+        val = trace.of_factored(v, powered)
     return max(val, 0.0) ** (1.0 / rho)
 
 

@@ -182,11 +182,9 @@ def _expect(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
 def _gamma(z: GeodesicExponent, t: float, mats: np.ndarray) -> np.ndarray:
     """Gamma_t(x) = e^{tZ} vec x = x + V ((e^{-itw} - 1) V* x), from the
     exponent's spectrum i Z = V diag(w) V*, for each matrix of a stack;
-    no n^2 x n^2 unitary is formed."""
-    w, v = z.spectrum
-    rows = mats.reshape(len(mats), v.shape[0])
-    coords = (rows @ v.conj()) * np.expm1(-1j * t * w)
-    return (rows + coords @ v.T).reshape(mats.shape)
+    no n^2 x n^2 unitary is formed (see ``GeodesicExponent.apply``)."""
+    rows = mats.reshape(len(mats), z.p.n)
+    return z.apply(t, rows.T).T.reshape(mats.shape)
 
 
 def _frobenius_norms(mats: np.ndarray) -> np.ndarray:

@@ -199,8 +199,20 @@ class Position:
         return float(self.angles.max(initial=0.0))
 
 
+# The position built last; one slot, so at most one outlives its callers.
+_last: Position | None = None
+
+
 def position(p: Projection, q: Projection) -> Position:
-    """The :class:`Position` of p and q: one SVD of the range bases' product."""
+    """The :class:`Position` of p and q: one SVD of the range bases' product.
+
+    Called again with the same two projection objects, it returns the
+    position it built last: projections and positions are immutable, so
+    ``geo.geodesic_distance`` after ``geo.minimal_exponent`` builds one."""
+    global _last
+    last = _last
+    if last is not None and last.p is p and last.q is q:
+        return last
     if p.n != q.n:
         raise DimensionMismatch(f"ambient dimensions differ: {p.n} vs {q.n}")
     atol = p.tol.atol_spectral
@@ -228,7 +240,8 @@ def position(p: Projection, q: Projection) -> Position:
               x[:, gen][:, order], (d / s)[:, order], angles[order])
     for arr in arrays:
         arr.flags.writeable = False
-    return Position(p, q, *arrays)
+    _last = Position(p, q, *arrays)
+    return _last
 
 
 def halmos_decompose(p: Projection, q: Projection) -> Position:

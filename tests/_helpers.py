@@ -7,9 +7,14 @@ evidence, not tautology.
 """
 
 import numpy as np
+import scipy.linalg
 
 import projgeo as pg
 from projgeo import sampling
+
+KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
+           (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
+           (scipy.linalg, "qr")]
 
 
 def adj(a):
@@ -89,3 +94,15 @@ def perturbed_curves(g, rng, count, samples=1000, amp=0.25, reparam=0.12):
         w_pert = group(u_k, lam_k, ss)
         delta = w_geo @ g.p.m @ w_geo.conj().transpose(0, 2, 1)
         yield w_pert @ delta @ w_pert.conj().transpose(0, 2, 1)
+
+
+def record_kernels(monkeypatch, kernels=KERNELS):
+    """Patch each dense kernel to record (name, shape of the matrix it
+    factors) per call; returns the list the calls are appended to."""
+    calls = []
+    for module, name in kernels:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(args[0])))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls

@@ -17,12 +17,7 @@ import projgeo as pg
 from projgeo import cli, factor, geo, jones, projlat, sampling
 from projgeo.errors import NotSkewHermitian
 
-from _helpers import adj, rotation_pair
-
-KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
-           (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
-           (scipy.linalg, "qr")]
-
+from _helpers import KERNELS, adj, record_kernels, rotation_pair
 
 def count_kernels(monkeypatch, kernels=KERNELS):
     calls = []
@@ -72,7 +67,7 @@ def test_geodesic_point_rejects_a_non_skew_exponent():
 
 def test_one_eigendecomposition_per_path(monkeypatch):
     n = 4
-    calls = count_kernels(monkeypatch, [(np.linalg, "eigh"), (np.linalg, "eigvalsh")])
+    calls = record_kernels(monkeypatch)
     path = jones.expectation_path(
         jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4), n)
     x0 = np.random.default_rng(10).normal(size=(n, n))
@@ -81,9 +76,11 @@ def test_one_eigendecomposition_per_path(monkeypatch):
     for t in (0.3, 0.7):
         path.projection_at(t)
     _, states = jones.transport_ode_solve(path, x0, 100)
-    # the ends are built from the orthonormal bases of their spans, and the
-    # exponent from the spectrum its position holds
-    assert calls == []
+    # the ends are built from the orthonormal bases of their spans, the
+    # exponent from the spectrum its position holds, and its residuals from
+    # thin factors: no eigh, and no n^2 x n^2 matrix is factored
+    assert "eigh" not in [name for name, _ in calls]
+    assert all(min(shape) < n * n for _, shape in calls), calls
     assert pg.operator_norm(states[-1] - path.transport(1.0, x0)) < 1e-6
 
 

@@ -6,13 +6,12 @@ operator-norm residuals."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import projgeo as pg
 from projgeo import geo, jones, projlat, sampling
 from projgeo.errors import NotProjection
 
-from _helpers import adj, meet_oracle
+from _helpers import adj, meet_oracle, record_kernels
 
 
 def part_matrices(pos):
@@ -102,50 +101,42 @@ def test_pair_diagnostics_builds_one_position(monkeypatch):
 # the n = 32 wedge pair below: 97 when each consumer rebuilt the position
 # from four eigh-clustered meets, 21 with one Position per call, 7 once
 # each projection carries its range basis from birth and the exactly zero
-# skewness of a z built skew takes no SVD.
+# skewness of a z built skew takes no SVD. Still 7 with the residuals
+# read off thin factors: the 16 x 16 position SVD, two 4 x 32 pivoted
+# QRs, the 32 x 26 QR of P'V and three small Hermitian cores, and no
+# n x n matrix among them; the second position is the first one, shared.
 KERNEL_CEILING = 7
-KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
-           (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
-           (scipy.linalg, "qr")]
 
 
 def test_kernel_call_ceiling(monkeypatch):
     rng = np.random.default_rng(5)
     p, q, info = sampling.structured_pair(3, 3, 4, 4, np.linspace(0.2, 1.3, 9), rng)
     assert info["n"] == 32
-    calls = []
-    for module, name in KERNELS:
-        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+    calls = record_kernels(monkeypatch)
     pg.minimal_exponent(p, q)
     assert pg.geodesic_distance(p, q) == pytest.approx(np.pi / 2)
     assert len(calls) <= KERNEL_CEILING, sorted(calls)
+    assert all(min(shape) < p.n for _, shape in calls), calls
 
 
 def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
-    # the same n = 32 wedge pair, from its matrices: one eigh per input
-    # projection, and the exponent's spectrum read off the position; no
-    # eigvalsh, no expm and no n x n QR
+    # the same n = 32 wedge pair, from its matrices: the one validating eigh
+    # per input projection is the only factorization of an n x n matrix;
+    # the exponent's spectrum is read off the position (no eigh of z), its
+    # residuals off thin factors, and no expm runs
     rng = np.random.default_rng(5)
     p, q, _ = sampling.structured_pair(3, 3, 4, 4, np.linspace(0.2, 1.3, 9), rng)
-    calls = []
-    for module, name in KERNELS:
-        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
-            calls.append((_name, np.shape(args[0])))
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+    calls = record_kernels(monkeypatch)
     p, q = pg.make_projection(p.m), pg.make_projection(q.m)
     g = pg.minimal_exponent(p, q)
     assert pg.verify_geodesic(g).max() < geo.ENDPOINT_ATOL
     pg.geodesic_point(g, 0.5)
     assert pg.geodesic_distance(p, q) == pytest.approx(np.pi / 2)
-    names = [name for name, _ in calls]
-    assert names.count("expm") == 0
-    assert names.count("eigvalsh") == 0
-    assert names.count("eigh") == 2
-    assert [shape for name, shape in calls if name == "qr"] == [(4, 32), (4, 32)]
+    square = [call for call in calls if min(call[1]) >= p.n]
+    assert square == [("eigh", (32, 32))] * 2
+    assert [name for name, _ in calls].count("eigh") == 2
+    assert "expm" not in [name for name, _ in calls]
+    assert [shape for name, shape in calls if name == "qr"] == [(4, 32), (4, 32), (32, 26)]
 
 
 def test_make_projection_decides_on_operator_norms():

@@ -1,0 +1,203 @@
+"""The residual report of a skew exponent is read off thin factors: each
+field is an operator norm, checked here against the dense formulas
+||z S + S z|| and ||e^z p e^-z - q||, on constructed and arbitrary
+exponents and at the near-threshold angles where the endpoint misses by
+about the angle. A thin-born exponent forms z only when z is read, a
+geodesic point needs no n x n unitary, rho-lengths under a trace need no
+n x n product, and a pair's position is built once and retained at most
+once."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import projgeo as pg
+from projgeo import factor, geo, projlat, sampling
+from projgeo.errors import InternalConsistencyError, NotMember
+
+from _helpers import adj, record_kernels
+
+
+def dense_codiagonality(g):
+    sym = 2 * g.p.m - np.eye(g.p.n)
+    return pg.operator_norm(g.z @ sym + sym @ g.z)
+
+
+def dense_endpoint(g):
+    return pg.operator_norm(
+        scipy.linalg.expm(g.z) @ g.p.m @ scipy.linalg.expm(-g.z) - g.q.m)
+
+
+def assert_matches_dense(g, atol=1e-12):
+    res = g.residuals
+    assert res.skewness == 0.0
+    assert res.codiagonality == pytest.approx(dense_codiagonality(g), abs=atol)
+    assert res.endpoint == pytest.approx(dense_endpoint(g), abs=atol)
+    assert res.norm_bound == pytest.approx(
+        max(0.0, pg.operator_norm(g.z) - np.pi / 2), abs=atol)
+
+
+def random_skew_exponent(p, q, m, rng):
+    """An arbitrary thin-born exponent: m random orthonormal vectors with
+    eigenvalues in (-2, 2), so that every residual is far from 0."""
+    g = rng.normal(size=(p.n, m)) + 1j * rng.normal(size=(p.n, m))
+    v = np.linalg.qr(g)[0]
+    return geo.GeodesicExponent.from_spectrum(rng.uniform(-2, 2, size=m), v, p, q)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 13, 21, 40])
+def test_constructed_residuals_match_the_dense_formulas(n):
+    rng = np.random.default_rng(80 + n)
+    for i in range(4):
+        p, q, _ = sampling.random_pair(n, rng, force_wedge=(i % 2 == 0))
+        if not projlat.position(p, q).exists():
+            continue
+        g = pg.minimal_exponent(p, q)
+        assert_matches_dense(g)
+        assert g.residuals.max() < geo.ENDPOINT_ATOL
+
+
+@pytest.mark.parametrize("n", [3, 6, 11, 24, 40])
+def test_arbitrary_skew_residuals_match_the_dense_formulas(n):
+    rng = np.random.default_rng(90 + n)
+    for rank_p, rank_q in ((n // 2, n // 2), (1, n - 1), (n - 1, 1), (0, 2), (n, 1)):
+        p = sampling.random_projection(n, rank_p, rng)
+        q = sampling.random_projection(n, rank_q, rng)
+        for m in (1, min(n, 4), n):
+            g = random_skew_exponent(p, q, m, rng)
+            assert_matches_dense(g)
+        # and a skew z given densely, whose spectrum is one eigh
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert_matches_dense(geo.GeodesicExponent(z=(h - adj(h)) / 4, p=p, q=q))
+        if rank_p != rank_q:
+            assert g.residuals.endpoint == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [1e-7, 1e-5, 1e-3, 1.3e-3,
+                                   np.pi / 2 - 1e-3, np.pi / 2 - 1e-6])
+def test_near_threshold_endpoint_matches_the_dense_formula(theta, monkeypatch):
+    # a plane absorbed into a meet or wedge is not rotated by its angle, so
+    # the endpoint misses and the verification raises
+    p, q, _ = sampling.structured_pair(1, 1, 0, 0, [theta, 0.7],
+                                       np.random.default_rng(3))
+    with pytest.raises(InternalConsistencyError):
+        pg.minimal_exponent(p, q)
+    monkeypatch.setattr(geo, "ENDPOINT_ATOL", np.inf)
+    g = pg.minimal_exponent(p, q)
+    assert g.residuals.endpoint > 1e-7
+    assert_matches_dense(g, atol=1e-14)
+
+
+def test_thin_residuals_factor_no_square_matrix(monkeypatch):
+    rng = np.random.default_rng(95)
+    p, q, _ = sampling.structured_pair(2, 3, 2, 2, [0.3, 0.8, 1.2], rng)
+    w, v = pg.minimal_exponent(p, q).spectrum
+    g = geo.GeodesicExponent.from_spectrum(w, v, p, q)
+    calls = record_kernels(monkeypatch)
+    res = g.residuals
+    assert res.max() < geo.ENDPOINT_ATOL
+    names = [name for name, _ in calls]
+    assert "svd" not in names and "eigh" not in names and "expm" not in names
+    assert all(min(shape) < p.n for _, shape in calls), calls
+    assert "z" not in vars(g)  # the report did not form the dense z
+
+
+def test_thin_born_z_is_formed_on_first_read():
+    rng = np.random.default_rng(96)
+    p, q, _ = sampling.structured_pair(1, 1, 1, 1, [0.4, 1.0], rng)
+    w, v = pg.minimal_exponent(p, q).spectrum
+    g = geo.GeodesicExponent.from_spectrum(w, v, p, q)
+    assert g.skewness == 0.0 and "z" not in vars(g)
+    z = g.z
+    assert g.z is z and not z.flags.writeable
+    assert np.array_equal(z + adj(z), np.zeros_like(z))
+    assert np.abs(1j * z - (v * w) @ adj(v)).max() <= 1e-14
+    with pytest.raises(AttributeError):
+        g.z = z
+
+
+def test_geodesic_point_forms_no_unitary(monkeypatch):
+    rng = np.random.default_rng(97)
+    p, q, _ = sampling.structured_pair(2, 1, 1, 1, [0.5, 1.1], rng)
+    g = pg.minimal_exponent(p, q)
+
+    def unitary(self, t):
+        raise AssertionError("geodesic_point formed the n x n unitary")
+
+    monkeypatch.setattr(geo.GeodesicExponent, "unitary", unitary)
+    for t in (-0.3, 0.5, 1.0):
+        e = scipy.linalg.expm(t * g.z)
+        point = pg.geodesic_point(g, t)
+        assert pg.operator_norm(point.m - e @ p.m @ adj(e)) <= 1e-12
+        assert point.rank == p.rank
+
+
+def block_pair(alg, rng):
+    """A pair inside the algebra: a random pair in each block."""
+    pm = np.zeros((alg.n, alg.n), dtype=complex)
+    qm = np.zeros((alg.n, alg.n), dtype=complex)
+    for sl, dim in zip(alg.slices(), alg.blocks):
+        p, q, _ = sampling.structured_pair(0, 0, 0, 0, rng.uniform(0.2, 1.3, dim // 2), rng)
+        pm[sl, sl], qm[sl, sl] = p.m, q.m
+    return pg.make_projection(pm), pg.make_projection(qm)
+
+
+@pytest.mark.parametrize("rho", [1.0, 2.0, 3.5])
+def test_rho_length_under_a_trace_equals_the_dense_trace(rho):
+    rng = np.random.default_rng(98)
+    for alg in (factor.FiniteAlgebra.full(6),
+                factor.FiniteAlgebra(blocks=(2, 4), weights=(0.3, 0.7))):
+        p, q = block_pair(alg, rng)
+        g = factor.blockwise_minimal_exponent(alg, p, q)
+        tr = factor.NormalizedTrace(alg)
+        w, v = g.spectrum
+        dense = tr((v * np.abs(w) ** rho) @ adj(v)).real ** (1 / rho)
+        assert pg.rho_length(g, rho, tr) == pytest.approx(dense, abs=1e-13)
+
+
+def test_rho_length_outside_a_multi_block_algebra_is_not_a_member():
+    rng = np.random.default_rng(99)
+    p, q, _ = sampling.structured_pair(1, 1, 0, 0, [0.6], rng)
+    g = pg.minimal_exponent(p, q)
+    with pytest.raises(NotMember):
+        pg.rho_length(g, 2.0, factor.NormalizedTrace(
+            factor.FiniteAlgebra(blocks=(2, 2), weights=(0.5, 0.5))))
+    # a single block has no off-block products to check
+    value = pg.rho_length(g, 2.0, factor.NormalizedTrace(factor.FiniteAlgebra.full(4)))
+    assert value == pytest.approx(0.6 / np.sqrt(2), abs=1e-12)
+
+
+def test_exponent_and_distance_share_one_position(monkeypatch):
+    built = []
+    real = projlat.Position
+
+    def counting(*args):
+        built.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(projlat, "Position", counting)
+    p, q, _ = sampling.random_pair(8, np.random.default_rng(100), force_wedge=True)
+    pg.minimal_exponent(p, q)
+    assert pg.geodesic_distance(p, q) == pytest.approx(np.pi / 2)
+    assert len(built) == 1
+    # another pair, or the same pair reversed, is a new position
+    pg.geodesic_distance(q, p)
+    assert len(built) == 2
+
+
+def test_a_loop_over_pairs_retains_at_most_one_position():
+    rng = np.random.default_rng(101)
+    refs = []
+    for _ in range(200):
+        p, q, _ = sampling.random_pair(4, rng)
+        pos = projlat.position(p, q)
+        refs.append(weakref.ref(pos))
+        if pos.exists():
+            pg.minimal_exponent(p, q)
+            pg.geodesic_distance(p, q)
+        del p, q, pos
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) <= 1

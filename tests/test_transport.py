@@ -5,7 +5,7 @@ import scipy.linalg
 import projgeo as pg
 from projgeo import geo, jones
 
-from _helpers import adj
+from _helpers import adj, record_kernels
 
 
 def eighth_turn_path():
@@ -152,24 +152,23 @@ class TestMatrixFreeSolver:
             assert np.linalg.norm(dense_generator(path, t) @ x) < 1e-13
 
     def test_generator_is_never_formed(self, monkeypatch):
-        calls = []
+        calls = record_kernels(monkeypatch)
         real_unitary = geo.GeodesicExponent.unitary
-        for name in ("eigh", "eigvalsh"):
-            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
 
         def unitary(self, t):
-            calls.append("unitary")
+            calls.append(("unitary", ()))
             return real_unitary(self, t)
 
         monkeypatch.setattr(geo.GeodesicExponent, "unitary", unitary)
         path = eighth_turn_path()
         jones.transport_ode_solve(path, np.diag([1.0, -1.0]), 200)
-        # the ends are built from the orthonormal bases of their spans, and the
-        # exponent from the spectrum its position holds
-        assert calls == []
+        # the ends are built from the orthonormal bases of their spans, the
+        # exponent from the spectrum its position holds and its residuals
+        # from thin factors: no unitary, no eigh, and no factorization of an
+        # n^2 x n^2 matrix
+        names = [name for name, _ in calls]
+        assert "unitary" not in names and "eigh" not in names
+        assert all(min(shape) < path.n ** 2 for _, shape in calls), calls
 
     def test_five_by_five(self):
         n = 5  # Hilbert-Schmidt dimension 25
