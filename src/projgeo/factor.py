@@ -95,25 +95,27 @@ class NormalizedTrace:
     def __call__(self, x) -> complex:
         return trace(self, x)
 
-    def of_factored(self, v: np.ndarray, d: np.ndarray) -> float:
-        """tau(V diag(d) V*) for n x m V and real d, with no n x n product.
+    def of_factored(self, v: np.ndarray, d: np.ndarray) -> float | np.ndarray:
+        """tau(V diag(d) V*) for n x m V and real d, with no n x n product;
+        for a (k, n, m) stack of V, the k values as an array.
 
         Each block's trace is sum_j d_j ||V[block, j]||^2. Membership, which
         :func:`trace` requires, is checked on the off-block products
         V[a] diag(d) V[b]* alone, entrywise within atol_structure; a single
         block has none."""
         a = self.algebra
-        if v.shape[0] != a.n:
-            raise DimensionMismatch(f"expected dimension {a.n}, got {v.shape[0]}")
+        if v.shape[-2] != a.n:
+            raise DimensionMismatch(f"expected dimension {a.n}, got {v.shape[-2]}")
         slices = a.slices()
         for i, si in enumerate(slices):
             for sj in slices[i + 1:]:
-                off = (v[si] * d) @ adjoint(v[sj])
+                off = (v[..., si, :] * d) @ v[..., sj, :].conj().swapaxes(-1, -2)
                 if float(np.abs(off).max()) > DEFAULT_TOL.atol_structure:
                     raise NotMember("matrix has off-block mass; not in the algebra")
         weight = (v.real ** 2 + v.imag ** 2) @ d
-        return float(sum(w * weight[sl].sum() / dim
-                         for w, dim, sl in zip(a.weights, a.blocks, slices)))
+        vals = sum(w * weight[..., sl].sum(axis=-1) / dim
+                   for w, dim, sl in zip(a.weights, a.blocks, slices))
+        return float(vals) if v.ndim == 2 else vals
 
 
 @dataclass(frozen=True)

@@ -328,13 +328,18 @@ def _stack_points(points) -> np.ndarray:
     return mats
 
 
-def _even_power_sums(diffs: np.ndarray, m: int) -> np.ndarray:
-    """The sum of sigma_i^{2m} for each Hermitian D of a (k, n, n) stack.
+def _even_power_traces(diffs: np.ndarray, m: int, trace=None) -> np.ndarray:
+    """tau(|D|^{2m}) for each Hermitian D of a (k, n, n) stack.
 
-    It is tr(D^{2m}) = ||D^m||_F^2, the sum of squares of the real and
-    imaginary parts of D^m; no eigensolver runs."""
-    x = np.linalg.matrix_power(diffs, m).view(np.float64)
-    return np.einsum("kij,kij->k", x, x)
+    |D|^{2m} = D^m (D^m)*, so under tr/n it is ||D^m||_F^2 / n, the sum of
+    squares of the real and imaginary parts of D^m, and under a
+    ``factor.NormalizedTrace`` it is ``trace.of_factored(D^m, 1)``, which
+    takes per-block sums of the same squares; no eigensolver runs."""
+    power = np.linalg.matrix_power(diffs, m)
+    if trace is not None:
+        return trace.of_factored(power, np.ones(power.shape[-1]))
+    x = power.view(np.float64)
+    return np.einsum("kij,kij->k", x, x) / diffs.shape[-1]
 
 
 def curve_length(points, rho: float | None | list | tuple = None,
@@ -349,13 +354,14 @@ def curve_length(points, rho: float | None | list | tuple = None,
     (None for the operator norm); the lengths then come back as a list in
     the same order, each equal to the length of its order alone.
 
-    Under the default trace tr/n, an even order rho = 2m takes each step's
-    sum of sigma_i^rho from the Frobenius norm of a matrix power (see
-    :func:`_even_power_sums`), with no eigensolver. The operator norm and
-    any other order read the steps' singular values, |eigenvalues| of the
-    Hermitian differences, from one batched eigvalsh, which runs only when
-    such an order is asked for. Under a ``trace``, each step's rho-norm is
-    :func:`numkit.rho_norm`.
+    An even order rho = 2m takes each step's tau(|D|^rho) from the squares
+    of the entries of a matrix power (see :func:`_even_power_traces`), with
+    no eigensolver, under the default trace tr/n and under a ``trace``
+    (a ``factor.NormalizedTrace``) alike. The operator norm and any other
+    order read the steps' singular values, |eigenvalues| of the Hermitian
+    differences, from one batched eigvalsh, which runs only when such an
+    order is asked for; under a ``trace``, an order that is not even takes
+    each step's rho-norm from :func:`numkit.rho_norm` instead.
     """
     orders = rho if isinstance(rho, (list, tuple)) else [rho]
     for r in orders:
@@ -372,13 +378,13 @@ def curve_length(points, rho: float | None | list | tuple = None,
     def length(r) -> float:
         if r is None:
             return float(svals.max(axis=1).sum())
-        if trace is not None:
-            return float(sum(numkit.rho_norm(d, r, trace) for d in diffs))
         if r % 2 == 0:
-            sums = _even_power_sums(diffs, int(r) // 2)
+            taus = _even_power_traces(diffs, int(r) // 2, trace)
+        elif trace is not None:
+            return float(sum(numkit.rho_norm(d, r, trace) for d in diffs))
         else:
-            sums = (svals ** r).sum(axis=1)
-        return float(((sums / n) ** (1.0 / r)).sum())
+            taus = (svals ** r).sum(axis=1) / n
+        return float((taus ** (1.0 / r)).sum())
 
     lengths = [length(r) for r in orders]
     return lengths if orders is rho else lengths[0]

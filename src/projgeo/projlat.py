@@ -32,9 +32,11 @@ class Projection:
     ``geo.geodesic_point`` and ``jones.expectation_projection``; the
     matrix is made read-only so values can be shared freely. ``basis``
     (n x rank, orthonormal, read-only) is an orthonormal basis of the
-    range, fixed at birth: the eigenvalue-1 eigenvectors of the one eigh
-    that validated the matrix, or the orthonormal columns the projection
-    was built from. Every position of the projection shares it.
+    range, fixed at birth: the refined pivoted-Cholesky basis that
+    certified the matrix in :func:`make_projection` (the eigenvalue-1
+    eigenvectors when its eigh fallback decided), or the orthonormal
+    columns the projection was built from. Every position of the
+    projection shares it.
     """
 
     m: np.ndarray
@@ -61,27 +63,101 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
     grounds for rejection. That residual is settled by the Frobenius norm,
     which bounds the operator norm, unless the bound exceeds the tolerance;
     only then are the eigenvalues of the normal matrix i(m - m*) taken.
-    One eigh of sym gives the idempotency residual max |lam^2 - lam|, the
-    spectrum, the rank and the range basis.
+
+    A projection is then accepted from a range basis that certifies it
+    (see :func:`_certified_basis`), with no eigendecomposition. Any sym
+    the certificate cannot settle (noise near a threshold, a negative
+    eigenvalue, a trace far from an integer) goes to one eigh of sym, which
+    decides: it gives the idempotency residual max |lam^2 - lam|, the
+    spectrum, the rank and the range basis, and every rejection comes from
+    it.
     """
     m = numkit.as_complex(m)
-    skew = m - adjoint(m)
-    if np.linalg.norm(skew) > tol.atol_structure:
-        herm = float(np.abs(np.linalg.eigvalsh(1j * skew)).max())
+    if _frobenius(m - adjoint(m)) > tol.atol_structure:
+        herm = float(np.abs(np.linalg.eigvalsh(1j * (m - adjoint(m)))).max())
         if herm > tol.atol_structure:
             raise NotProjection(f"Hermiticity residual {herm:.3e} > atol_structure")
     sym = (m + adjoint(m)) / 2
-    eigs, vecs = np.linalg.eigh(sym)
-    idem = float(np.abs(eigs * eigs - eigs).max())
-    if idem > tol.atol_structure:
-        raise NotProjection(f"idempotency residual {idem:.3e} > atol_structure")
-    off = np.minimum(np.abs(eigs), np.abs(eigs - 1.0))
-    if off.max() > tol.atol_spectral:
-        raise NotProjection("spectrum not within atol_spectral of {0, 1}")
-    rank = int((eigs > 0.5).sum())
-    # eigenvalues ascend: the last rank columns span the range
-    basis = vecs[:, sym.shape[0] - rank:].copy()
-    return Projection(m=_frozen(sym), tol=tol, rank=rank, basis=_frozen(basis))
+    basis = _certified_basis(sym, tol)
+    if basis is None:
+        eigs, vecs = np.linalg.eigh(sym)
+        idem = float(np.abs(eigs * eigs - eigs).max())
+        if idem > tol.atol_structure:
+            raise NotProjection(f"idempotency residual {idem:.3e} > atol_structure")
+        off = np.minimum(np.abs(eigs), np.abs(eigs - 1.0))
+        if off.max() > tol.atol_spectral:
+            raise NotProjection("spectrum not within atol_spectral of {0, 1}")
+        rank = int((eigs > 0.5).sum())
+        # eigenvalues ascend: the last rank columns span the range
+        basis = vecs[:, sym.shape[0] - rank:].copy()
+    return Projection(m=_frozen(sym), tol=tol, rank=basis.shape[1], basis=_frozen(basis))
+
+
+def _certified_basis(sym: np.ndarray, tol: ToleranceProfile) -> np.ndarray | None:
+    """An n x k orthonormal basis B that proves the Hermitian sym a
+    projection of rank k, or None when this cannot be shown cheaply.
+
+    k is the trace of sym rounded. A pivoted Cholesky (LAPACK ?pstrf)
+    truncated at k gives sym ~ L L*; for a projection L = B M with M
+    unitary, so L spans the range. One subspace step refines it:
+    B = (sym L) R^-1, where R* R is the Cholesky factorization of the
+    Gram matrix (sym L)* (sym L).
+
+    B is accepted when d = ||B* B - 1||_F + ||sym - B B*||_F satisfies
+    d <= atol_spectral, d (1 + d) <= atol_structure and d < 1/2. B B* has
+    the spectrum {0} with that of B* B, which lies within d of 1, and
+    by Weyl's inequality each eigenvalue of sym lies within d of one of
+    B B*: the spectrum is within atol_spectral of {0, 1}, the idempotency
+    residual max |lam (lam - 1)| is at most atol_structure and exactly k
+    eigenvalues exceed 1/2, which is every check of the eigh in
+    :func:`make_projection` (the argument of :func:`_from_orthonormal`).
+    The pivots of a block-diagonal sym stay inside one block each, so
+    every column of B is supported on one block. Cost O(n^2 k).
+    """
+    n = sym.shape[0]
+    trace = sym.trace().real
+    if not -0.5 < trace < n + 0.5:
+        return None
+    k = round(trace)
+    b = np.zeros((n, 0), dtype=np.complex128)
+    if k:
+        low = _pivoted_cholesky(sym, k)
+        if low is None:
+            return None
+        y = sym @ low
+        r, info = scipy.linalg.lapack.zpotrf(adjoint(y) @ y)
+        if info:
+            return None
+        # B^T = R^-T Y^T, with Y^T in Fortran order, is B = Y R^-1
+        b = scipy.linalg.blas.ztrsm(1.0, r, y.T, trans_a=1, overwrite_b=1).T
+    gram_err = adjoint(b) @ b
+    gram_err.flat[::k + 1] -= 1.0
+    resid = b @ adjoint(b)
+    resid -= sym
+    d = _frobenius(gram_err) + _frobenius(resid)
+    if d <= tol.atol_spectral and d * (1.0 + d) <= tol.atol_structure and d < 0.5:
+        return b
+    return None
+
+
+def _pivoted_cholesky(sym: np.ndarray, k: int) -> np.ndarray | None:
+    """The n x k factor L of a pivoted Cholesky sym ~ L L* stopped after k
+    pivots, or None when the pivots give out before k."""
+    n = sym.shape[0]
+    # sym.T is conj(sym) in Fortran order, factored as conj(sym)[piv, piv]
+    # = U* U. A projection's rank-j Schur complement has a diagonal entry
+    # >= j / n, so the pivots stop below 1 / (2n) only past its rank.
+    c, piv, rank, info = scipy.linalg.lapack.zpstrf(sym.T, tol=0.5 / n)
+    if info < 0 or rank < k:
+        return None
+    # The pivot columns are S = sym[:, piv[:k]] = L conj(U11), so
+    # L^T = U11^-H S^T; the solve reads only U11's upper triangle.
+    cols = sym[:, piv[:k] - 1]
+    return scipy.linalg.blas.ztrsm(1.0, c[:k, :k], cols.T, trans_a=2, overwrite_b=1).T
+
+
+def _frobenius(a: np.ndarray) -> float:
+    return float(np.sqrt(np.vdot(a, a).real))
 
 
 def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile) -> Projection:

@@ -14,7 +14,7 @@ from projgeo import sampling
 
 KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
            (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
-           (scipy.linalg, "qr")]
+           (scipy.linalg, "qr"), (scipy.linalg.lapack, "zpstrf")]
 
 
 def adj(a):

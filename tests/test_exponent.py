@@ -116,17 +116,15 @@ def test_blockwise_exponent_embeds_the_block_spectra(monkeypatch):
         pm[sl, sl] = bp.m
         qm[sl, sl] = bq.m
     p, q = pg.make_projection(pm), pg.make_projection(qm)
-    shapes = []
-    real = np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    calls = record_kernels(monkeypatch)
     g = factor.blockwise_minimal_exponent(alg, p, q)
-    # only the per-block make_projection calls decompose anything
-    assert shapes and all(s in ((2, 2), (3, 3)) for s in shapes)
+    # only the per-block make_projection calls factor a block, each with
+    # one pivoted Cholesky; nothing factors the 5 x 5 matrices, and no
+    # eigh runs
+    blockwise = [call for call in calls if call[0] == "zpstrf"]
+    assert sorted(blockwise) == [("zpstrf", (2, 2))] * 2 + [("zpstrf", (3, 3))] * 2
+    assert "eigh" not in [name for name, _ in calls]
+    assert all(min(shape) < 5 for _, shape in calls), calls
     w, v = g.spectrum
     assert v.shape == (5, w.size) and w.size == 4
     dense = np.zeros((5, 5), dtype=complex)

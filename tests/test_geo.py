@@ -7,11 +7,13 @@ from projgeo.errors import (
     BadRho,
     InvariantViolation,
     NoGeodesic,
+    NotMember,
     RankMismatch,
     TooFewPoints,
 )
 
-from _helpers import adj, perturbed_curves, random_joinable_pair, rotation_pair
+from _helpers import (adj, perturbed_curves, random_joinable_pair, record_kernels,
+                      rotation_pair)
 
 
 def orthogonal_rank1_pair():
@@ -383,6 +385,37 @@ class TestCurveLength:
             calls.clear()
             pg.curve_length(curve, rho=rho)
             assert len(calls) == solves, rho
+
+    def test_traced_even_orders_match_rho_norm(self, monkeypatch):
+        # a block-diagonal curve in M_3 + M_4, and the full algebra M_7
+        rng = np.random.default_rng(33)
+        parts = []
+        for n in (3, 4):
+            p, q, _ = random_joinable_pair(n, rng)
+            parts.append(next(perturbed_curves(pg.minimal_exponent(p, q), rng,
+                                               count=1, samples=150)))
+        curve = np.zeros((150, 7, 7), dtype=complex)
+        curve[:, :3, :3], curve[:, 3:, 3:] = parts
+        diffs = curve[1:] - curve[:-1]
+        blocks = factor.FiniteAlgebra(blocks=(3, 4), weights=(0.3, 0.7))
+        traces = [factor.NormalizedTrace(alg) for alg in (blocks, factor.FiniteAlgebra.full(7))]
+        orders = [2.0, 4.0, 6.0]
+        want = [[sum(pg.rho_norm(d, rho, tr) for d in diffs) for rho in orders]
+                for tr in traces]
+        calls = record_kernels(monkeypatch)
+        for tr, lengths in zip(traces, want):
+            assert pg.curve_length(curve, rho=orders, trace=tr) == \
+                pytest.approx(lengths, rel=1e-12)
+        assert calls == []  # no SVD or eigensolver per step
+        # off-block mass of a step's |D|^rho is refused as before
+        mixed = next(perturbed_curves(pg.minimal_exponent(*random_joinable_pair(7, rng)[:2]),
+                                      rng, count=1, samples=20))
+        tr = factor.NormalizedTrace(blocks)
+        with pytest.raises(NotMember):
+            pg.rho_norm(mixed[1] - mixed[0], 2.0, tr)
+        for rho in (2.0, 4.0, 3.0):
+            with pytest.raises(NotMember):
+                pg.curve_length(mixed, rho=rho, trace=tr)
 
     def test_perturbed_curves_are_no_shorter(self):
         rng = np.random.default_rng(27)

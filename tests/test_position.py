@@ -105,6 +105,8 @@ def test_pair_diagnostics_builds_one_position(monkeypatch):
 # read off thin factors: the 16 x 16 position SVD, two 4 x 32 pivoted
 # QRs, the 32 x 26 QR of P'V and three small Hermitian cores, and no
 # n x n matrix among them; the second position is the first one, shared.
+# Still 7 with zpstrf counted: the pair's projections were validated
+# before the count began, by a pivoted Cholesky rather than an eigh.
 KERNEL_CEILING = 7
 
 
@@ -120,10 +122,11 @@ def test_kernel_call_ceiling(monkeypatch):
 
 
 def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
-    # the same n = 32 wedge pair, from its matrices: the one validating eigh
-    # per input projection is the only factorization of an n x n matrix;
-    # the exponent's spectrum is read off the position (no eigh of z), its
-    # residuals off thin factors, and no expm runs
+    # the same n = 32 wedge pair, from its matrices: the one validating
+    # pivoted Cholesky per input projection is the only factorization of
+    # an n x n matrix, and no eigh runs at all; the exponent's spectrum is
+    # read off the position (no eigh of z), its residuals off thin
+    # factors, and no expm runs
     rng = np.random.default_rng(5)
     p, q, _ = sampling.structured_pair(3, 3, 4, 4, np.linspace(0.2, 1.3, 9), rng)
     calls = record_kernels(monkeypatch)
@@ -133,8 +136,8 @@ def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
     pg.geodesic_point(g, 0.5)
     assert pg.geodesic_distance(p, q) == pytest.approx(np.pi / 2)
     square = [call for call in calls if min(call[1]) >= p.n]
-    assert square == [("eigh", (32, 32))] * 2
-    assert [name for name, _ in calls].count("eigh") == 2
+    assert square == [("zpstrf", (32, 32))] * 2
+    assert "eigh" not in [name for name, _ in calls]
     assert "expm" not in [name for name, _ in calls]
     assert [shape for name, shape in calls if name == "qr"] == [(4, 32), (4, 32), (32, 26)]
 

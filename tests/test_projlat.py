@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projgeo as pg
 from projgeo import jones, projlat, sampling
 from projgeo.errors import DimensionMismatch, NoGenericPart, NotProjection, RankDeficient
 
-from _helpers import adj, meet_oracle, rotation_pair
+from _helpers import adj, meet_oracle, record_kernels, rotation_pair
 
 
 def pi4_pair():
@@ -63,6 +65,81 @@ class TestMakeProjection:
         with pytest.raises(NotProjection,
                            match=r"^Hermiticity residual 1\.100e-08 > atol_structure$"):
             pg.make_projection(base + 1j * (0.55 * atol) * np.eye(4))
+
+
+def eigh_verdict(m, tol=pg.DEFAULT_TOL):
+    """What make_projection must return for a Hermitian m, read off one
+    eigh of sym = (m + m*)/2: the rank, or the NotProjection message."""
+    sym = (m + adj(m)) / 2
+    eigs = np.linalg.eigh(sym)[0]
+    idem = float(np.abs(eigs * eigs - eigs).max())
+    if idem > tol.atol_structure:
+        return f"idempotency residual {idem:.3e} > atol_structure"
+    if np.minimum(np.abs(eigs), np.abs(eigs - 1.0)).max() > tol.atol_spectral:
+        return "spectrum not within atol_spectral of {0, 1}"
+    return int((eigs > 0.5).sum())
+
+
+def projection_matrix(kind, n, rank, rng):
+    """A projection of the given rank, built without the library, and the
+    sizes of the diagonal blocks it is supported on."""
+    if kind == "coordinate":
+        diag = rng.permutation(np.r_[np.ones(rank), np.zeros(n - rank)])
+        return np.diag(diag).astype(complex), [1] * n
+    if kind == "blocks":
+        cut = int(rng.integers(0, n + 1))
+        low = int(rng.integers(max(0, rank - (n - cut)), min(rank, cut) + 1))
+        blocks = [(cut, low), (n - cut, rank - low)]
+        mats = [projection_matrix("haar", d, r, rng)[0] for d, r in blocks if d]
+        m = np.zeros((n, n), dtype=complex)
+        start = 0
+        for a in mats:
+            m[start:start + len(a), start:start + len(a)] = a
+            start += len(a)
+        return m, [d for d, _ in blocks if d]
+    cols = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    if kind == "tiny":  # columns near coordinate vectors: components of 1e-9
+        cols = np.eye(n, rank) + 1e-9 * cols
+    b = np.linalg.qr(cols)[0] if rank else cols
+    return b @ adj(b), [n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.one_of(st.integers(1, 16), st.integers(17, 200)),
+       rank_frac=st.floats(0.0, 1.0),
+       kind=st.sampled_from(["haar", "coordinate", "tiny", "blocks"]),
+       noise=st.one_of(st.just(0.0), st.floats(-12.0, -7.0).map(lambda e: 10.0 ** e)),
+       scale=st.sampled_from([1.0, 1.0, 1.0, -1.0, 2.0, 1.0 + 1e-7]))
+def test_make_projection_verdict_matches_an_eigh_reference(seed, n, rank_frac, kind,
+                                                           noise, scale):
+    rng = np.random.default_rng(seed)
+    rank = int(round(rank_frac * n))
+    proj, blocks = projection_matrix(kind, n, rank, rng)
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = (h + adj(h)) / 2
+    m = scale * proj + noise * h / np.linalg.norm(h, 2)
+    want = eigh_verdict(m)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_kernels(mp)
+        if isinstance(want, str):
+            with pytest.raises(NotProjection) as err:
+                pg.make_projection(m)
+            assert str(err.value) == want
+            return
+        p = pg.make_projection(m)
+    assert p.rank == want == p.basis.shape[1]
+    b = p.basis
+    assert pg.operator_norm(adj(b) @ b - np.eye(p.rank)) <= 1e-12
+    idem = pg.operator_norm(p.m @ p.m - p.m)
+    assert pg.operator_norm(b @ adj(b) - p.m) <= 2 * idem + 1e-12
+    if noise == 0.0 and scale == 1.0:
+        # an exact projection is certified by its pivoted Cholesky
+        assert "eigh" not in [name for name, _ in calls]
+        edges = np.cumsum([0] + blocks)
+        support = [np.flatnonzero(np.abs(b[lo:hi]).max(axis=0, initial=0.0))
+                   for lo, hi in zip(edges[:-1], edges[1:])]
+        assert sorted(np.concatenate(support).tolist()) == list(range(p.rank))
 
 
 class TestFromOrthonormal:
