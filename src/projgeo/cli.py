@@ -28,7 +28,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_OBSTRUCTION = 3
 
+# Size caps, checked before any allocation (measured costs in README.md)
 MAX_RANDOM_DIM = 64
+MAX_TRANSPORT_DIM = 32
+MAX_JONES_DIM = 512
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +185,8 @@ def cmd_geodesic(args) -> dict:
 def cmd_jones(args) -> dict:
     if args.m < 2 or args.k < 1:
         raise ValueError("need --m >= 2 and --k >= 1")
+    if args.m * args.k > MAX_JONES_DIM:
+        raise ValueError(f"--m times --k must be at most {MAX_JONES_DIM}")
     jp = jones.jones_pair(args.m, args.k, _tolerance(args))
     d, d_rho = jones.index_distance(jp)
     closed = math.acos(math.sqrt(jp.tau))
@@ -209,6 +214,8 @@ def cmd_jones(args) -> dict:
 
 
 def cmd_transport(args) -> dict:
+    if not 1 <= args.n <= MAX_TRANSPORT_DIM:
+        raise ValueError(f"--n must lie in [1, {MAX_TRANSPORT_DIM}]")
     tol = _tolerance(args)
     spec0 = parse_subalgebra(args.spec0, args.n)
     spec1 = parse_subalgebra(args.spec1, args.n)
@@ -227,16 +234,11 @@ def cmd_transport(args) -> dict:
         errs[steps] = numkit.operator_norm(states[-1] - path.transport(1.0, probe))
     order = (math.log2(errs[args.order_probe] / errs[2 * args.order_probe])
              if min(errs.values()) > 0 else None)
-    axioms = {}
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        ax = jones.expectation_axioms(path.projection_at(t), args.n)
-        axioms[f"{t:.2f}"] = {
-            "idempotent": ax.idempotent, "unital": ax.unital, "star": ax.star,
-            "trace": ax.trace, "bimodule": ax.bimodule, "closure": ax.closure,
-        }
+    axioms = {f"{t:.2f}": dataclasses.asdict(
+        jones.expectation_axioms(path.projection_at(t), args.n))
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0)}
     xs = [rng.normal(size=(args.n, args.n)) + 1j * rng.normal(size=(args.n, args.n))
           for _ in range(3)]
-    prop = jones.propagator_checks(path, (0.25, 0.75), xs)
     results = {
         "gap": path.gap,
         "steps": args.steps,
@@ -244,12 +246,8 @@ def cmd_transport(args) -> dict:
         "convergence_order": order,
         "order_probe_steps": [args.order_probe, 2 * args.order_probe],
         "expectation_axioms": axioms,
-        "propagator": {
-            "intertwine": prop.intertwine,
-            "multiplicative": prop.multiplicative,
-            "star": prop.star,
-            "codiagonal": prop.codiagonal,
-        },
+        "propagator": dataclasses.asdict(
+            jones.propagator_checks(path, (0.25, 0.75), xs)),
     }
     inputs = {"params": _digest_params(
         {"spec0": args.spec0, "spec1": args.spec1, "n": args.n})}

@@ -97,7 +97,8 @@ class NormalizedTrace:
 
     def of_factored(self, v: np.ndarray, d: np.ndarray) -> float | np.ndarray:
         """tau(V diag(d) V*) for n x m V and real d, with no n x n product;
-        for a (k, n, m) stack of V, the k values as an array.
+        for a (k, n, m) stack of V, the k values as an array, with d shared
+        (m,) or given per matrix (k, m).
 
         Each block's trace is sum_j d_j ||V[block, j]||^2. Membership, which
         :func:`trace` requires, is checked on the off-block products
@@ -109,10 +110,11 @@ class NormalizedTrace:
         slices = a.slices()
         for i, si in enumerate(slices):
             for sj in slices[i + 1:]:
-                off = (v[..., si, :] * d) @ v[..., sj, :].conj().swapaxes(-1, -2)
+                off = ((v[..., si, :] * d[..., None, :])
+                       @ v[..., sj, :].conj().swapaxes(-1, -2))
                 if float(np.abs(off).max()) > DEFAULT_TOL.atol_structure:
                     raise NotMember("matrix has off-block mass; not in the algebra")
-        weight = (v.real ** 2 + v.imag ** 2) @ d
+        weight = ((v.real ** 2 + v.imag ** 2) @ d[..., None])[..., 0]
         vals = sum(w * weight[..., sl].sum(axis=-1) / dim
                    for w, dim, sl in zip(a.weights, a.blocks, slices))
         return float(vals) if v.ndim == 2 else vals

@@ -44,8 +44,7 @@ class GeodesicResiduals:
     endpoint: float
 
     def max(self) -> float:
-        return max(self.skewness, self.codiagonality,
-                   self.norm_bound, self.endpoint)
+        return max(vars(self).values())
 
 
 class GeodesicExponent:
@@ -75,7 +74,7 @@ class GeodesicExponent:
         to be exactly Hermitian, so that z is exactly skew: its skewness is
         0 without forming z."""
         w, v = np.array(w, dtype=np.float64), np.array(v, dtype=np.complex128)
-        eps = projlat._orthonormality_residual(v, p.tol.atol_structure)
+        eps = numkit.orthonormality_residual(v, p.tol.atol_structure)
         if eps > p.tol.atol_structure:
             raise InternalConsistencyError(
                 f"orthonormality residual {eps:.3e} of the exponent's "
@@ -216,11 +215,14 @@ def partial_isometry(source: Projection, target: Projection,
         u = numkit.haar_unitary(source.rank, np.random.default_rng(seed))
         bs = bs @ u
     w = bt @ adjoint(bs)
-    tol = source.tol.atol_structure
-    if (operator_norm(adjoint(w) @ w - source.m) > tol
-            or operator_norm(w @ adjoint(w) - target.m) > tol):
+    if _witness_residual(w, source, target) > source.tol.atol_structure:
         raise InternalConsistencyError("constructed isometry fails its contract")
     return PartialIsometry(w=w, source=source, target=target)
+
+
+def _witness_residual(w: np.ndarray, source: Projection, target: Projection) -> float:
+    """max(||w* w - source||, ||w w* - target||), by one stacked norm."""
+    return operator_norm(np.stack([adjoint(w) @ w - source.m, w @ adjoint(w) - target.m]))
 
 
 def minimal_exponent(p: Projection, q: Projection,
@@ -255,8 +257,7 @@ def position_exponent(pos: Position,
             a, va = projlat._pivoted_basis(pos.b10), projlat._pivoted_basis(pos.b01)
         else:
             v = w.w
-            if (operator_norm(adjoint(v) @ v - pos.e10.m) > ENDPOINT_ATOL
-                    or operator_norm(v @ adjoint(v) - pos.e01.m) > ENDPOINT_ATOL):
+            if _witness_residual(v, pos.e10, pos.e01) > ENDPOINT_ATOL:
                 raise InvariantViolation("supplied isometry does not witness p^q' ~ p'^q")
             a = pos.b10
             va = v @ a
@@ -305,7 +306,7 @@ def rho_length(g: GeodesicExponent, rho: float, trace=None) -> float:
     """
     numkit.check_rho(rho)
     if g.skewness > g.p.tol.atol_structure:
-        return numkit.rho_norm(g.z, rho, trace, g.p.tol)
+        return numkit.rho_norm(g.z, rho, trace)
     w, v = g.spectrum
     powered = np.abs(w) ** rho
     if trace is None:
@@ -360,8 +361,9 @@ def curve_length(points, rho: float | None | list | tuple = None,
     (a ``factor.NormalizedTrace``) alike. The operator norm and any other
     order read the steps' singular values, |eigenvalues| of the Hermitian
     differences, from one batched eigvalsh, which runs only when such an
-    order is asked for; under a ``trace``, an order that is not even takes
-    each step's rho-norm from :func:`numkit.rho_norm` instead.
+    order is asked for. Under a ``trace``, an order that is not even reads
+    |D|^rho = V diag(|lam|^rho) V* from one batched eigh D = V diag(lam) V*
+    of the steps, through ``trace.of_factored`` with per-step weights.
     """
     orders = rho if isinstance(rho, (list, tuple)) else [rho]
     for r in orders:
@@ -370,10 +372,12 @@ def curve_length(points, rho: float | None | list | tuple = None,
     mats = _stack_points(points)
     diffs = mats[1:] - mats[:-1]
     n = mats.shape[1]
-    svals = None
+    svals = eig = None
     if any(r is None or (trace is None and r % 2 != 0) for r in orders):
         # differences of Hermitian matrices: singular values = |eigenvalues|
         svals = np.abs(np.linalg.eigvalsh(diffs))
+    if trace is not None and any(r is not None and r % 2 != 0 for r in orders):
+        eig = np.linalg.eigh(diffs)
 
     def length(r) -> float:
         if r is None:
@@ -381,7 +385,7 @@ def curve_length(points, rho: float | None | list | tuple = None,
         if r % 2 == 0:
             taus = _even_power_traces(diffs, int(r) // 2, trace)
         elif trace is not None:
-            return float(sum(numkit.rho_norm(d, r, trace) for d in diffs))
+            taus = trace.of_factored(eig[1], np.abs(eig[0]) ** r)
         else:
             taus = (svals ** r).sum(axis=1) / n
         return float((taus ** (1.0 / r)).sum())

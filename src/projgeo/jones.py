@@ -187,46 +187,10 @@ def _gamma(z: GeodesicExponent, t: float, mats: np.ndarray) -> np.ndarray:
     return z.apply(t, rows.T).T.reshape(mats.shape)
 
 
-def _frobenius_norms(mats: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a complex (k, n, n) stack, as
-    the root of a sum of squares of its real and imaginary parts."""
-    parts = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
-    return np.sqrt(np.einsum("kij,kij->k", parts, parts))
-
-
 def _frobenius_max(mats: np.ndarray) -> float:
     """Largest Frobenius norm over a stack of matrices: an upper bound of
-    :func:`_max_norm`, since ||R|| <= ||R||_F."""
-    return float(_frobenius_norms(mats).max(initial=0.0))
-
-
-# A computed largest singular value may exceed the computed Frobenius norm
-# of a rank-one matrix by rounding (by up to 4 eps on random rank-one
-# matrices with n <= 16); _max_norm keeps a matrix for its second SVD while
-# its Frobenius norm, times this factor, exceeds the candidate.
-_FROBENIUS_SLACK = 1.0 + 1e-12
-
-
-def _max_norm(mats: np.ndarray) -> float:
-    """Largest operator norm over a stack of matrices, equal, bit for bit,
-    to the largest first singular value of one batched SVD of the stack.
-
-    One SVD of the matrix of largest Frobenius norm gives a candidate.
-    Since ||R|| <= ||R||_F, only matrices whose Frobenius norm (with
-    :data:`_FROBENIUS_SLACK`) exceeds it can hold the maximum, and only
-    those go through a second, batched SVD. An SVD of one matrix equals
-    its slice of a batched SVD, so the maximum is the same number.
-    """
-    if mats.size == 0:
-        return 0.0
-    frob = _frobenius_norms(mats)
-    top = int(frob.argmax())
-    best = float(np.linalg.svd(mats[top], compute_uv=False)[0])
-    rest = frob * _FROBENIUS_SLACK > best
-    rest[top] = False
-    if rest.any():
-        best = max(best, float(np.linalg.svd(mats[rest], compute_uv=False)[:, 0].max()))
-    return best
+    its :func:`numkit.operator_norm`, since ||R|| <= ||R||_F."""
+    return float(numkit.frobenius(mats).max(initial=0.0))
 
 
 def expectation_projection(spec: SubalgebraSpec, n: int,
@@ -257,7 +221,7 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
     ep = ExpectationProjection(big=big, spec=spec, n=n, basis=basis)
     # written "not <=" so that a nan bound also goes to the exact check
     if not _axioms(basis, n, closure, _frobenius_max).max() <= tol.atol_structure:
-        res = _axioms(basis, n, closure, _max_norm).max()
+        res = _axioms(basis, n, closure, operator_norm).max()
         if res > tol.atol_structure:
             raise InternalConsistencyError(
                 f"expectation axioms fail on a validated subalgebra ({res:.3e})")
@@ -279,8 +243,7 @@ class ExpectationAxioms:
     closure: float
 
     def max(self) -> float:
-        return max(self.idempotent, self.unital, self.star,
-                   self.trace, self.bimodule, self.closure)
+        return max(vars(self).values())
 
 
 def _members(basis: np.ndarray, n: int) -> np.ndarray:
@@ -298,7 +261,7 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
     exact operator norm. E equals ``big.m`` to rounding for every
     projection the library builds from orthonormal columns."""
     basis = big.basis
-    return _axioms(basis, n, _product_residual(basis, _members(basis, n)), _max_norm)
+    return _axioms(basis, n, _product_residual(basis, _members(basis, n)), operator_norm)
 
 
 def _sandwich(a: np.ndarray, ys: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -313,7 +276,7 @@ def _axioms(basis: np.ndarray, n: int, closure: float, norm) -> ExpectationAxiom
     """The axioms of E = B B*, B = ``basis`` (n^2 x r, orthonormal), onto
     the range algebra B spans, applied as :func:`_expect`. ``norm``
     measures the largest residual of a stack: :func:`_frobenius_max` for
-    upper bounds, :func:`_max_norm` for operator norms. The idempotency
+    upper bounds, :func:`operator_norm` for operator norms. The idempotency
     E E - E = B M B* with M = G - 1, G = B* B, has the norm of the r x r
     matrix M G (both are max |s^2 (s^2 - 1)| over the singular values s of
     B); the product residual ``closure`` comes measured by the caller."""
@@ -569,8 +532,7 @@ class PropagatorReport:
     codiagonal: float
 
     def max(self) -> float:
-        return max(self.intertwine, self.multiplicative,
-                   self.star, self.codiagonal)
+        return max(vars(self).values())
 
 
 def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
@@ -591,10 +553,11 @@ def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
     intertwine = mult = star = 0.0
     for t in ts:
         lhs = _gamma(z, t, _expect(b0, _gamma(z, -t, xs)))
-        intertwine = max(intertwine, _max_norm(lhs - _expect(path._basis_at(t), xs)))
+        intertwine = max(intertwine, operator_norm(lhs - _expect(path._basis_at(t), xs)))
         gammas = _gamma(z, t, members)
-        star = max(star, _max_norm(_gamma(z, t, _adjoints(members)) - _adjoints(gammas)))
+        star = max(star, operator_norm(
+            _gamma(z, t, _adjoints(members)) - _adjoints(gammas)))
         for a, ga in zip(members, gammas):
-            mult = max(mult, _max_norm(_gamma(z, t, a @ members) - ga @ gammas))
+            mult = max(mult, operator_norm(_gamma(z, t, a @ members) - ga @ gammas))
     return PropagatorReport(intertwine=intertwine, multiplicative=mult, star=star,
                             codiagonal=z.residuals.codiagonality / 2)

@@ -20,7 +20,7 @@ import scipy.linalg
 from . import numkit
 from .errors import (DimensionMismatch, NoGenericPart, NoGeodesic,
                      NotProjection, RankDeficient)
-from .numkit import DEFAULT_TOL, ToleranceProfile, adjoint, operator_norm
+from .numkit import DEFAULT_TOL, ToleranceProfile, adjoint, frobenius
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +73,7 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
     it.
     """
     m = numkit.as_complex(m)
-    if _frobenius(m - adjoint(m)) > tol.atol_structure:
+    if frobenius(m - adjoint(m)) > tol.atol_structure:
         herm = float(np.abs(np.linalg.eigvalsh(1j * (m - adjoint(m)))).max())
         if herm > tol.atol_structure:
             raise NotProjection(f"Hermiticity residual {herm:.3e} > atol_structure")
@@ -134,7 +134,7 @@ def _certified_basis(sym: np.ndarray, tol: ToleranceProfile) -> np.ndarray | Non
     gram_err.flat[::k + 1] -= 1.0
     resid = b @ adjoint(b)
     resid -= sym
-    d = _frobenius(gram_err) + _frobenius(resid)
+    d = frobenius(gram_err) + frobenius(resid)
     if d <= tol.atol_spectral and d * (1.0 + d) <= tol.atol_structure and d < 0.5:
         return b
     return None
@@ -156,10 +156,6 @@ def _pivoted_cholesky(sym: np.ndarray, k: int) -> np.ndarray | None:
     return scipy.linalg.blas.ztrsm(1.0, c[:k, :k], cols.T, trans_a=2, overwrite_b=1).T
 
 
-def _frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt(np.vdot(a, a).real))
-
-
 def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile) -> Projection:
     """The projection b b* onto the span of n x k orthonormal columns b.
 
@@ -175,21 +171,13 @@ def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile) -> Projection:
     read-only ``basis``.
     """
     bound = min(tol.atol_structure / 2, tol.atol_spectral, 0.25)
-    eps = _orthonormality_residual(b, bound)
+    eps = numkit.orthonormality_residual(b, bound)
     if eps > bound:
         raise NotProjection(
             f"orthonormality residual {eps:.3e} of the range basis > {bound:.3e}")
     m = b @ adjoint(b)
     m = (m + adjoint(m)) / 2
     return Projection(m=_frozen(m), tol=tol, rank=b.shape[1], basis=_frozen(b))
-
-
-def _orthonormality_residual(b: np.ndarray, bound: float) -> float:
-    """||b* b - 1|| of n x k columns b, settled by its Frobenius upper bound
-    unless that exceeds ``bound``; only then is the operator norm taken."""
-    gram_err = adjoint(b) @ b - np.eye(b.shape[1])
-    frob = float(np.linalg.norm(gram_err))
-    return frob if frob <= bound else operator_norm(gram_err)
 
 
 def from_span(columns, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:

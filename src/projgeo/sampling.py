@@ -122,20 +122,16 @@ def pair_diagnostics(p: Projection, q: Projection) -> dict:
     and (for non-unique pairs) distinctness of seeded exponents.
     """
     pos = projlat.position(p, q)
-    eye = np.eye(p.n)
-    mats = [pos.e11.m, pos.e00.m, pos.e10.m, pos.e01.m, pos.e0.m]
-    sum_residual = operator_norm(sum(mats) - eye)
-    commutator = max(operator_norm(e @ r.m - r.m @ e)
-                     for e in mats for r in (p, q))
-    pairwise = max((operator_norm(a @ b) for i, a in enumerate(mats)
-                    for b in mats[i + 1:]), default=0.0)
+    mats = np.stack([pos.e11.m, pos.e00.m, pos.e10.m, pos.e01.m, pos.e0.m])
+    ends = np.stack([p.m, q.m])[:, None]
+    first, second = np.triu_indices(len(mats), 1)
     exists = pos.exists()
     report = {
         "n": p.n,
         "ranks": list(pos.ranks()),
-        "halmos_sum_residual": float(sum_residual),
-        "halmos_commutator_residual": float(commutator),
-        "halmos_pairwise_residual": float(pairwise),
+        "halmos_sum_residual": operator_norm(mats.sum(axis=0) - np.eye(p.n)),
+        "halmos_commutator_residual": operator_norm(mats @ ends - ends @ mats),
+        "halmos_pairwise_residual": operator_norm(mats[first] @ mats[second]),
         "spectral_symmetry_residual": spectral_symmetry_residual(p, q, pos),
         "exists": bool(exists),
         "angles": [float(a) for a in pos.angles],

@@ -129,8 +129,23 @@ class TestJones:
         assert cli.main(["jones", "--m", "2", "--rho", "inf"]) == 2
         assert "error: rho must be a finite number >= 1, got inf" in capsys.readouterr().err
 
+    def test_oversized_dimension_exits_2(self, monkeypatch, capsys):
+        # rejected before the n x n pair is built
+        monkeypatch.setattr(cli.jones, "jones_pair", None)
+        for m, k in (("100000", "1"), ("2", "100000"), ("257", "2")):
+            assert cli.main(["jones", "--m", m, "--k", k]) == 2
+            assert f"at most {cli.MAX_JONES_DIM}" in capsys.readouterr().err
+
 
 class TestTransport:
+    def test_out_of_range_dimension_exits_2(self, monkeypatch, capsys):
+        # rejected before any n^2 x n^2 expectation projection is built
+        monkeypatch.setattr(cli.jones, "expectation_path", None)
+        for n in ("100000", "33", "0"):
+            assert cli.main(["transport", "--n", n, "--spec0", "diagonal",
+                             "--spec1", "diagonal"]) == 2
+            assert f"[1, {cli.MAX_TRANSPORT_DIM}]" in capsys.readouterr().err
+
     def test_identical_specs(self, capsys):
         code, rep = run_json(capsys, [
             "transport", "--spec0", "diagonal", "--spec1", "diagonal",

@@ -417,6 +417,27 @@ class TestCurveLength:
             with pytest.raises(NotMember):
                 pg.curve_length(mixed, rho=rho, trace=tr)
 
+    def test_traced_odd_orders_match_rho_norm(self, monkeypatch):
+        # a block-diagonal curve in M_3 + M_4: every odd order comes from
+        # one batched eigh of the steps, not one rho_norm per step
+        rng = np.random.default_rng(34)
+        parts = []
+        for n in (3, 4):
+            p, q, _ = random_joinable_pair(n, rng)
+            parts.append(next(perturbed_curves(pg.minimal_exponent(p, q), rng,
+                                               count=1, samples=120)))
+        curve = np.zeros((120, 7, 7), dtype=complex)
+        curve[:, :3, :3], curve[:, 3:, 3:] = parts
+        diffs = curve[1:] - curve[:-1]
+        blocks = factor.FiniteAlgebra(blocks=(3, 4), weights=(0.3, 0.7))
+        tr = factor.NormalizedTrace(blocks)
+        orders = [1.0, 3.0]
+        want = [sum(pg.rho_norm(d, rho, tr) for d in diffs) for rho in orders]
+        calls = record_kernels(monkeypatch)
+        got = pg.curve_length(curve, rho=orders, trace=tr)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert calls == [("eigh", diffs.shape)]
+
     def test_perturbed_curves_are_no_shorter(self):
         rng = np.random.default_rng(27)
         p, q, _ = random_joinable_pair(5, rng)

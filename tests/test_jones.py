@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import projgeo as pg
-from projgeo import factor, jones, projlat
+from projgeo import factor, jones, numkit, projlat
 from projgeo.errors import (InternalConsistencyError, InvariantViolation,
                              NotSubalgebra, TooFar)
 
@@ -152,42 +152,6 @@ def record(monkeypatch, owner, name):
     return calls
 
 
-class TestMaxNorm:
-    """_max_norm prunes by Frobenius norms and must still return the
-    largest first singular value of one batched SVD, bit for bit."""
-
-    @staticmethod
-    def reference(stack):
-        return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
-
-    def test_rank_one_ties(self):
-        # equal Frobenius and operator norms, up to rounding, in every matrix
-        rng = np.random.default_rng(11)
-        for n in (2, 3, 6, 10):
-            u = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
-            v = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            stack = 1e-15 * u[:, :, None] * v[:, None, :].conj()
-            assert jones._max_norm(stack) == self.reference(stack)
-
-    def test_all_zero_and_empty(self):
-        zeros = np.zeros((5, 4, 4), dtype=np.complex128)
-        assert jones._max_norm(zeros) == self.reference(zeros) == 0.0
-        assert jones._max_norm(np.zeros((0, 4, 4), dtype=np.complex128)) == 0.0
-
-    def test_largest_frobenius_norm_is_not_the_largest_norm(self, monkeypatch):
-        # ||I_4||_F = 2 > 1.5, but ||diag(1.5, 0, 0, 0)|| = 1.5 > ||I_4|| = 1
-        small = 0.1 * np.eye(4)[None] * np.ones((3, 1, 1))
-        stack = np.concatenate([np.eye(4)[None], small,
-                                np.diag([1.5, 0.0, 0.0, 0.0])[None]]).astype(complex)
-        assert jones._max_norm(stack) == self.reference(stack) == 1.5
-        svds = record(monkeypatch, np.linalg, "svd")
-        jones._max_norm(stack)
-        # one SVD of I_4, then one of the only matrix that could beat it
-        assert [np.shape(args[0]) for args, _ in svds] == [(4, 4), (1, 4, 4)]
-
-
 class TestBuildTimeAxiomCheck:
     def test_build_runs_one_svd(self, monkeypatch):
         # the range SVD of _orthonormal_range (n^2 x 6 spanning columns);
@@ -206,7 +170,7 @@ class TestBuildTimeAxiomCheck:
         monkeypatch.setattr(jones, "_frobenius_max", lambda mats: 1.0)
         axioms.clear()
         ep = jones.expectation_projection(spec, 6)
-        assert len(axioms) == 2 and axioms[1][0][3] is jones._max_norm
+        assert len(axioms) == 2 and axioms[1][0][3] is numkit.operator_norm
         assert axioms[1][1].max() < 1e-13
         assert ep.big.rank == 6
 
@@ -223,7 +187,7 @@ class TestBuildTimeAxiomCheck:
         with pytest.raises(InternalConsistencyError) as info:
             jones.expectation_projection(spec, 2)
         [_, (args, exact)] = axioms
-        assert args[3] is jones._max_norm
+        assert args[3] is numkit.operator_norm
         assert exact.bimodule > 0.1
         assert f"({exact.max():.3e})" in str(info.value)
 

@@ -1,0 +1,57 @@
+"""Every residual is measured by numkit's one norm kernel. The library's
+source is parsed with ast: a singular-values-only SVD appears in numkit
+alone, and no module reaches into another module for a private norm
+helper, so a second copy of the kernel cannot grow back unnoticed."""
+
+import ast
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "projgeo"
+
+# A private helper named for a norm: _frobenius, _max_norm, _hermitian_norm,
+# _frobenius_norms, _orthonormality_residual, _span_residuals, ...
+NORM_HELPER = re.compile(r"^_\w*(frobenius|norms?|residuals?)$")
+
+
+def modules():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def singular_values_only(call: ast.Call) -> bool:
+    name = callee(call)
+    return name == "svdvals" or name == "svd" and any(
+        kw.arg == "compute_uv" and isinstance(kw.value, ast.Constant)
+        and kw.value.value is False for kw in call.keywords)
+
+
+def test_singular_values_are_taken_in_numkit_only():
+    found = [f"{name}.py:{node.lineno}" for name, tree in modules().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and singular_values_only(node)]
+    assert found, "the pattern no longer finds numkit's own SVDs"
+    assert [f for f in found if not f.startswith("numkit.py:")] == []
+
+
+def test_no_module_uses_another_modules_private_norm_helper():
+    assert all(NORM_HELPER.match(name) for name in (
+        "_frobenius", "_frobenius_norms", "_max_norm", "_orthonormality_residual"))
+    assert not NORM_HELPER.match("_from_orthonormal")
+    mods = modules()
+    found = []
+    for name, tree in mods.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in mods and node.value.id != name
+                    and NORM_HELPER.match(node.attr)):
+                found.append(f"{name}.py:{node.lineno} {node.value.id}.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module in mods:
+                found += [f"{name}.py:{node.lineno} {node.module}.{alias.name}"
+                          for alias in node.names if NORM_HELPER.match(alias.name)]
+    assert found == []

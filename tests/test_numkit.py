@@ -162,6 +162,68 @@ class TestOperatorNorm:
         assert numkit.operator_norm(np.outer(xi, eta.conj())) == pytest.approx(1.0)
 
 
+class TestOperatorNormStack:
+    """A stack's operator norm prunes by Frobenius norms and must still
+    return the largest first singular value of one batched SVD, bit for
+    bit."""
+
+    @staticmethod
+    def reference(stack):
+        return float(np.linalg.svd(stack, compute_uv=False)[..., 0].max())
+
+    @staticmethod
+    def svd_shapes(monkeypatch):
+        shapes = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            shapes.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return shapes
+
+    def test_rank_one_ties(self):
+        # equal Frobenius and operator norms, up to rounding, in every matrix
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 6, 10):
+            u = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
+            v = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            stack = 1e-15 * u[:, :, None] * v[:, None, :].conj()
+            assert numkit.operator_norm(stack) == self.reference(stack)
+
+    def test_all_zero_and_empty(self):
+        zeros = np.zeros((5, 4, 4), dtype=np.complex128)
+        assert numkit.operator_norm(zeros) == self.reference(zeros) == 0.0
+        assert numkit.operator_norm(np.zeros((0, 4, 4), dtype=np.complex128)) == 0.0
+
+    def test_largest_frobenius_norm_is_not_the_largest_norm(self, monkeypatch):
+        # ||I_4||_F = 2 > 1.5, but ||diag(1.5, 0, 0, 0)|| = 1.5 > ||I_4|| = 1
+        small = 0.1 * np.eye(4)[None] * np.ones((3, 1, 1))
+        stack = np.concatenate([np.eye(4)[None], small,
+                                np.diag([1.5, 0.0, 0.0, 0.0])[None]]).astype(complex)
+        assert numkit.operator_norm(stack) == self.reference(stack) == 1.5
+        shapes = self.svd_shapes(monkeypatch)
+        numkit.operator_norm(stack)
+        # one SVD of I_4, then one of the only matrix that could beat it
+        assert shapes == [(4, 4), (1, 4, 4)]
+
+    def test_four_dimensional_stack(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        stack = rng.normal(size=(3, 4, 5, 6)) + 1j * rng.normal(size=(3, 4, 5, 6))
+        stack[1, 2] *= 10.0
+        want = self.reference(stack)
+        assert numkit.operator_norm(stack) == want
+        assert numkit.frobenius(stack).shape == (3, 4)
+        assert numkit.frobenius(stack)[1, 2] == pytest.approx(np.linalg.norm(stack[1, 2]))
+        shapes = self.svd_shapes(monkeypatch)
+        numkit.operator_norm(stack)
+        # the scaled matrix holds the maximum, and no other comes near it
+        assert shapes == [(5, 6)]
+
+
 class TestRhoNorm:
     @pytest.mark.parametrize("rho", [1.0, 2.0, 3.5, 8.0])
     def test_identity_normalization(self, rho):

@@ -97,6 +97,19 @@ def test_pair_diagnostics_builds_one_position(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("force_wedge", [False, True])
+def test_pair_diagnostics_stacked_norms_equal_the_per_matrix_loop(force_wedge):
+    # three stacked operator norms stand for 21 single-matrix ones, bit for bit
+    rng = np.random.default_rng(35)
+    for n in (3, 6, 9, 12):
+        p, q, _ = sampling.random_pair(n, rng, force_wedge=force_wedge)
+        report = sampling.pair_diagnostics(p, q)
+        total, pairwise, commutator = split_residuals(projlat.position(p, q), p, q)
+        assert report["halmos_sum_residual"] == total
+        assert report["halmos_pairwise_residual"] == pairwise
+        assert report["halmos_commutator_residual"] == commutator
+
+
 # Dense kernel calls made by one minimal_exponent + geodesic_distance on
 # the n = 32 wedge pair below: 97 when each consumer rebuilt the position
 # from four eigh-clustered meets, 21 with one Position per call, 7 once
