@@ -32,6 +32,10 @@ EXIT_OBSTRUCTION = 3
 MAX_RANDOM_DIM = 64
 MAX_TRANSPORT_DIM = 32
 MAX_JONES_DIM = 512
+# transport's ODE holds steps + 1 states of n^2 entries; the convergence
+# probe runs 2 --order-probe steps, so its cap is half the --steps cap
+MAX_TRANSPORT_STEPS = 10_000
+MAX_TRANSPORT_TRIALS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +128,7 @@ def _report(args, command: str, inputs: dict, results: dict) -> dict:
         "command": command,
         "argv": args.argv_echo,
         "inputs": inputs,
-        "tolerance": {
-            "atol_structure": args.tol_structure,
-            "atol_spectral": args.tol_spectral,
-            "atol_rank": args.tol_rank,
-        },
+        "tolerance": dataclasses.asdict(_tolerance(args)),
         "seed": args.seed,
         "results": results,
     }
@@ -216,6 +216,12 @@ def cmd_jones(args) -> dict:
 def cmd_transport(args) -> dict:
     if not 1 <= args.n <= MAX_TRANSPORT_DIM:
         raise ValueError(f"--n must lie in [1, {MAX_TRANSPORT_DIM}]")
+    for flag, value, low, high in (
+            ("--steps", args.steps, 100, MAX_TRANSPORT_STEPS),
+            ("--order-probe", args.order_probe, 100, MAX_TRANSPORT_STEPS // 2),
+            ("--trials", args.trials, 1, MAX_TRANSPORT_TRIALS)):
+        if not low <= value <= high:
+            raise ValueError(f"{flag} must lie in [{low}, {high}]")
     tol = _tolerance(args)
     spec0 = parse_subalgebra(args.spec0, args.n)
     spec1 = parse_subalgebra(args.spec1, args.n)
@@ -333,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="five-part position decomposition")
     d.add_argument("p_file")
     d.add_argument("q_file")
+    d.set_defaults(handler=cmd_decompose)
 
     g = sub.add_parser("geodesic", parents=[common],
                        help="minimal exponent and samples")
@@ -341,11 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--t", default="0,0.5,1", help="comma-separated sample times")
     g.add_argument("--rho", default="", help="comma-separated rho-norm orders")
     g.add_argument("--out", default=None, help="directory for matrix documents")
+    g.set_defaults(handler=cmd_geodesic)
 
     j = sub.add_parser("jones", parents=[common], help="index pair distances")
     j.add_argument("--m", type=int, required=True)
     j.add_argument("--k", type=int, default=1)
     j.add_argument("--rho", default="", help="comma-separated rho-norm orders")
+    j.set_defaults(handler=cmd_jones)
 
     t = sub.add_parser("transport", parents=[common],
                        help="expectation path and parallel transport")
@@ -357,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--trials", type=int, default=5)
     t.add_argument("--order-probe", type=int, default=100,
                    help="base step count of the convergence-order probe")
+    t.set_defaults(handler=cmd_transport)
 
     r = sub.add_parser("random", parents=[common],
                        help="batch invariant checks on random pairs")
@@ -364,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--ranks", default=None, help="fixed rank(s) RP[,RQ]")
     r.add_argument("--trials", type=int, default=10)
     r.add_argument("--force-wedge", action="store_true")
+    r.set_defaults(handler=cmd_random)
     return parser
 
 
@@ -391,15 +402,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     args.argv_echo = argv
-    handlers = {
-        "decompose": cmd_decompose,
-        "geodesic": cmd_geodesic,
-        "jones": cmd_jones,
-        "transport": cmd_transport,
-        "random": cmd_random,
-    }
     try:
-        report = handlers[args.command](args)
+        report = args.handler(args)
     except (NoGeodesic, TooFar) as exc:
         print(f"obstruction: {exc}", file=sys.stderr)
         return EXIT_OBSTRUCTION

@@ -29,11 +29,27 @@ ENDPOINT_ATOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class PartialIsometry:
-    """w with w* w = source and w w* = target."""
+    """w with w* w = source and w w* = target, held as orthonormal bases bs
+    of range(source) and bt = w bs of range(target); w = bt bs* is formed
+    when read. Shapes and orthonormality are checked here (InvariantViolation),
+    ranges where a witness is made or used (:func:`position_exponent`)."""
 
-    w: np.ndarray
+    bs: np.ndarray
+    bt: np.ndarray
     source: Projection
     target: Projection
+
+    def __post_init__(self):
+        src, tgt, tol = self.source, self.target, self.source.tol.atol_structure
+        if not self.bs.shape == (src.n, src.rank) == self.bt.shape == (tgt.n, tgt.rank):
+            raise InvariantViolation(f"witness bases {self.bs.shape} do not fit the ranks")
+        eps = max(numkit.orthonormality_residual(b, tol) for b in (self.bs, self.bt))
+        if eps > tol:
+            raise InvariantViolation(f"orthonormality residual {eps:.3e} of a witness basis")
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return self.bt @ adjoint(self.bs)
 
 
 @dataclass(frozen=True)
@@ -204,7 +220,8 @@ def partial_isometry(source: Projection, target: Projection,
 
     With seed None the deterministic phase-fixed bases are matched in
     index order; a seed right-multiplies the source basis by a Haar
-    unitary, giving distinct witnesses of the same equivalence.
+    unitary, giving distinct witnesses of the same equivalence. Each basis
+    is p.basis Q for a unitary Q, so its range is exact; w is not formed.
     """
     if source.rank != target.rank:
         raise RankMismatch(
@@ -214,15 +231,7 @@ def partial_isometry(source: Projection, target: Projection,
     if seed is not None and source.rank > 0:
         u = numkit.haar_unitary(source.rank, np.random.default_rng(seed))
         bs = bs @ u
-    w = bt @ adjoint(bs)
-    if _witness_residual(w, source, target) > source.tol.atol_structure:
-        raise InternalConsistencyError("constructed isometry fails its contract")
-    return PartialIsometry(w=w, source=source, target=target)
-
-
-def _witness_residual(w: np.ndarray, source: Projection, target: Projection) -> float:
-    """max(||w* w - source||, ||w w* - target||), by one stacked norm."""
-    return operator_norm(np.stack([adjoint(w) @ w - source.m, w @ adjoint(w) - target.m]))
+    return PartialIsometry(bs=bs, bt=bt, source=source, target=target)
 
 
 def minimal_exponent(p: Projection, q: Projection,
@@ -244,23 +253,21 @@ def position_exponent(pos: Position,
     The exponent is built from the spectrum the position holds. Each
     generic plane (x_j, u_j) at angle theta_j gives the eigenvectors
     (x_j +- i u_j)/sqrt(2) of i z with eigenvalues +-theta_j. On the wedge
-    parts z = i(pi/2)(v + v*) for the witness v, so each column a of a
-    basis of p^q' gives (a +- v a)/sqrt(2) with eigenvalues -+pi/2. The
-    default witness is read from the position's wedge bases: the
-    pivoted-QR bases of p^q' and p'^q matched in index order, which is
-    ``partial_isometry(pos.e10, pos.e01).w`` without building either part;
-    its v a is the pivoted basis of p'^q itself."""
+    parts z = i(pi/2)(v + v*) for the witness v, so each column a of its
+    basis ``bs`` of p^q' gives (a +- v a)/sqrt(2) with eigenvalues -+pi/2,
+    where v a is the matching column of ``bt``. The default witness is
+    ``partial_isometry(pos.e10, pos.e01)``. A supplied witness must have
+    the rank of p^q', and its bases must lie in p^q' and p'^q within
+    ENDPOINT_ATOL, or InvariantViolation is raised."""
     th, x, u = pos.angles, pos.x, pos.u
     cols, ws = [x + 1j * u, x - 1j * u], [th, -th]
     if not pos.unique():
         if w is None:
-            a, va = projlat._pivoted_basis(pos.b10), projlat._pivoted_basis(pos.b01)
-        else:
-            v = w.w
-            if _witness_residual(v, pos.e10, pos.e01) > ENDPOINT_ATOL:
-                raise InvariantViolation("supplied isometry does not witness p^q' ~ p'^q")
-            a = pos.b10
-            va = v @ a
+            w = partial_isometry(pos.e10, pos.e01)
+        elif (w.bs.shape[1] != pos.b10.shape[1]
+              or max(_norm_off(pos.b10, w.bs), _norm_off(pos.b01, w.bt)) > ENDPOINT_ATOL):
+            raise InvariantViolation("supplied isometry does not witness p^q' ~ p'^q")
+        a, va = w.bs, w.bt
         # swaps the two wedge parts: e^z = i (v + v*) there
         half_pi = np.full(a.shape[1], HALF_PI)
         cols += [a + va, a - va]

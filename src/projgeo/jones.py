@@ -81,7 +81,9 @@ def diagonal_spec(n: int) -> BlockPartition:
 
 def rotated_diagonal_spec(n: int, theta: float) -> MatrixSpan:
     """The diagonal subalgebra conjugated by a rotation of angle theta in
-    the first two coordinates."""
+    the first two coordinates; n must be at least 2."""
+    if n < 2:
+        raise ValueError(f"a rotation in the first two coordinates needs n >= 2, got {n}")
     u = np.eye(n, dtype=np.complex128)
     c, s = math.cos(theta), math.sin(theta)
     u[0, 0] = c
@@ -138,8 +140,8 @@ class ExpectationProjection:
     """Orthogonal projection of HS(M_n) onto a vectorized *-subalgebra.
 
     The induced map E(x) = B (B* vec x), B the orthonormal ``basis`` (so
-    ``big.m`` is the symmetrized B B*), is the trace-preserving
-    conditional expectation onto the subalgebra.
+    ``big.m``, formed only when read, is the symmetrized B B*), is the
+    trace-preserving conditional expectation onto the subalgebra.
     """
 
     big: Projection
@@ -426,13 +428,9 @@ class ExpectationPath:
     def projection_at(self, t: float) -> Projection:
         return geo.geodesic_point(self.z, t)
 
-    def _basis_at(self, t: float) -> np.ndarray:
-        """B_t = Gamma_t B_0, an orthonormal basis of the range of E_t."""
-        return _gamma(self.z, t, self.end0.basis.T).T
-
     def expect(self, t: float, x) -> np.ndarray:
         """E(t, x): the expectation at time t applied to x, as B_t (B_t* x)."""
-        return _expect(self._basis_at(t), numkit.as_complex(x)[None])[0]
+        return _expect(self.projection_at(t).basis, numkit.as_complex(x)[None])[0]
 
     def transport(self, t: float, x) -> np.ndarray:
         """Gamma_t(x): the propagator of the transport equation."""
@@ -553,7 +551,8 @@ def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
     intertwine = mult = star = 0.0
     for t in ts:
         lhs = _gamma(z, t, _expect(b0, _gamma(z, -t, xs)))
-        intertwine = max(intertwine, operator_norm(lhs - _expect(path._basis_at(t), xs)))
+        bt = path.projection_at(t).basis
+        intertwine = max(intertwine, operator_norm(lhs - _expect(bt, xs)))
         gammas = _gamma(z, t, members)
         star = max(star, operator_norm(
             _gamma(z, t, _adjoints(members)) - _adjoints(gammas)))

@@ -25,28 +25,35 @@ from .numkit import DEFAULT_TOL, ToleranceProfile, adjoint, frobenius
 
 @dataclass(frozen=True, eq=False)
 class Projection:
-    """A validated Hermitian idempotent matrix.
+    """A validated Hermitian idempotent matrix, held as its range basis.
 
     Instances are produced by :func:`make_projection`, or from orthonormal
     columns by :func:`from_span`, the parts of a :class:`Position`,
-    ``geo.geodesic_point`` and ``jones.expectation_projection``; the
-    matrix is made read-only so values can be shared freely. ``basis``
-    (n x rank, orthonormal, read-only) is an orthonormal basis of the
-    range, fixed at birth: the refined pivoted-Cholesky basis that
-    certified the matrix in :func:`make_projection` (the eigenvalue-1
-    eigenvectors when its eigh fallback decided), or the orthonormal
-    columns the projection was built from. Every position of the
-    projection shares it.
+    ``geo.geodesic_point`` and ``jones.expectation_projection``. ``basis``
+    (n x rank, orthonormal, read-only), fixed at birth, is the refined
+    pivoted-Cholesky basis that certified the matrix in
+    :func:`make_projection` (the eigenvalue-1 eigenvectors when its eigh
+    fallback decided), or the orthonormal columns the projection was built
+    from; ``n`` and ``rank`` are its shape. The read-only matrix ``m`` is
+    the sym that make_projection validated, or else the symmetrized
+    basis basis*, formed when first read.
     """
 
-    m: np.ndarray
-    tol: ToleranceProfile
-    rank: int
     basis: np.ndarray
+    tol: ToleranceProfile
 
     @property
     def n(self) -> int:
-        return self.m.shape[0]
+        return self.basis.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        m = self.basis @ adjoint(self.basis)
+        return _frozen((m + adjoint(m)) / 2)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -90,7 +97,9 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
         rank = int((eigs > 0.5).sum())
         # eigenvalues ascend: the last rank columns span the range
         basis = vecs[:, sym.shape[0] - rank:].copy()
-    return Projection(m=_frozen(sym), tol=tol, rank=basis.shape[1], basis=_frozen(basis))
+    p = Projection(basis=_frozen(basis), tol=tol)
+    vars(p)["m"] = _frozen(sym)
+    return p
 
 
 def _certified_basis(sym: np.ndarray, tol: ToleranceProfile) -> np.ndarray | None:
@@ -168,16 +177,14 @@ def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile) -> Projection:
     residual max |lam (lam - 1)| <= (1 + eps) eps <= atol_structure, and
     the rank (eigenvalues above 1/2) is k. The Frobenius norm bounds eps
     and settles it unless it exceeds the tolerance. b itself becomes the
-    read-only ``basis``.
+    read-only ``basis``, and no matrix is formed until ``m`` is read.
     """
     bound = min(tol.atol_structure / 2, tol.atol_spectral, 0.25)
     eps = numkit.orthonormality_residual(b, bound)
     if eps > bound:
         raise NotProjection(
             f"orthonormality residual {eps:.3e} of the range basis > {bound:.3e}")
-    m = b @ adjoint(b)
-    m = (m + adjoint(m)) / 2
-    return Projection(m=_frozen(m), tol=tol, rank=b.shape[1], basis=_frozen(b))
+    return Projection(basis=_frozen(b), tol=tol)
 
 
 def from_span(columns, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
@@ -313,31 +320,22 @@ def halmos_decompose(p: Projection, q: Projection) -> Position:
     return position(p, q)
 
 
-def _pivoted_basis(b: np.ndarray) -> np.ndarray:
-    """The column-pivoted QR basis of b b*, for b with orthonormal columns.
-
-    A pivoted QR b* P = Q R of the k x n matrix b* gives b b* P = (b Q) R,
-    a pivoted QR of b b* with the same pivots, since b preserves the norms
-    that choose them: b Q is the basis a pivoted QR of the n x n matrix
-    b b* would give, up to the phases fixed here, at O(n k^2) cost.
-    """
-    if b.shape[1] == 0:
-        return np.zeros(b.shape, dtype=np.complex128)
-    qmat, _, _ = scipy.linalg.qr(adjoint(b), pivoting=True)
-    return numkit.fix_phases(b @ qmat)
-
-
 def range_basis(p: Projection) -> np.ndarray:
     """Deterministic orthonormal basis (n x rank) of range(p).
 
     A column-pivoted QR of the projection matrix keeps each basis vector
     inside the support of the columns it came from, so block-diagonal
     projections get block-supported bases even when the rank exceeds 1
-    (an eigenvector basis of the degenerate eigenvalue 1 would not). It is
-    taken through ``p.basis`` (see :func:`_pivoted_basis`), and phases are
-    fixed to make the basis reproducible.
+    (an eigenvector basis of the degenerate eigenvalue 1 would not). For
+    b = ``p.basis``, a pivoted QR b* P = Q R of the k x n matrix b* gives
+    b b* P = (b Q) R with the same pivots, since b keeps the norms that
+    choose them: b Q, phases fixed to be reproducible, at O(n k^2) cost.
     """
-    return _pivoted_basis(p.basis)
+    b = p.basis
+    if b.shape[1] == 0:
+        return np.zeros(b.shape, dtype=np.complex128)
+    qmat, _, _ = scipy.linalg.qr(adjoint(b), pivoting=True)
+    return numkit.fix_phases(b @ qmat)
 
 
 def compress(m: np.ndarray, basis: np.ndarray) -> np.ndarray:

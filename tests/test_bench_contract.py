@@ -5,6 +5,9 @@ files are loaded by path and only read."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,22 @@ def test_layer_functions_resolve(module, names):
 def test_reported_functions_are_traced():
     traced = {f"{m}.{n}" for m, names in tracer.LAYER_FUNCTIONS.items() for n in names}
     assert [f for f in bench_spec.REPORTED_FUNCTIONS if f not in traced] == []
+
+
+def test_tracer_installs_after_import_projgeo():
+    # a traced run imports projgeo and then installs the tracer; a fresh
+    # interpreter sees only the modules that import loads
+    path = str(PERFBENCH / "tracer.py")
+    code = "\n".join([
+        "import importlib.util, projgeo",
+        f"spec = importlib.util.spec_from_file_location('tracer', {path!r})",
+        "tracer = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(tracer)",
+        "t = tracer.Tracer()",
+        "t.install()",
+        "t.restore()",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

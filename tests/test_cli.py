@@ -137,6 +137,13 @@ class TestJones:
             assert f"at most {cli.MAX_JONES_DIM}" in capsys.readouterr().err
 
 
+SMALL_TRANSPORT = ["transport", "--n", "2", "--spec0", "diagonal", "--spec1",
+                   "rotated:0.3", "--steps", "100", "--trials", "1"]
+COUNT_CAPS = [("--steps", cli.MAX_TRANSPORT_STEPS),
+              ("--order-probe", cli.MAX_TRANSPORT_STEPS // 2),
+              ("--trials", cli.MAX_TRANSPORT_TRIALS)]
+
+
 class TestTransport:
     def test_out_of_range_dimension_exits_2(self, monkeypatch, capsys):
         # rejected before any n^2 x n^2 expectation projection is built
@@ -145,6 +152,23 @@ class TestTransport:
             assert cli.main(["transport", "--n", n, "--spec0", "diagonal",
                              "--spec1", "diagonal"]) == 2
             assert f"[1, {cli.MAX_TRANSPORT_DIM}]" in capsys.readouterr().err
+
+    def test_rotation_with_one_coordinate_exits_2(self, capsys):
+        assert cli.main(["transport", "--n", "1", "--spec0", "diagonal",
+                         "--spec1", "rotated:0.3"]) == 2
+        assert "needs n >= 2" in capsys.readouterr().err
+
+    def test_counts_past_their_caps_exit_2(self, monkeypatch, capsys):
+        # rejected before the expectation path or any ODE state is built
+        monkeypatch.setattr(cli.jones, "expectation_path", None)
+        for flag, cap in COUNT_CAPS:
+            for value in (cap + 1, 0, -1, 10 ** 30):
+                assert cli.main(SMALL_TRANSPORT + [flag, str(value)]) == 2
+                assert f"{flag} must lie in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, cap", COUNT_CAPS)
+    def test_counts_at_their_caps_run(self, flag, cap, capsys):
+        assert cli.main(SMALL_TRANSPORT + [flag, str(cap)]) == 0
 
     def test_identical_specs(self, capsys):
         code, rep = run_json(capsys, [

@@ -191,6 +191,16 @@ def test_default_witness_is_the_pivoted_partial_isometry(n):
             geo.position_exponent(pos).z - geo.position_exponent(pos, w).z) <= 1e-12
 
 
+def test_default_exponent_equals_that_of_the_default_witness():
+    # one wedge construction: the default witness is this partial isometry
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        p, q, _ = sampling.random_pair(12, rng, force_wedge=True)
+        pos = projlat.position(p, q)
+        w = pg.partial_isometry(pos.e10, pos.e01)
+        assert np.array_equal(geo.position_exponent(pos).z, geo.position_exponent(pos, w).z)
+
+
 def wedge_block(a, theta):
     """p, q in M_4 with p^q' spanned by cos(a) f0 + sin(a) f1, p'^q by its
     rotation -sin(a) f0 + cos(a) f1, and one generic plane at theta."""

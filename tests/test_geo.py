@@ -75,6 +75,26 @@ class TestPartialIsometry:
             assert pg.operator_norm(adj(w.w) @ w.w - src.m) < 1e-10
             assert pg.operator_norm(w.w @ adj(w.w) - tgt.m) < 1e-10
 
+    def test_w_is_formed_from_the_matched_bases(self):
+        rng = np.random.default_rng(23)
+        src = sampling.random_projection(5, 2, rng)
+        tgt = sampling.random_projection(5, 2, rng)
+        w = pg.partial_isometry(src, tgt, seed=3)
+        assert "w" not in vars(w)
+        assert np.array_equal(w.w, w.bt @ adj(w.bs))
+        assert pg.operator_norm(w.w @ w.bs - w.bt) < 1e-12
+
+    def test_hand_built_witness_is_checked_on_its_bases(self):
+        p, q = orthogonal_rank1_pair()
+        e0, e1 = np.eye(2, dtype=complex)[:, :1], np.eye(2, dtype=complex)[:, 1:]
+        for bs, bt in ((2 * e0, e1), (e0, (1 + 1e-6) * e1), (e0 + e1, e1),
+                       (np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
+                       (e0, np.zeros((2, 0), dtype=complex))):
+            with pytest.raises(InvariantViolation):
+                geo.PartialIsometry(bs=bs, bt=bt, source=p, target=q)
+        w = geo.PartialIsometry(bs=e0, bt=e1, source=p, target=q)
+        assert np.array_equal(w.w, [[0, 0], [1, 0]])
+
     def test_rank_mismatch(self):
         p = pg.make_projection(np.diag([1.0, 1.0]))
         q = pg.make_projection(np.diag([1.0, 0.0]))
@@ -114,6 +134,16 @@ class TestMinimalExponent:
         bad = pg.partial_isometry(q, p)  # wrong direction
         with pytest.raises(InvariantViolation):
             pg.minimal_exponent(p, q, w=bad)
+
+    def test_rejects_a_witness_of_lower_rank(self):
+        # the witness joins rank-one pieces of the two rank-two wedge parts
+        # exactly, so only its rank tells it from a witness of the parts
+        rng = np.random.default_rng(31)
+        p, q, _ = sampling.structured_pair(1, 1, 2, 2, [0.6], rng)
+        pos = pg.halmos_decompose(p, q)
+        w = pg.partial_isometry(pg.from_span(pos.b10[:, :1]), pg.from_span(pos.b01[:, :1]))
+        with pytest.raises(InvariantViolation):
+            pg.minimal_exponent(p, q, w=w)
 
     def test_exponent_contract_on_random_pairs(self):
         rng = np.random.default_rng(22)

@@ -152,6 +152,12 @@ def record(monkeypatch, owner, name):
     return calls
 
 
+def test_rotated_spec_needs_two_coordinates():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n >= 2"):
+            jones.rotated_diagonal_spec(n, 0.3)
+
+
 class TestBuildTimeAxiomCheck:
     def test_build_runs_one_svd(self, monkeypatch):
         # the range SVD of _orthonormal_range (n^2 x 6 spanning columns);

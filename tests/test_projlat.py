@@ -47,6 +47,12 @@ class TestMakeProjection:
         with pytest.raises(ValueError):
             p.basis[0, 0] = 5.0
 
+    def test_matrix_is_the_symmetrized_input(self):
+        rng = np.random.default_rng(15)
+        noise = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        x = sampling.random_projection(5, 2, rng).m + 1e-10 * noise
+        assert np.array_equal(pg.make_projection(x).m, (x + adj(x)) / 2)
+
     def test_basis_spans_the_range(self):
         p = sampling.random_projection(7, 3, np.random.default_rng(12))
         assert p.basis.shape == (7, 3)
@@ -149,6 +155,15 @@ class TestFromOrthonormal:
         assert p.rank == 2 and p.basis is b
         assert pg.operator_norm(p.m - b @ adj(b)) <= 1e-15
         assert pg.make_projection(p.m).rank == 2
+
+    def test_matrix_is_formed_when_first_read(self):
+        rng = np.random.default_rng(14)
+        b = np.linalg.qr(rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))[0]
+        for p in (projlat._from_orthonormal(b, pg.DEFAULT_TOL), pg.from_span(b)):
+            assert "m" not in vars(p) and p.n == 6 and p.rank == 3
+            m = p.basis @ adj(p.basis)
+            assert np.array_equal(p.m, (m + adj(m)) / 2)
+            assert vars(p)["m"] is p.m and not p.m.flags.writeable
 
     def test_rejects_a_basis_that_is_not_orthonormal(self):
         tol = pg.DEFAULT_TOL
