@@ -64,6 +64,7 @@ from .jones import (
     jones_pair,
     propagator_checks,
     rotated_diagonal_spec,
+    transport_ode_endpoint,
     transport_ode_solve,
 )
 from .numkit import (

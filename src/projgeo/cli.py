@@ -30,10 +30,11 @@ EXIT_OBSTRUCTION = 3
 
 # Size caps, checked before any allocation (measured costs in README.md)
 MAX_RANDOM_DIM = 64
+MAX_RANDOM_TRIALS = 1_000
 MAX_TRANSPORT_DIM = 32
 MAX_JONES_DIM = 512
-# transport's ODE holds steps + 1 states of n^2 entries; the convergence
-# probe runs 2 --order-probe steps, so its cap is half the --steps cap
+# the convergence probe runs 2 --order-probe steps, so its cap is half the
+# --steps cap
 MAX_TRANSPORT_STEPS = 10_000
 MAX_TRANSPORT_TRIALS = 20
 
@@ -230,14 +231,14 @@ def cmd_transport(args) -> dict:
     ode_residual = 0.0
     for _ in range(args.trials):
         x0 = rng.normal(size=(args.n, args.n)) + 1j * rng.normal(size=(args.n, args.n))
-        _, states = jones.transport_ode_solve(path, x0, args.steps)
+        end = jones.transport_ode_endpoint(path, x0, args.steps)
         ode_residual = max(ode_residual, numkit.operator_norm(
-            states[-1] - path.transport(1.0, x0)))
+            end - path.transport(1.0, x0)))
     probe = rng.normal(size=(args.n, args.n)) + 1j * rng.normal(size=(args.n, args.n))
     errs = {}
     for steps in (args.order_probe, 2 * args.order_probe):
-        _, states = jones.transport_ode_solve(path, probe, steps)
-        errs[steps] = numkit.operator_norm(states[-1] - path.transport(1.0, probe))
+        end = jones.transport_ode_endpoint(path, probe, steps)
+        errs[steps] = numkit.operator_norm(end - path.transport(1.0, probe))
     order = (math.log2(errs[args.order_probe] / errs[2 * args.order_probe])
              if min(errs.values()) > 0 else None)
     axioms = {f"{t:.2f}": dataclasses.asdict(
@@ -263,8 +264,12 @@ def cmd_transport(args) -> dict:
 def cmd_random(args) -> dict:
     if not 2 <= args.n <= MAX_RANDOM_DIM:
         raise ValueError(f"--n must lie in [2, {MAX_RANDOM_DIM}]")
+    if not 1 <= args.trials <= MAX_RANDOM_TRIALS:
+        raise ValueError(f"--trials must lie in [1, {MAX_RANDOM_TRIALS}]")
     tol = _tolerance(args)
     ranks = [int(v) for v in args.ranks.split(",")] if args.ranks else None
+    if ranks is not None and not all(0 <= r <= args.n for r in ranks):
+        raise ValueError(f"--ranks must lie in [0, {args.n}]")
     trials = []
     residual_keys = (
         "halmos_sum_residual", "halmos_commutator_residual",
@@ -311,6 +316,13 @@ def cmd_random(args) -> dict:
 # entry point
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _add_common_flags(p: argparse.ArgumentParser, toplevel: bool) -> None:
     # subparsers get SUPPRESS defaults so they never clobber values the
     # top-level parser already consumed (flags work in both positions)
@@ -322,8 +334,10 @@ def _add_common_flags(p: argparse.ArgumentParser, toplevel: bool) -> None:
     p.add_argument("--tol-structure", type=float, default=dflt(1e-8))
     p.add_argument("--tol-spectral", type=float, default=dflt(1e-6))
     p.add_argument("--tol-rank", type=float, default=dflt(1e-10))
-    p.add_argument("--seed", type=int,
-                   default=dflt(int(os.environ.get("PROJGEO_SEED", "0"))))
+    # a string default goes through the type too, so a bad PROJGEO_SEED
+    # exits 2 like a bad --seed
+    p.add_argument("--seed", type=_seed,
+                   default=dflt(os.environ.get("PROJGEO_SEED", "0")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,6 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the one key of an axioms report that may hold a bound (jones.ExpectationAxioms)
+_BIMODULE_LABEL = ("  (certified upper bound; the measured value where that "
+                  "bound exceeds tol-structure)")
+
+
 def _print_human(report: dict, stream) -> None:
     print(f"command: {report['command']}", file=stream)
     print(f"seed: {report['seed']}", file=stream)
@@ -389,7 +408,8 @@ def _print_human(report: dict, stream) -> None:
                 print(" " * indent + f"{key}:", file=stream)
                 walk(val, indent + 2)
             else:
-                print(" " * indent + f"{key}: {val}", file=stream)
+                label = _BIMODULE_LABEL if key == "bimodule" else ""
+                print(" " * indent + f"{key}: {val}{label}", file=stream)
 
     walk(report["results"], 0)
 

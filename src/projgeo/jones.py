@@ -10,6 +10,7 @@ subalgebras then induce the trace-preserving conditional expectations.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,9 @@ from .projlat import Projection
 
 IDX_ATOL = 1e-9  # tolerance of the index-distance identities
 AXIOM_SAMPLES, AXIOM_SEED = 4, 7  # test matrices drawn by expectation_axioms
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+_log = logging.getLogger("projgeo")
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -206,9 +210,10 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
 
     The conditional-expectation axioms of E = B B*, B the orthonormal
     ``basis``, are then settled by upper bounds: :func:`_axioms` with
-    Frobenius norms, which run no SVD. Only when a bound exceeds
-    ``atol_structure`` (or is nan) do the exact operator-norm residuals
-    decide, and their value goes into the InternalConsistencyError.
+    Frobenius norms, which run no SVD, and the bimodule field from
+    :func:`_bimodule_bound`. Only when a bound exceeds ``atol_structure``
+    (or is nan) do the exact operator-norm residuals decide, and their
+    value goes into the InternalConsistencyError.
     """
     mats = spanning_matrices(spec, n)
     basis = _orthonormal_range(mats, n, tol)
@@ -222,9 +227,10 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
     big = projlat._from_orthonormal(basis, tol)
     ep = ExpectationProjection(big=big, spec=spec, n=n, basis=basis)
     # written "not <=" so that a nan bound also goes to the exact check
-    if not _axioms(basis, n, closure, _frobenius_max).max() <= tol.atol_structure:
-        res = _axioms(basis, n, closure, operator_norm).max()
-        if res > tol.atol_structure:
+    atol = tol.atol_structure
+    if not _axioms(basis, n, closure, _frobenius_max, atol).max() <= atol:
+        res = _axioms(basis, n, closure, operator_norm, atol).max()
+        if res > atol:
             raise InternalConsistencyError(
                 f"expectation axioms fail on a validated subalgebra ({res:.3e})")
     return ep
@@ -235,7 +241,12 @@ class ExpectationAxioms:
     """Residuals of the conditional-expectation axioms for an HS
     projection: idempotency, unitality, *-preservation, trace
     invariance, the bimodule property over the range algebra, and
-    closure of the range under products."""
+    closure of the range under products.
+
+    ``bimodule`` is the certified upper bound of :func:`_bimodule_bound`
+    whenever that bound is at most ``atol_structure``; otherwise it is the
+    measured residual of the sandwich products. Every other field is
+    measured."""
 
     idempotent: float
     unital: float
@@ -260,10 +271,58 @@ def _adjoints(mats: np.ndarray) -> np.ndarray:
 def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
     """Measure the conditional-expectation axioms of E = B B* on HS(M_n),
     B = ``big.basis``, against its own range algebra, each residual an
-    exact operator norm. E equals ``big.m`` to rounding for every
-    projection the library builds from orthonormal columns."""
+    exact operator norm, except ``bimodule``: it is a certified upper
+    bound (:func:`_bimodule_bound`) whenever that bound is at most
+    ``big.tol.atol_structure``, and the measured residual otherwise. E
+    equals ``big.m`` to rounding for every projection the library builds
+    from orthonormal columns."""
     basis = big.basis
-    return _axioms(basis, n, _product_residual(basis, _members(basis, n)), operator_norm)
+    return _axioms(basis, n, _product_residual(basis, _members(basis, n)),
+                   operator_norm, big.tol.atol_structure)
+
+
+def _complex_dot_error(k: int) -> float:
+    """Relative error bound sqrt(2) gamma_{k+2} of a complex dot product of
+    k nonzero terms, gamma_j = j u / (1 - j u) (Higham 2002, sections 3.1
+    and 3.6); zero terms add nothing, so k counts the structural nonzeros."""
+    j = (k + 2) * _UNIT_ROUNDOFF
+    return math.sqrt(2.0) * j / (1.0 - j)
+
+
+def _bimodule_bound(basis: np.ndarray, members: np.ndarray, gram: np.ndarray,
+                    closure: float, xs: np.ndarray) -> float:
+    """An upper bound of max ||E(a x b) - a E(x) b|| over the samples x and
+    the members a, b, for E = B B*, B = ``basis``, as the sandwich of
+    :func:`_axioms` would measure it. It needs no product of members.
+
+    The exact-arithmetic part is 2 (1 + eps)^3 mu X (sigma + sqrt(r)
+    (1 + phi) kappa), with eps = ||B* B - 1||_F, mu the largest member norm
+    ||m_k||_F, X the largest ||x||_F, sigma the largest member-adjoint
+    residual ||(1 - E) m_k*||_F, phi the largest ||B* m_k*||_1 and kappa
+    the product residual ``closure`` (README.md derives it). The rounding
+    of the measurement adds (1 + eps) mu^2 X (4 g(nu) + 2 beta (g(N_col)
+    + g(N_row))), g = :func:`_complex_dot_error`, with nu the most nonzeros
+    in a row or column of a member, N_col and N_row the most in a column
+    and in a row of B, and beta = sqrt(||B||_1 ||B||_inf) >= || |B| ||."""
+    r = basis.shape[1]
+    eps = numkit.frobenius(gram - np.eye(r))
+    mu = math.sqrt(np.abs(np.diagonal(gram)).max(initial=0.0))
+    stars = _adjoints(members)
+    sigma = _span_residuals(basis, stars).max(initial=0.0)
+    phi = np.abs(adjoint(basis) @ stars.reshape(r, -1).T).sum(axis=0).max(initial=0.0)
+    x_norm = numkit.frobenius(xs).max(initial=0.0)
+    exact = 2.0 * (1.0 + eps) ** 3 * mu * x_norm * (
+        sigma + math.sqrt(r) * (1.0 + phi) * closure)
+    nu = max(np.count_nonzero(members, axis=1).max(initial=0),
+             np.count_nonzero(members, axis=2).max(initial=0))
+    n_col = np.count_nonzero(basis, axis=0).max(initial=0)
+    n_row = np.count_nonzero(basis, axis=1).max(initial=0)
+    mags = np.abs(basis)
+    beta = math.sqrt(mags.sum(axis=0).max(initial=0.0) * mags.sum(axis=1).max(initial=0.0))
+    rounding = (1.0 + eps) * mu * mu * x_norm * (
+        4.0 * _complex_dot_error(nu)
+        + 2.0 * beta * (_complex_dot_error(n_col) + _complex_dot_error(n_row)))
+    return float(exact + rounding)
 
 
 def _sandwich(a: np.ndarray, ys: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -274,14 +333,19 @@ def _sandwich(a: np.ndarray, ys: np.ndarray, members: np.ndarray) -> np.ndarray:
     return prod.reshape(-1, n, r, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
 
 
-def _axioms(basis: np.ndarray, n: int, closure: float, norm) -> ExpectationAxioms:
+def _axioms(basis: np.ndarray, n: int, closure: float, norm,
+            atol: float) -> ExpectationAxioms:
     """The axioms of E = B B*, B = ``basis`` (n^2 x r, orthonormal), onto
     the range algebra B spans, applied as :func:`_expect`. ``norm``
     measures the largest residual of a stack: :func:`_frobenius_max` for
     upper bounds, :func:`operator_norm` for operator norms. The idempotency
     E E - E = B M B* with M = G - 1, G = B* B, has the norm of the r x r
     matrix M G (both are max |s^2 (s^2 - 1)| over the singular values s of
-    B); the product residual ``closure`` comes measured by the caller."""
+    B); the product residual ``closure`` comes measured by the caller.
+
+    The bimodule field is :func:`_bimodule_bound` when that is at most
+    ``atol``; only otherwise (or on a nan) are the r^2 sandwich products
+    formed and measured with ``norm``."""
     members = _members(basis, n)
     r = basis.shape[1]
     gram = adjoint(basis) @ basis
@@ -295,15 +359,20 @@ def _axioms(basis: np.ndarray, n: int, closure: float, norm) -> ExpectationAxiom
     unital = norm(_expect(basis, eye[None]) - eye)
     star = norm(_expect(basis, _adjoints(xs)) - _adjoints(exs))
     tr = max(abs(np.trace(ex) - np.trace(x)) / n for x, ex in zip(xs, exs))
-    # one left factor a at a time, as in _product_residual; a x b and
-    # a E(x) b come from one call, as the two halves of its stack
-    both = np.concatenate([xs, exs])
+    bimod = _bimodule_bound(basis, members, gram, closure, xs)
+    # written "not <=" so that a nan bound also goes to the sandwich
+    if not bimod <= atol:
+        _log.debug("bimodule bound %.3e exceeds %.3e; measuring the %d sandwich "
+                   "products", bimod, atol, r * r)
+        # one left factor a at a time, as in _product_residual; a x b and
+        # a E(x) b come from one call, as the two halves of its stack
+        both = np.concatenate([xs, exs])
 
-    def bimodule(a) -> float:
-        prods = _sandwich(a, both, members).reshape(2, -1, n, n)
-        return norm(_expect(basis, prods[0]) - prods[1])
+        def bimodule(a) -> float:
+            prods = _sandwich(a, both, members).reshape(2, -1, n, n)
+            return norm(_expect(basis, prods[0]) - prods[1])
 
-    bimod = max(map(bimodule, members), default=0.0)
+        bimod = max(map(bimodule, members), default=0.0)
     return ExpectationAxioms(idempotent=idempotent, unital=unital, star=star,
                              trace=float(tr), bimodule=bimod, closure=closure)
 
@@ -466,27 +535,14 @@ def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
     return ExpectationPath(z=z, end0=end0, end1=end1, n=n, gap=gap)
 
 
-def transport_ode_solve(path: ExpectationPath, x0, steps: int):
-    """Integrate the parallel transport equation with fixed-step RK4.
-
-    The state is the vectorized matrix; the generator is the commutator
-    [dE_t, E_t] with E_t the geodesic projection at time t and dE_t its
-    exact derivative Z E_t - E_t Z (no finite differencing). The exponent's
-    spectrum i Z = V diag(w) V* is thin: V (n^2 x m) spans the support of
-    Z, a sum of parts of the position of (E_0, E_1), so Z, E_0 and every
-    E_t commute with V V* and the generator vanishes off span V. The
-    component x0 - V V* x0 is carried unchanged and RK4 runs on the m
-    coordinates V* x. There Z is diag(zw) with zw = -i w, and the generator
-    is A(t) = D_t A_0 D_t* with D_t = diag(e^{t zw}) and
-    A_0 = Z P_0 + P_0 Z - 2 P_0 Z P_0, P_0 = V* E_0 V. So each RK4 step
-    matrix is R_j = D_{t_j} R_0 D_{t_j}*, where R_0 takes the usual four
-    stages from A(0), A(h/2) and A(h), and the coordinates rotated back by
-    D_{t_j}* advance by the one m x m matrix D_h* R_0. Returns the times
-    and the transported matrices at steps + 1 uniform points.
-    """
+def _rk4_coordinates(path: ExpectationPath, x0, steps: int):
+    """Set up the fixed-step RK4 of :func:`transport_ode_solve` and return
+    (x, V, zw, ys): x = vec x0, i Z = V diag(w) V* with zw = -i w, and an
+    iterator over the rotated coordinates y_j = D_{t_j}* V* x_j,
+    j = 0..steps, each advanced from the last by the one m x m step matrix
+    D_h* R_0, so only the current one is held."""
     if steps < 100:
         raise ValueError("need at least 100 steps")
-    n = path.n
     w, v = path.z.spectrum
     zw = -1j * w
     c = adjoint(v) @ path.end0.basis
@@ -507,14 +563,52 @@ def transport_ode_solve(path: ExpectationPath, x0, steps: int):
     k4 = generator(h) @ (eye + h * k3)
     step = np.exp(h * zw).conj()[:, None] * (eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
     x = vec(numkit.as_complex(x0))
-    rotated = np.empty((steps + 1, w.size), dtype=np.complex128)
-    rotated[0] = adjoint(v) @ x
-    for j in range(steps):
-        rotated[j + 1] = step @ rotated[j]
+
+    def walk():
+        y = adjoint(v) @ x
+        yield y
+        for _ in range(steps):
+            y = step @ y
+            yield y
+
+    return x, v, zw, walk()
+
+
+def transport_ode_solve(path: ExpectationPath, x0, steps: int):
+    """Integrate the parallel transport equation with fixed-step RK4.
+
+    The state is the vectorized matrix; the generator is the commutator
+    [dE_t, E_t] with E_t the geodesic projection at time t and dE_t its
+    exact derivative Z E_t - E_t Z (no finite differencing). The exponent's
+    spectrum i Z = V diag(w) V* is thin: V (n^2 x m) spans the support of
+    Z, a sum of parts of the position of (E_0, E_1), so Z, E_0 and every
+    E_t commute with V V* and the generator vanishes off span V. The
+    component x0 - V V* x0 is carried unchanged and RK4 runs on the m
+    coordinates V* x. There Z is diag(zw) with zw = -i w, and the generator
+    is A(t) = D_t A_0 D_t* with D_t = diag(e^{t zw}) and
+    A_0 = Z P_0 + P_0 Z - 2 P_0 Z P_0, P_0 = V* E_0 V. So each RK4 step
+    matrix is R_j = D_{t_j} R_0 D_{t_j}*, where R_0 takes the usual four
+    stages from A(0), A(h/2) and A(h), and the coordinates rotated back by
+    D_{t_j}* advance by the one m x m matrix D_h* R_0. Returns the times
+    and the transported matrices at steps + 1 uniform points.
+    """
+    x, v, zw, ys = _rk4_coordinates(path, x0, steps)
+    rotated = np.array(list(ys))
     times = np.linspace(0.0, 1.0, steps + 1)
     coords = np.exp(np.outer(times, zw)) * rotated
     states = (x - v @ rotated[0]) + coords @ v.T
-    return times, states.reshape(steps + 1, n, n)
+    return times, states.reshape(steps + 1, path.n, path.n)
+
+
+def transport_ode_endpoint(path: ExpectationPath, x0, steps: int) -> np.ndarray:
+    """The state at t = 1 of :func:`transport_ode_solve`, by the same RK4
+    steps, holding one state instead of all steps + 1."""
+    x, v, zw, ys = _rk4_coordinates(path, x0, steps)
+    first = last = next(ys)
+    for last in ys:
+        pass
+    state = (x - v @ first) + (np.exp(zw) * last) @ v.T
+    return state.reshape(path.n, path.n)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ library is a norm taken here, of a matrix or of a stack of matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class ToleranceProfile:
 
     def __post_init__(self) -> None:
         for name in ("atol_structure", "atol_spectral", "atol_rank"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.atol_rank < _EPS:
             raise ValueError("atol_rank must be at least machine epsilon")
 

@@ -11,6 +11,7 @@ wedge when its sine is: an angle width of about sqrt(2 atol_spectral),
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,8 @@ from . import numkit
 from .errors import (DimensionMismatch, NoGenericPart, NoGeodesic,
                      NotProjection, RankDeficient)
 from .numkit import DEFAULT_TOL, ToleranceProfile, adjoint, frobenius
+
+_log = logging.getLogger("projgeo")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +90,8 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
     sym = (m + adjoint(m)) / 2
     basis = _certified_basis(sym, tol)
     if basis is None:
+        _log.debug("no certified range basis for an n = %d projection; taking "
+                   "its eigh", sym.shape[0])
         eigs, vecs = np.linalg.eigh(sym)
         idem = float(np.abs(eigs * eigs - eigs).max())
         if idem > tol.atol_structure:

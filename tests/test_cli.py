@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import projgeo as pg
 from projgeo import cli, jones
@@ -231,6 +235,14 @@ class TestRandom:
     def test_oversized_dimension_exits_2(self, capsys):
         assert cli.main(["random", "--n", "100000", "--trials", "1"]) == 2
 
+    def test_trials_past_their_cap_exit_2(self, monkeypatch, capsys):
+        # rejected before any pair is drawn
+        monkeypatch.setattr(cli.sampling, "pair_diagnostics", None)
+        for value in (cli.MAX_RANDOM_TRIALS + 1, 0, -1, 10 ** 11):
+            assert cli.main(["random", "--n", "4", "--trials", str(value)]) == 2
+            assert f"--trials must lie in [1, {cli.MAX_RANDOM_TRIALS}]" in (
+                capsys.readouterr().err)
+
     def test_fixed_ranks(self, capsys):
         code, rep = run_json(capsys, ["random", "--n", "6", "--trials", "5",
                                       "--ranks", "3"])
@@ -250,3 +262,102 @@ class TestParser:
         code, rep = run_json(capsys, ["jones", "--m", "2"])
         assert code == 0
         assert rep["seed"] == 123
+
+
+# The command grammar: every subcommand and flag, each flag left out or
+# given a small in-range value, and at most one of them given a value past
+# its documented range (0, negatives, nan, inf, huge numbers) or, when
+# required, left out. In-range sizes and counts stay small, so no draw
+# reaches an expensive run.
+HUGE = str(10 ** 12)
+COUNT_PAST = ("0", "-1", HUGE, "nan", "1e3")
+RHO = ("", "1", "2,4", "1e308"), ("0", "-1", "0.5", "nan", "inf")
+COMMON = [
+    ("--tol-structure", ("1e-8", "1e300"), ("0", "-1", "nan", "inf", "-inf"), False),
+    ("--tol-spectral", ("1e-6", "0.1"), ("0", "-1", "nan", "inf"), False),
+    ("--tol-rank", ("1e-10", "1e300"), ("0", "-1", "nan", "inf", "1e-20"), False),
+    ("--seed", ("0", "7", str(10 ** 30)), ("-1", "nan"), False),
+    ("--json", (), (), False),
+]
+
+
+def command_grammar(docs):
+    """Strategy of (argv, past range). Each flag is (name, in-range values,
+    past-range values, required); a name of None is a positional argument
+    and a flag with no values is a switch."""
+    pf, qf, junk = docs
+    pair = [(None, (pf, qf), (junk, junk + ".missing"), True)] * 2
+    spec = (("diagonal", "rotated:0.3", "rotated:-1", "rotated:1e308", "tensor:1x2"),
+            ("rotated:nan", "rotated:inf", "tensor:0x0", "tensor:-1x-2",
+             "tensor:100000x100000", "bogus", "@" + junk + ".missing"))
+    commands = {
+        "decompose": pair,
+        "geodesic": pair + [
+            ("--t", ("0,0.5,1", "0.25", "-1", "1e308", "nan", "inf"), ("x",), False),
+            ("--rho", *RHO, False),
+            ("--out", (pf + ".out",), (junk + "/sub",), False)],
+        "jones": [("--m", ("2", "3", "4"), ("1",) + COUNT_PAST, True),
+                  ("--k", ("1", "2"), COUNT_PAST, False),
+                  ("--rho", *RHO, False)],
+        "transport": [("--n", ("2", "3"), ("33",) + COUNT_PAST, False),
+                      ("--spec0", *spec, True),
+                      ("--spec1", *spec, True),
+                      ("--steps", ("100", "101"), ("99", "10001") + COUNT_PAST, False),
+                      ("--trials", ("1", "2"), ("21",) + COUNT_PAST, False),
+                      ("--order-probe", ("100",), ("99", "5001") + COUNT_PAST, False)],
+        "random": [("--n", ("2", "3"), ("1", "65") + COUNT_PAST, True),
+                   ("--ranks", ("0", "1", "1,2", "2,0"), ("-1", "4", "1,-1", "x"), False),
+                   ("--trials", ("1", "2"), ("1001",) + COUNT_PAST, False),
+                   ("--force-wedge", (), (), False)],
+    }
+
+    @st.composite
+    def draw(draw):
+        name = draw(st.sampled_from(sorted(commands)))
+        flags = commands[name] + COMMON
+        past = draw(st.none() | st.integers(0, len(flags) - 1))
+        before, after, past_range = [], [name], False
+        for i, (flag, good, bad, required) in enumerate(flags):
+            if i == past and (bad or required):
+                past_range = True
+                if required and (not bad or draw(st.booleans())):
+                    continue  # a required argument left out
+                value = draw(st.sampled_from(bad))
+            elif required or draw(st.booleans()):
+                value = draw(st.sampled_from(good)) if good else None
+            else:
+                continue
+            tokens = [t for t in (flag, value) if t is not None]
+            # a common flag goes before or after the subcommand, not both
+            (before if i >= len(commands[name]) and draw(st.booleans()) else after).extend(tokens)
+        return before + after, past_range
+
+    return draw()
+
+
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("grammar")
+    p = pg.make_projection(np.diag([1.0, 1.0, 0.0]))
+    q = pg.from_span(np.array([[1.0, 0.0], [0.0, 2 ** -0.5], [0.0, 2 ** -0.5]]))
+    pf, qf, junk = root / "p.json", root / "q.json", root / "junk.json"
+    cli.write_matrix(pf, p.m)
+    cli.write_matrix(qf, q.m)
+    junk.write_text("{not json")
+    return str(pf), str(qf), str(junk)
+
+
+def test_every_invocation_ends_in_a_documented_exit(docs):
+    @settings(max_examples=250, deadline=None, database=None)
+    @example((["--tol-structure", "inf", "jones", "--m", "2"], True))
+    @example((["random", "--n", "2", "--trials", str(cli.MAX_RANDOM_TRIALS + 1)], True))
+    @given(command_grammar(docs))
+    def run(drawn):
+        argv, past_range = drawn
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert "Traceback" not in err.getvalue()
+        assert code == 2 if past_range else code in (0, 2, 3), (code, err.getvalue())
+
+    run()

@@ -1,5 +1,10 @@
+import logging
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projgeo as pg
 from projgeo import factor, jones, numkit, projlat
@@ -152,6 +157,28 @@ def record(monkeypatch, owner, name):
     return calls
 
 
+def dense_axioms(big, n, basis) -> dict:
+    """The axiom residuals of the dense n^2 x n^2 matrix big.m, one matrix at
+    a time, over the members that the columns of ``basis`` give."""
+    P = big.m
+    members = [basis[:, j].reshape(n, n) for j in range(basis.shape[1])]
+    rng = np.random.default_rng(jones.AXIOM_SEED)
+    xs = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+          for _ in range(jones.AXIOM_SAMPLES)]
+
+    def E(x):
+        return (P @ x.reshape(-1)).reshape(n, n)
+
+    return {
+        "bimodule": max((pg.operator_norm(E(a @ x @ b) - a @ E(x) @ b)
+                         for a in members for b in members for x in xs), default=0.0),
+        "star": max(pg.operator_norm(E(adj(x)) - adj(E(x))) for x in xs),
+        "idempotent": pg.operator_norm(P @ P - P),
+        "unital": pg.operator_norm(E(np.eye(n)) - np.eye(n)),
+        "trace": max(abs(np.trace(E(x)) - np.trace(x)) / n for x in xs),
+    }
+
+
 def test_rotated_spec_needs_two_coordinates():
     for n in (0, 1):
         with pytest.raises(ValueError, match="n >= 2"):
@@ -183,12 +210,15 @@ class TestBuildTimeAxiomCheck:
     def test_axiom_failure_carries_the_exact_value(self, monkeypatch):
         # span{1, e12, e21} is unital and *-closed but not product-closed
         # (e12 e21 = e11); with the closure check disabled the build reaches
-        # the axiom check, which fails on the bimodule property
+        # the axiom check, which fails on the bimodule property. The faked
+        # closure 0 would let the bimodule bound settle, so the bound is
+        # made nan, which sends the field to the measured sandwich
         e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
         spec = jones.MatrixSpan(mats=(np.eye(2), e12, e12.T))
         with pytest.raises(NotSubalgebra):
             jones.expectation_projection(spec, 2)
         monkeypatch.setattr(jones, "_product_residual", lambda basis, members: 0.0)
+        monkeypatch.setattr(jones, "_bimodule_bound", lambda *args: math.nan)
         axioms = record(monkeypatch, jones, "_axioms")
         with pytest.raises(InternalConsistencyError) as info:
             jones.expectation_projection(spec, 2)
@@ -224,31 +254,21 @@ class TestExpectationPath:
             assert ax.max() < 1e-8
 
     @pytest.mark.parametrize("n", [3, 6])
-    def test_batched_axioms_equal_the_per_matrix_loop(self, n):
+    def test_batched_axioms_equal_the_per_matrix_loop(self, n, monkeypatch):
         path = jones.expectation_path(
             jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4), n)
         big = path.projection_at(0.5)
-        P = big.m
-        basis = projlat.range_basis(big)
-        members = [basis[:, j].reshape(n, n) for j in range(basis.shape[1])]
-        rng = np.random.default_rng(jones.AXIOM_SEED)
-        xs = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-              for _ in range(jones.AXIOM_SAMPLES)]
-
-        def E(x):
-            return (P @ x.reshape(-1)).reshape(n, n)
-
-        refs = {
-            "bimodule": max(pg.operator_norm(E(a @ x @ b) - a @ E(x) @ b)
-                            for a in members for b in members for x in xs),
-            "star": max(pg.operator_norm(E(adj(x)) - adj(E(x))) for x in xs),
-            "idempotent": pg.operator_norm(P @ P - P),
-            "unital": pg.operator_norm(E(np.eye(n)) - np.eye(n)),
-            "trace": max(abs(np.trace(E(x)) - np.trace(x)) / n for x in xs),
-        }
+        refs = dense_axioms(big, n, projlat.range_basis(big))
         ax = jones.expectation_axioms(big, n)
         for name, ref in refs.items():
-            assert abs(getattr(ax, name) - ref) <= 1e-14 * max(1.0, ref), name
+            if name == "bimodule":  # a certified bound, never below the loop
+                assert ref <= ax.bimodule <= big.tol.atol_structure
+            else:
+                assert abs(getattr(ax, name) - ref) <= 1e-14 * max(1.0, ref), name
+        # past the bound, the sandwich measures what the loop measures
+        monkeypatch.setattr(jones, "_bimodule_bound", lambda *args: math.nan)
+        exact = jones.expectation_axioms(big, n).bimodule
+        assert abs(exact - refs["bimodule"]) <= 1e-14 * max(1.0, refs["bimodule"])
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_factored_operators_match_the_dense_matrices(self, n):
@@ -318,3 +338,81 @@ class TestExpectationPath:
         for t in (0.25, 0.5, 0.75):
             ax = jones.expectation_axioms(path.projection_at(t), 2)
             assert np.isfinite(ax.max())
+
+
+@st.composite
+def unital_subalgebras(draw):
+    """(big, n): the expectation projection of a unital *-subalgebra of M_n,
+    drawn as a block partition with random group sizes, a tensor factor
+    M_k (x) I_m, one of those rotated by a Haar unitary, or a point of an
+    expectation path."""
+    kind = draw(st.sampled_from(["blocks", "tensor", "rotated", "path"]))
+    if kind == "path":
+        n = draw(st.integers(2, 5))
+        theta = draw(st.floats(0.05, 0.7))
+        path = jones.expectation_path(
+            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, theta), n)
+        return path.projection_at(draw(st.floats(0.0, 1.0))), n
+    base = draw(st.sampled_from(["blocks", "tensor"])) if kind == "rotated" else kind
+    if base == "tensor":
+        k, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        spec, n = jones.TensorFactor(k, m), k * m
+    else:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        n = sum(sizes)
+        order = draw(st.permutations(range(n)))
+        cuts = np.cumsum([0] + sizes)
+        spec = jones.BlockPartition(groups=tuple(
+            tuple(order[a:b]) for a, b in zip(cuts[:-1], cuts[1:])))
+    if kind == "rotated":
+        u = numkit.haar_unitary(n, np.random.default_rng(draw(st.integers(0, 2**32))))
+        spec = jones.MatrixSpan(mats=tuple(
+            u @ m @ adj(u) for m in jones.spanning_matrices(spec, n)))
+    return jones.expectation_projection(spec, n).big, n
+
+
+class TestBimoduleBound:
+    """The bimodule field is a certified bound on a closed span, and the
+    measured sandwich wherever the bound cannot settle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(unital_subalgebras())
+    def test_bound_dominates_the_dense_loop(self, drawn):
+        big, n = drawn
+        ref = dense_axioms(big, n, big.basis)["bimodule"]
+        assert ref <= jones.expectation_axioms(big, n).bimodule <= big.tol.atol_structure
+
+    @staticmethod
+    def open_spans():
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        cols = np.stack([m.reshape(-1) for m in (np.eye(2), e12, e12.T)], axis=1)
+        yield "span{1, e12, e21}", projlat.from_span(cols), 2
+        rng = np.random.default_rng(44)
+        mats = jones.spanning_matrices(jones.rotated_diagonal_spec(3, 0.3), 3)
+        noisy = [m + 1e-3 * rng.normal(size=(3, 3)) for m in mats]
+        yield "perturbed", projlat.from_span(np.stack([m.reshape(-1) for m in noisy], axis=1)), 3
+        path = jones.expectation_path(
+            jones.diagonal_spec(2), jones.rotated_diagonal_spec(2, np.pi / 4),
+            2, check_distance=False)
+        for t in (0.25, 0.5, 0.75):
+            yield f"quarter turn t={t}", path.projection_at(t), 2
+
+    def test_open_spans_measure_the_sandwich(self, monkeypatch, caplog):
+        sandwiches = record(monkeypatch, jones, "_sandwich")
+        for name, big, n in self.open_spans():
+            sandwiches.clear()
+            with caplog.at_level(logging.DEBUG, logger="projgeo"):
+                caplog.clear()
+                got = jones.expectation_axioms(big, n).bimodule
+            ref = dense_axioms(big, n, big.basis)["bimodule"]
+            assert len(sandwiches) == big.basis.shape[1], name
+            assert abs(got - ref) <= 1e-14 * max(1.0, ref), name
+            assert ref > big.tol.atol_structure, name
+            assert [r.levelno for r in caplog.records] == [logging.DEBUG], name
+            assert "bimodule bound" in caplog.text, name
+
+    def test_a_settled_bound_logs_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="projgeo"):
+            jones.expectation_path(
+                jones.diagonal_spec(3), jones.rotated_diagonal_spec(3, 0.4), 3)
+        assert caplog.records == []

@@ -288,3 +288,10 @@ def test_haar_unitary_is_unitary_and_seeded():
     u2 = numkit.haar_unitary(5, np.random.default_rng(9))
     assert np.array_equal(u1, u2)
     assert np.linalg.norm(adj(u1) @ u1 - np.eye(5), 2) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["atol_structure", "atol_spectral", "atol_rank"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_tolerances_must_be_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        numkit.ToleranceProfile(**{name: value})

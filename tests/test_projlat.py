@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,16 @@ def test_make_projection_verdict_matches_an_eigh_reference(seed, n, rank_frac, k
         support = [np.flatnonzero(np.abs(b[lo:hi]).max(axis=0, initial=0.0))
                    for lo, hi in zip(edges[:-1], edges[1:])]
         assert sorted(np.concatenate(support).tolist()) == list(range(p.rank))
+
+
+def test_only_the_eigh_fallback_logs(caplog):
+    with caplog.at_level(logging.DEBUG, logger="projgeo"):
+        pg.make_projection(np.diag([1.0, 1.0, 0.0]))
+        assert caplog.records == []
+        with pytest.raises(NotProjection):
+            pg.make_projection(0.5 * np.eye(2))  # trace 1, no certified basis
+    [rec] = caplog.records
+    assert rec.levelno == logging.DEBUG and "eigh" in rec.getMessage()
 
 
 class TestFromOrthonormal:

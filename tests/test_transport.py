@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import projgeo as pg
-from projgeo import geo, jones
+from projgeo import cli, geo, jones
 
 from _helpers import adj, record_kernels
 
@@ -80,6 +80,22 @@ class TestTransportOde:
         path = eighth_turn_path()
         with pytest.raises(ValueError):
             jones.transport_ode_solve(path, np.eye(2), 50)
+        with pytest.raises(ValueError):
+            jones.transport_ode_endpoint(path, np.eye(2), 99)
+
+    def test_endpoint_is_the_last_state(self):
+        # the same RK4 steps, with one state held instead of steps + 1
+        path = conjugated_tensor_path(2, 2, np.random.default_rng(52))
+        rng = np.random.default_rng(53)
+        x0 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        _, states = jones.transport_ode_solve(path, x0, 300)
+        end = jones.transport_ode_endpoint(path, x0, 300)
+        assert pg.operator_norm(end - states[-1]) <= 1e-14 * pg.operator_norm(states[-1])
+
+    def test_cli_forms_only_the_final_state(self, monkeypatch, capsys):
+        monkeypatch.setattr(jones, "transport_ode_solve", None)
+        assert cli.main(["transport", "--n", "3", "--spec0", "diagonal",
+                         "--spec1", "rotated:0.3", "--steps", "200", "--trials", "2"]) == 0
 
     def test_fourth_order_convergence(self):
         # errors at 1000+ steps sit at the rounding floor for this model,
