@@ -392,9 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the one key of an axioms report that may hold a bound (jones.ExpectationAxioms)
-_BIMODULE_LABEL = ("  (certified upper bound; the measured value where that "
-                  "bound exceeds tol-structure)")
+# the keys of a report that may hold a certified upper bound: the bimodule
+# field of jones.ExpectationAxioms, and the endpoint and codiagonality of an
+# exponent built from a position (in the geodesic, random and transport
+# reports), each with the threshold above which the measured value is shown
+_BOUND_KEYS = dict.fromkeys(("endpoint", "codiagonality", "exponent_endpoint",
+                             "exponent_codiagonality", "codiagonal"),
+                            f"{geo.ENDPOINT_ATOL:g}") | {"bimodule": "tol-structure"}
+_BOUND_LABEL = "  (certified upper bound; the measured value where that bound exceeds {})"
 
 
 def _print_human(report: dict, stream) -> None:
@@ -408,7 +413,7 @@ def _print_human(report: dict, stream) -> None:
                 print(" " * indent + f"{key}:", file=stream)
                 walk(val, indent + 2)
             else:
-                label = _BIMODULE_LABEL if key == "bimodule" else ""
+                label = _BOUND_LABEL.format(_BOUND_KEYS[key]) if key in _BOUND_KEYS else ""
                 print(" " * indent + f"{key}: {val}{label}", file=stream)
 
     walk(report["results"], 0)

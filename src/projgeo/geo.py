@@ -9,6 +9,8 @@ normalized when the operator norm of z is at most pi/2.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,10 +20,12 @@ import scipy.linalg
 from . import numkit, projlat
 from .errors import (DimensionMismatch, InternalConsistencyError,
                      InvariantViolation, NotSkewHermitian, RankMismatch, TooFewPoints)
-from .numkit import adjoint, operator_norm
+from .numkit import adjoint, frobenius, operator_norm
 from .projlat import Position, Projection
 
 HALF_PI = np.pi / 2
+
+_log = logging.getLogger("projgeo")
 
 # Endpoint contract for constructed exponents: ||e^z p e^{-z} - q||.
 ENDPOINT_ATOL = 1e-8
@@ -54,6 +58,12 @@ class PartialIsometry:
 
 @dataclass(frozen=True)
 class GeodesicResiduals:
+    """The exponent's residual report. For an exponent built by
+    :func:`position_exponent`, ``endpoint`` and ``codiagonality`` are
+    certified upper bounds (:func:`_exponent_bound`), and the measured
+    values only where a bound exceeds ENDPOINT_ATOL; ``skewness`` and
+    ``norm_bound`` are exact."""
+
     skewness: float
     codiagonality: float
     norm_bound: float
@@ -86,9 +96,10 @@ class GeodesicExponent:
 
         (w, V) becomes its :attr:`spectrum` as given. V* V = 1 is checked
         once within atol_structure, and a failure raises
-        InternalConsistencyError. z is made from V diag(w) V* symmetrized
-        to be exactly Hermitian, so that z is exactly skew: its skewness is
-        0 without forming z."""
+        InternalConsistencyError; the residual, an upper bound of
+        ||V* V - 1||, is kept for :func:`_exponent_bound`. z is made from
+        V diag(w) V* symmetrized to be exactly Hermitian, so that z is
+        exactly skew: its skewness is 0 without forming z."""
         w, v = np.array(w, dtype=np.float64), np.array(v, dtype=np.complex128)
         eps = numkit.orthonormality_residual(v, p.tol.atol_structure)
         if eps > p.tol.atol_structure:
@@ -98,7 +109,7 @@ class GeodesicExponent:
         for arr in (w, v):
             arr.flags.writeable = False
         g = cls.__new__(cls)
-        g.__dict__.update(p=p, q=q, _thin=(w, v), skewness=0.0)
+        g.__dict__.update(p=p, q=q, _thin=(w, v), _v_residual=eps, skewness=0.0)
         return g
 
     @cached_property
@@ -119,7 +130,10 @@ class GeodesicExponent:
     def residuals(self) -> GeodesicResiduals:
         """Skewness, codiagonality, excess over pi/2, and the endpoint error.
 
-        For a z that passes the skewness check every residual is the exact
+        :func:`position_exponent` settles this report from its certificate
+        when it can, and then the endpoint and the codiagonality are upper
+        bounds. Otherwise, for a z that passes the skewness check every
+        residual is the exact
         operator norm of thin factors, with P = Bp Bp* and Q = Bq Bq* the
         range projections of the bases p and q carry:
 
@@ -156,9 +170,8 @@ class GeodesicExponent:
         r = np.linalg.qr(v - bp @ adjoint(c), mode="r")
         codiag = 2 * max(_hermitian_norm((adjoint(c) * w) @ c),
                          _hermitian_norm((r * w) @ adjoint(r)))
-        norm = float(np.abs(w).max(initial=0.0))
         return GeodesicResiduals(skewness=self.skewness, codiagonality=codiag,
-                                 norm_bound=max(0.0, norm - HALF_PI), endpoint=endpoint)
+                                 norm_bound=_norm_excess(w), endpoint=endpoint)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,6 +196,11 @@ class GeodesicExponent:
     def unitary(self, t: float) -> np.ndarray:
         """e^{tz} = 1 + V (e^{-itw} - 1) V*, which is the identity off span V."""
         return self.apply(t, np.eye(self.p.n))
+
+
+def _norm_excess(w: np.ndarray) -> float:
+    """max(0, ||z|| - pi/2) of a z with eigenvalues -i w."""
+    return max(0.0, float(np.abs(w).max(initial=0.0)) - HALF_PI)
 
 
 def _hermitian_norm(h: np.ndarray) -> float:
@@ -258,9 +276,15 @@ def position_exponent(pos: Position,
     where v a is the matching column of ``bt``. The default witness is
     ``partial_isometry(pos.e10, pos.e01)``. A supplied witness must have
     the rank of p^q', and its bases must lie in p^q' and p'^q within
-    ENDPOINT_ATOL, or InvariantViolation is raised."""
+    ENDPOINT_ATOL, or InvariantViolation is raised.
+
+    The endpoint and codiagonality residuals are settled by
+    :func:`_exponent_bound` when both its bounds are at most ENDPOINT_ATOL,
+    and then the report holds the bounds. Otherwise (or on a nan) the
+    exact report measures them, and one DEBUG record goes to the
+    ``projgeo`` logger."""
     th, x, u = pos.angles, pos.x, pos.u
-    cols, ws = [x + 1j * u, x - 1j * u], [th, -th]
+    a = va = np.zeros((pos.p.n, 0), dtype=np.complex128)
     if not pos.unique():
         if w is None:
             w = partial_isometry(pos.e10, pos.e01)
@@ -268,12 +292,20 @@ def position_exponent(pos: Position,
               or max(_norm_off(pos.b10, w.bs), _norm_off(pos.b01, w.bt)) > ENDPOINT_ATOL):
             raise InvariantViolation("supplied isometry does not witness p^q' ~ p'^q")
         a, va = w.bs, w.bt
-        # swaps the two wedge parts: e^z = i (v + v*) there
-        half_pi = np.full(a.shape[1], HALF_PI)
-        cols += [a + va, a - va]
-        ws += [-half_pi, half_pi]
-    g = GeodesicExponent.from_spectrum(np.concatenate(ws), np.hstack(cols) / np.sqrt(2),
-                                       pos.p, pos.q)
+    # the wedge columns swap the two wedge parts: e^z = i (v + v*) there
+    half_pi = np.full(a.shape[1], HALF_PI)
+    g = GeodesicExponent.from_spectrum(
+        np.concatenate([th, -th, -half_pi, half_pi]),
+        np.hstack([x + 1j * u, x - 1j * u, a + va, a - va]) / np.sqrt(2), pos.p, pos.q)
+    endpoint, codiag = _exponent_bound(pos, a, va, g)
+    if endpoint <= ENDPOINT_ATOL and codiag <= ENDPOINT_ATOL:
+        vars(g)["residuals"] = GeodesicResiduals(
+            skewness=0.0, codiagonality=codiag, norm_bound=_norm_excess(g.spectrum[0]),
+            endpoint=endpoint)
+    else:
+        _log.debug("exponent certificate (endpoint %.3e, codiagonality %.3e, absorbed "
+                   "miss %.3e) exceeds ENDPOINT_ATOL; taking the exact report",
+                   endpoint, codiag, pos.miss)
     res = verify_geodesic(g)
     if res.max() > ENDPOINT_ATOL:
         raise InternalConsistencyError(
@@ -282,14 +314,74 @@ def position_exponent(pos: Position,
     return g
 
 
+def _exponent_bound(pos: Position, a: np.ndarray, va: np.ndarray,
+                    g: GeodesicExponent) -> tuple[float, float]:
+    """Upper bounds on the endpoint and codiagonality residuals of the
+    exponent g that :func:`position_exponent` builds from ``pos`` and the
+    witness bases a of p^q' and va of p'^q, as the exact report would
+    measure them, from thin gemm-only Frobenius norms (README.md, "The
+    exponent certificate", derives them).
+
+    Bp and Bq are the bases of p and q; X11, Y11 the principal vectors of
+    the meet planes, and X, Y, U and theta the generic planes, with X
+    rotated to X cos theta + U sin theta. The measured ingredients are the
+    orthonormality residuals eps_p, eps_q, eps_v and eps_11 of Bp, Bq, V
+    and X11, beta = ||V* X11||_F, off_p = ||(1 - Bp Bp*) a||_F,
+    sigma = ||Bp* [U, va]||_F, off_q = ||(1 - Bq Bq*) va||_F and
+    delta = ||[X11 - Y11, X cos theta + U sin theta - Y]||_F, each raised by
+    the rounding allowance tau = 4 g(n) (rank + m),
+    g = :func:`numkit.complex_dot_error`. With eta = max(eps_11, eps_v) + beta
+    and nu = sqrt(1 + eta), [X11, X] = Bp L and [Y11, Y] = Bq R leave
+    their ranges by at most xi = eps_p nu sqrt((1 + eps_p) / (1 - eps_p)) + tau
+    and psi = eps_q (nu + delta) sqrt((1 + eps_q) / (1 - eps_q)) + tau.
+    With omega = max |w|,
+
+        endpoint <= sqrt((1 + eps_p) / (1 - eta)) (off_q + delta + psi
+                    + 2 nu (beta + eps_v) + (1 + 2 nu^2 eps_v) (off_p + xi)) + tau
+        codiagonality <= 4 omega nu max(sqrt(1 + eps_p) sigma, off_p + xi) + tau.
+
+    Both are inf when eps_p, eps_q or eta reaches 1/2, and when a plane
+    absorbed by the classification misses by more than ENDPOINT_ATOL
+    (``pos.miss``): the endpoint then misses by about as much, and only
+    the exact report can say by how much."""
+    if pos.miss > ENDPOINT_ATOL:
+        return math.inf, math.inf
+    bp, bq, x11 = pos.p.basis, pos.q.basis, pos.x11
+    w, v = g.spectrum
+    tau = 4.0 * numkit.complex_dot_error(bp.shape[0]) * (bp.shape[1] + v.shape[1])
+    on_p = adjoint(bp) @ np.hstack([a, pos.u, va])
+    k = a.shape[1]
+    rotated = pos.x * np.cos(pos.angles) + pos.u * np.sin(pos.angles)
+    eps_p, eps_q, eps_v, eps_11, beta, off_p, sigma, off_q, delta = (e + tau for e in (
+        pos.p.basis_residual, pos.q.basis_residual, g._v_residual,
+        numkit.orthonormality_residual(x11, math.inf), frobenius(adjoint(v) @ x11),
+        frobenius(a - bp @ on_p[:, :k]), frobenius(on_p[:, k:]),
+        frobenius(va - bq @ (adjoint(bq) @ va)),
+        math.hypot(frobenius(x11 - pos.y11), frobenius(rotated - pos.y))))
+    eta = max(eps_11, eps_v) + beta
+    if not all(e < 0.5 for e in (eps_p, eps_q, eta)):
+        return math.inf, math.inf
+    nu = math.sqrt(1.0 + eta)
+    xi = eps_p * nu * math.sqrt((1.0 + eps_p) / (1.0 - eps_p)) + tau
+    psi = eps_q * (nu + delta) * math.sqrt((1.0 + eps_q) / (1.0 - eps_q)) + tau
+    endpoint = math.sqrt((1.0 + eps_p) / (1.0 - eta)) * (
+        off_q + delta + psi + 2.0 * nu * (beta + eps_v)
+        + (1.0 + 2.0 * nu * nu * eps_v) * (off_p + xi)) + tau
+    omega = float(np.abs(w).max(initial=0.0))
+    codiag = 4.0 * omega * nu * max(math.sqrt(1.0 + eps_p) * sigma, off_p + xi) + tau
+    return endpoint, codiag
+
+
 def geodesic_point(g: GeodesicExponent, t: float) -> Projection:
     """The projection e^{tz} p e^{-tz}, validated.
 
     Its range is e^{tz} range(p), so it is built from the orthonormal basis
     ``g.apply(t, g.p.basis)``, with no n x n unitary, and validated through
     that basis's orthonormality residual, with no eigendecomposition of its
-    own.
+    own. A t that is not finite raises ValueError.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     return projlat._from_orthonormal(g.apply(t, g.p.basis), g.p.tol)
 
 
@@ -402,5 +494,8 @@ def curve_length(points, rho: float | None | list | tuple = None,
 
 
 def verify_geodesic(g: GeodesicExponent) -> GeodesicResiduals:
-    """The exponent's residual report, computed on the first call."""
+    """The exponent's residual report, computed on the first call. For an
+    exponent built from a position (:func:`minimal_exponent`,
+    :func:`position_exponent`) the endpoint and codiagonality are certified
+    upper bounds, measured only where a bound exceeds ENDPOINT_ATOL."""
     return g.residuals

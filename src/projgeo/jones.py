@@ -30,7 +30,6 @@ from .projlat import Projection
 
 IDX_ATOL = 1e-9  # tolerance of the index-distance identities
 AXIOM_SAMPLES, AXIOM_SEED = 4, 7  # test matrices drawn by expectation_axioms
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 _log = logging.getLogger("projgeo")
 
@@ -281,14 +280,6 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
                    operator_norm, big.tol.atol_structure)
 
 
-def _complex_dot_error(k: int) -> float:
-    """Relative error bound sqrt(2) gamma_{k+2} of a complex dot product of
-    k nonzero terms, gamma_j = j u / (1 - j u) (Higham 2002, sections 3.1
-    and 3.6); zero terms add nothing, so k counts the structural nonzeros."""
-    j = (k + 2) * _UNIT_ROUNDOFF
-    return math.sqrt(2.0) * j / (1.0 - j)
-
-
 def _bimodule_bound(basis: np.ndarray, members: np.ndarray, gram: np.ndarray,
                     closure: float, xs: np.ndarray) -> float:
     """An upper bound of max ||E(a x b) - a E(x) b|| over the samples x and
@@ -301,7 +292,7 @@ def _bimodule_bound(basis: np.ndarray, members: np.ndarray, gram: np.ndarray,
     residual ||(1 - E) m_k*||_F, phi the largest ||B* m_k*||_1 and kappa
     the product residual ``closure`` (README.md derives it). The rounding
     of the measurement adds (1 + eps) mu^2 X (4 g(nu) + 2 beta (g(N_col)
-    + g(N_row))), g = :func:`_complex_dot_error`, with nu the most nonzeros
+    + g(N_row))), g = :func:`numkit.complex_dot_error`, with nu the most nonzeros
     in a row or column of a member, N_col and N_row the most in a column
     and in a row of B, and beta = sqrt(||B||_1 ||B||_inf) >= || |B| ||."""
     r = basis.shape[1]
@@ -319,9 +310,9 @@ def _bimodule_bound(basis: np.ndarray, members: np.ndarray, gram: np.ndarray,
     n_row = np.count_nonzero(basis, axis=1).max(initial=0)
     mags = np.abs(basis)
     beta = math.sqrt(mags.sum(axis=0).max(initial=0.0) * mags.sum(axis=1).max(initial=0.0))
+    g = numkit.complex_dot_error
     rounding = (1.0 + eps) * mu * mu * x_norm * (
-        4.0 * _complex_dot_error(nu)
-        + 2.0 * beta * (_complex_dot_error(n_col) + _complex_dot_error(n_row)))
+        4.0 * g(nu) + 2.0 * beta * (g(n_col) + g(n_row)))
     return float(exact + rounding)
 
 
@@ -635,9 +626,10 @@ def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
     subalgebra (its basis together with the projections of ``xs``).
     Gamma_t is applied as :func:`_gamma` and E_t as B_t B_t* with
     B_t = Gamma_t B_0, so no n^2 x n^2 matrix is formed. The codiagonal
-    residual ||Z P_0 + P_0 Z - Z|| is the exponent's measured
+    residual ||Z P_0 + P_0 Z - Z|| is the exponent's reported
     codiagonality ||Z S + S Z|| halved, since Z S + S Z = 2 (Z P_0 + P_0 Z - Z)
-    for S = 2 P_0 - 1.
+    for S = 2 P_0 - 1: a certified upper bound, as Z is built from a
+    position (``geo.verify_geodesic``).
     """
     n, z, b0 = path.n, path.z, path.end0.basis
     xs = np.array([numkit.as_complex(x) for x in xs]).reshape(-1, n, n)

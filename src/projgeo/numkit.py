@@ -24,6 +24,11 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(np.float64).eps)
+_UNIT_ROUNDOFF = _EPS / 2
+
+# the classification width at which a plane at pi/4 joins both a meet and
+# a wedge window (cos = sin = 1/sqrt(2))
+MAX_ATOL_SPECTRAL = 1.0 - 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,11 @@ class ToleranceProfile:
     cos(theta) ~ 1 - theta^2 / 2, the width in angle space is about
     sqrt(2 atol_spectral): 1.41e-3 at the default 1e-6, from 0 and from
     pi/2 alike.
+
+    atol_spectral must stay below 1 - 1/sqrt(2) (about 0.293): at that
+    width a plane at pi/4 has both its cosine and its sine within
+    atol_spectral of 1, so the meet and wedge windows overlap and its
+    classification is undefined.
     """
 
     atol_structure: float = 1e-8
@@ -52,6 +62,10 @@ class ToleranceProfile:
                 raise ValueError(f"{name} must be positive and finite")
         if self.atol_rank < _EPS:
             raise ValueError("atol_rank must be at least machine epsilon")
+        if self.atol_spectral >= MAX_ATOL_SPECTRAL:
+            raise ValueError(f"atol_spectral must be below 1 - 1/sqrt(2) = "
+                             f"{MAX_ATOL_SPECTRAL:.6f}, where the meet and wedge "
+                             "windows overlap")
 
     def rank_cutoff(self, n: int, smax: float) -> float:
         """Singular values at or below this count as zero."""
@@ -124,6 +138,14 @@ def orthonormality_residual(b: np.ndarray, bound: float) -> float:
     gram_err = adjoint(b) @ b - np.eye(b.shape[1])
     frob = frobenius(gram_err)
     return frob if frob <= bound else operator_norm(gram_err)
+
+
+def complex_dot_error(k: int) -> float:
+    """Relative error bound sqrt(2) gamma_{k+2} of a complex dot product of
+    k nonzero terms, gamma_j = j u / (1 - j u) (Higham 2002, sections 3.1
+    and 3.6); zero terms add nothing, so k counts the structural nonzeros."""
+    j = (k + 2) * _UNIT_ROUNDOFF
+    return math.sqrt(2.0) * j / (1.0 - j)
 
 
 def fix_phases(u: np.ndarray) -> np.ndarray:

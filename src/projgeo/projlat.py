@@ -39,7 +39,9 @@ class Projection:
     fallback decided), or the orthonormal columns the projection was built
     from; ``n`` and ``rank`` are its shape. The read-only matrix ``m`` is
     the sym that make_projection validated, or else the symmetrized
-    basis basis*, formed when first read.
+    basis basis*, formed when first read. ``basis_residual`` bounds
+    ||basis* basis - 1|| from above: the residual measured when the basis
+    was certified or validated, or else measured when first read.
     """
 
     basis: np.ndarray
@@ -57,6 +59,10 @@ class Projection:
     def m(self) -> np.ndarray:
         m = self.basis @ adjoint(self.basis)
         return _frozen((m + adjoint(m)) / 2)
+
+    @cached_property
+    def basis_residual(self) -> float:
+        return numkit.orthonormality_residual(self.basis, np.inf)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -88,7 +94,7 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
         if herm > tol.atol_structure:
             raise NotProjection(f"Hermiticity residual {herm:.3e} > atol_structure")
     sym = (m + adjoint(m)) / 2
-    basis = _certified_basis(sym, tol)
+    basis, eps = _certified_basis(sym, tol)
     if basis is None:
         _log.debug("no certified range basis for an n = %d projection; taking "
                    "its eigh", sym.shape[0])
@@ -104,12 +110,15 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
         basis = vecs[:, sym.shape[0] - rank:].copy()
     p = Projection(basis=_frozen(basis), tol=tol)
     vars(p)["m"] = _frozen(sym)
+    if eps is not None:
+        vars(p)["basis_residual"] = eps
     return p
 
 
-def _certified_basis(sym: np.ndarray, tol: ToleranceProfile) -> np.ndarray | None:
-    """An n x k orthonormal basis B that proves the Hermitian sym a
-    projection of rank k, or None when this cannot be shown cheaply.
+def _certified_basis(sym: np.ndarray, tol: ToleranceProfile):
+    """(B, ||B* B - 1||_F) for an n x k orthonormal basis B that proves the
+    Hermitian sym a projection of rank k, or (None, None) when this cannot
+    be shown cheaply.
 
     k is the trace of sym rounded. A pivoted Cholesky (LAPACK ?pstrf)
     truncated at k gives sym ~ L L*; for a projection L = B M with M
@@ -131,27 +140,28 @@ def _certified_basis(sym: np.ndarray, tol: ToleranceProfile) -> np.ndarray | Non
     n = sym.shape[0]
     trace = sym.trace().real
     if not -0.5 < trace < n + 0.5:
-        return None
+        return None, None
     k = round(trace)
     b = np.zeros((n, 0), dtype=np.complex128)
     if k:
         low = _pivoted_cholesky(sym, k)
         if low is None:
-            return None
+            return None, None
         y = sym @ low
         r, info = scipy.linalg.lapack.zpotrf(adjoint(y) @ y)
         if info:
-            return None
+            return None, None
         # B^T = R^-T Y^T, with Y^T in Fortran order, is B = Y R^-1
         b = scipy.linalg.blas.ztrsm(1.0, r, y.T, trans_a=1, overwrite_b=1).T
     gram_err = adjoint(b) @ b
     gram_err.flat[::k + 1] -= 1.0
     resid = b @ adjoint(b)
     resid -= sym
-    d = frobenius(gram_err) + frobenius(resid)
+    eps = frobenius(gram_err)
+    d = eps + frobenius(resid)
     if d <= tol.atol_spectral and d * (1.0 + d) <= tol.atol_structure and d < 0.5:
-        return b
-    return None
+        return b, eps
+    return None, None
 
 
 def _pivoted_cholesky(sym: np.ndarray, k: int) -> np.ndarray | None:
@@ -189,7 +199,9 @@ def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile) -> Projection:
     if eps > bound:
         raise NotProjection(
             f"orthonormality residual {eps:.3e} of the range basis > {bound:.3e}")
-    return Projection(basis=_frozen(b), tol=tol)
+    p = Projection(basis=_frozen(b), tol=tol)
+    vars(p)["basis_residual"] = eps
+    return p
 
 
 def from_span(columns, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
@@ -227,9 +239,14 @@ class Position:
     atol_spectral, the symmetric orthonormalization of (x_j, y_j) lies in
     e10 = p ^ q' and e01 = p' ^ q, as do unpaired principal vectors. In
     angle space either width is about sqrt(2 atol_spectral), 1.41e-3 by
-    default. The other planes form the generic part e0: ``x``, ``u`` =
-    (y_j - cos theta_j x_j)/sin theta_j and ascending ``angles``. The five
-    orthogonal parts sum to 1 and are validated when first read.
+    default; ``x11`` and ``y11`` keep the principal vectors of the planes
+    absorbed into the meet. The other planes form the generic part e0:
+    ``x``, ``y``, ``u`` = (y_j - cos theta_j x_j)/sin theta_j and ascending
+    ``angles``. Every x is a column of Bp L and every y one of Bq R, for
+    the SVD L C R* of Bp* Bq. The five orthogonal parts sum to 1 and are
+    validated when first read. ``miss`` is the largest miss of an absorbed
+    plane: sin theta_j over the planes absorbed into a meet, cos theta_j
+    over those absorbed into a wedge, and 0 when no plane is absorbed.
     """
 
     p: Projection
@@ -237,9 +254,13 @@ class Position:
     b11: np.ndarray  # orthonormal bases of e11,
     b10: np.ndarray  # e10
     b01: np.ndarray  # and e01
+    x11: np.ndarray
+    y11: np.ndarray
     x: np.ndarray
+    y: np.ndarray
     u: np.ndarray
     angles: np.ndarray
+    miss: float
 
     def ranks(self) -> tuple[int, int, int, int, int]:
         """Ranks of (e11, e00, e10, e01, e0)."""
@@ -301,22 +322,28 @@ def position(p: Projection, q: Projection) -> Position:
     meets = cos >= 1.0 - atol
     wedges = ~meets & (np.sqrt(1.0 - cos * cos) >= 1.0 - atol)
     gen = ~(meets | wedges)
-    both = x[:, meets] + y[:, meets]
+    x11, y11 = x[:, meets], y[:, meets]
+    both = x11 + y11
     # symmetric (Lowdin) orthonormalization of (x, y): the Gram matrix
     # [[1, c], [c, 1]] has inverse square root [[a+b, a-b], [a-b, a+b]]/2
     c, xw, yw = cos[wedges], x[:, wedges], y[:, wedges]
     a, b = 1.0 / np.sqrt(1.0 + c), 1.0 / np.sqrt(1.0 - c)
-    d = y[:, gen] - cos[gen] * x[:, gen]
+    yg = y[:, gen]
+    d = yg - cos[gen] * x[:, gen]
     s = np.linalg.norm(d, axis=0)
+    # the sine of a meet plane from its vectors, like s: read off a cosine
+    # near 1 it would be accurate only to about sqrt(eps) = 1.5e-8
+    sines = np.linalg.norm(y11 - cos[meets] * x11, axis=0)
+    miss = max(sines.max(initial=0.0), c.max(initial=0.0))
     angles = np.arctan2(s, cos[gen])
     order = np.argsort(angles)
     arrays = (both / np.linalg.norm(both, axis=0),
               np.hstack([((a + b) * xw + (a - b) * yw) / 2, xs[:, k:]]),
               np.hstack([((a - b) * xw + (a + b) * yw) / 2, ys[:, k:]]),
-              x[:, gen][:, order], (d / s)[:, order], angles[order])
+              x11, y11, x[:, gen][:, order], yg[:, order], (d / s)[:, order], angles[order])
     for arr in arrays:
         arr.flags.writeable = False
-    _last = Position(p, q, *arrays)
+    _last = Position(p, q, *arrays, float(miss))
     return _last
 
 

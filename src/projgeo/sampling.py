@@ -119,7 +119,9 @@ def pair_diagnostics(p: Projection, q: Projection) -> dict:
 
     Covers the decomposition residuals, existence/uniqueness verdicts,
     the exponent contract, the wedge intertwining, spectral symmetry,
-    and (for non-unique pairs) distinctness of seeded exponents.
+    and (for non-unique pairs) distinctness of seeded exponents. The
+    exponent's ``exponent_endpoint`` and ``exponent_codiagonality`` are
+    certified upper bounds (see ``geo.verify_geodesic``).
     """
     pos = projlat.position(p, q)
     mats = np.stack([pos.e11.m, pos.e00.m, pos.e10.m, pos.e01.m, pos.e0.m])

@@ -6,11 +6,13 @@ matrix exponentials instead of eigendecompositions) so agreement is
 evidence, not tautology.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
 import projgeo as pg
-from projgeo import sampling
+from projgeo import geo, sampling
 
 KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
            (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
@@ -106,3 +108,9 @@ def record_kernels(monkeypatch, kernels=KERNELS):
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def force_exact(monkeypatch):
+    """Patch the exponent certificate to nan, so that every exponent built
+    from a position gets the exact report."""
+    monkeypatch.setattr(geo, "_exponent_bound", lambda *args: (math.nan, math.nan))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,31 @@ class TestGeodesic:
         z = cli.read_matrix(out / "exponent.json")
         expected = (np.pi / 3) * np.array([[0.0, -1.0], [1.0, 0.0]])
         assert np.linalg.norm(z - expected, 2) < 1e-12
+
+    def test_non_finite_time_exits_2_naming_t(self, tmp_path, capsys):
+        p, q = rotation_pair(np.pi / 3)
+        pf, qf = write_pair(tmp_path, p, q)
+        for t in ("inf", "nan", "0.5,-inf"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(["geodesic", pf, qf, "--t", t])
+            err = capsys.readouterr().err
+            assert code == 2 and "t must be finite" in err, (t, err)
+            assert caught == [], [str(w.message) for w in caught]
+        with pytest.raises(ValueError, match="t must be finite"):
+            pg.geodesic_point(pg.minimal_exponent(p, q), float("nan"))
+
+    def test_human_report_labels_the_certified_fields(self, tmp_path, capsys):
+        p, q = rotation_pair(np.pi / 3)
+        pf, qf = write_pair(tmp_path, p, q)
+        assert cli.main(["geodesic", pf, qf]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for key in ("endpoint", "codiagonality"):
+            line = next(line for line in lines if line.strip().startswith(key + ":"))
+            assert "certified upper bound" in line and "1e-08" in line
+        for key in ("skewness", "norm_bound"):
+            line = next(line for line in lines if line.strip().startswith(key + ":"))
+            assert "bound;" not in line
 
     def test_rank_mismatch_exits_3(self, tmp_path, capsys):
         p = pg.make_projection(np.diag([1.0, 0.0, 0.0]))
@@ -274,7 +300,9 @@ COUNT_PAST = ("0", "-1", HUGE, "nan", "1e3")
 RHO = ("", "1", "2,4", "1e308"), ("0", "-1", "0.5", "nan", "inf")
 COMMON = [
     ("--tol-structure", ("1e-8", "1e300"), ("0", "-1", "nan", "inf", "-inf"), False),
-    ("--tol-spectral", ("1e-6", "0.1"), ("0", "-1", "nan", "inf"), False),
+    # 0.3 and up lie past the cap 1 - 1/sqrt(2), where the windows overlap
+    ("--tol-spectral", ("1e-6", "0.1"), ("0", "-1", "nan", "inf", "0.3", "0.5", "1e300"),
+     False),
     ("--tol-rank", ("1e-10", "1e300"), ("0", "-1", "nan", "inf", "1e-20"), False),
     ("--seed", ("0", "7", str(10 ** 30)), ("-1", "nan"), False),
     ("--json", (), (), False),
@@ -293,7 +321,7 @@ def command_grammar(docs):
     commands = {
         "decompose": pair,
         "geodesic": pair + [
-            ("--t", ("0,0.5,1", "0.25", "-1", "1e308", "nan", "inf"), ("x",), False),
+            ("--t", ("0,0.5,1", "0.25", "-1", "1e308"), ("x", "nan", "inf", "0,-inf"), False),
             ("--rho", *RHO, False),
             ("--out", (pf + ".out",), (junk + "/sub",), False)],
         "jones": [("--m", ("2", "3", "4"), ("1",) + COUNT_PAST, True),
@@ -350,6 +378,9 @@ def docs(tmp_path_factory):
 def test_every_invocation_ends_in_a_documented_exit(docs):
     @settings(max_examples=250, deadline=None, database=None)
     @example((["--tol-structure", "inf", "jones", "--m", "2"], True))
+    @example((["--tol-spectral", "1e300", "jones", "--m", "3"], True))
+    @example((["--tol-spectral", "0.5", "decompose", docs[0], docs[1]], True))
+    @example((["geodesic", docs[0], docs[1], "--t", "inf"], True))
     @example((["random", "--n", "2", "--trials", str(cli.MAX_RANDOM_TRIALS + 1)], True))
     @given(command_grammar(docs))
     def run(drawn):

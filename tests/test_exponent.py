@@ -157,11 +157,16 @@ def test_spectrum_endpoint_equals_the_general_exponential():
     for n in (3, 6, 9):
         p, q, _ = sampling.random_pair(n, rng, force_wedge=True)
         g = pg.minimal_exponent(p, q)
+        # the constructed exponent's endpoint is a certified bound; the same
+        # spectrum passed to from_spectrum gets the exact report
+        assert expm_endpoint(g) <= g.residuals.endpoint <= geo.ENDPOINT_ATOL
+        exact = geo.GeodesicExponent.from_spectrum(*g.spectrum, p, q)
         # an arbitrary skew z, so that the endpoint residual is far from 0
         h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         other = geo.GeodesicExponent(z=(h - adj(h)) / 4, p=p, q=q)
-        for e in (g, other):
-            assert e.residuals.endpoint == pytest.approx(expm_endpoint(e), abs=1e-12)
+        for e in (g, exact, other):
+            if e is not g:
+                assert e.residuals.endpoint == pytest.approx(expm_endpoint(e), abs=1e-12)
             assert e.residuals.norm_bound == pytest.approx(
                 max(0.0, pg.operator_norm(e.z) - np.pi / 2), abs=1e-12)
         assert other.residuals.endpoint > 0.1

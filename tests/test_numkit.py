@@ -295,3 +295,13 @@ def test_haar_unitary_is_unitary_and_seeded():
 def test_tolerances_must_be_positive_and_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         numkit.ToleranceProfile(**{name: value})
+
+
+@pytest.mark.parametrize("value", [numkit.MAX_ATOL_SPECTRAL, 0.3, 0.5, 1.0, 10.0, 1e300])
+def test_classification_widths_where_the_windows_overlap_are_rejected(value):
+    # at atol_spectral >= 1 - 1/sqrt(2) a plane at pi/4 is within the width
+    # of both 0 and pi/2
+    assert np.cos(np.pi / 4) >= 1.0 - numkit.MAX_ATOL_SPECTRAL - 1e-15
+    with pytest.raises(ValueError, match="atol_spectral must be below"):
+        numkit.ToleranceProfile(atol_spectral=value)
+    numkit.ToleranceProfile(atol_spectral=np.nextafter(numkit.MAX_ATOL_SPECTRAL, 0.0))

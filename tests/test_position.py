@@ -138,8 +138,8 @@ def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
     # the same n = 32 wedge pair, from its matrices: the one validating
     # pivoted Cholesky per input projection is the only factorization of
     # an n x n matrix, and no eigh runs at all; the exponent's spectrum is
-    # read off the position (no eigh of z), its residuals off thin
-    # factors, and no expm runs
+    # read off the position (no eigh of z), its residuals are settled by
+    # the certificate's gemms (no QR of the thin report), and no expm runs
     rng = np.random.default_rng(5)
     p, q, _ = sampling.structured_pair(3, 3, 4, 4, np.linspace(0.2, 1.3, 9), rng)
     calls = record_kernels(monkeypatch)
@@ -152,7 +152,7 @@ def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
     assert square == [("zpstrf", (32, 32))] * 2
     assert "eigh" not in [name for name, _ in calls]
     assert "expm" not in [name for name, _ in calls]
-    assert [shape for name, shape in calls if name == "qr"] == [(4, 32), (4, 32), (32, 26)]
+    assert [shape for name, shape in calls if name == "qr"] == [(4, 32), (4, 32)]
 
 
 def test_make_projection_decides_on_operator_norms():
@@ -190,3 +190,16 @@ def test_make_projection_rejection_threshold():
         pg.make_projection(base + 2 * atol * bump)
     assert pg.make_projection(base + 0.25 * atol * skew).rank == 2
     assert pg.make_projection(base + 0.5 * atol * bump).rank == 2
+
+
+@pytest.mark.parametrize("theta", [1e-5, 1e-3, np.pi / 2 - 1e-5, np.pi / 2 - 1e-3])
+def test_miss_is_the_absorbed_planes_sine_or_cosine(theta):
+    # a plane absorbed into the meet misses by sin(theta), one absorbed into
+    # a wedge by cos(theta); the sine is read off the vectors, so it stays
+    # accurate far below sqrt(eps)
+    p, q, _ = sampling.structured_pair(1, 1, 0, 0, [theta, 0.7], np.random.default_rng(4))
+    pos = projlat.position(p, q)
+    assert pos.ranks()[4] == 2
+    assert pos.miss == pytest.approx(min(np.sin(theta), np.cos(theta)), rel=1e-6)
+    p, q, _ = sampling.structured_pair(2, 1, 1, 1, [0.7], np.random.default_rng(4))
+    assert projlat.position(p, q).miss <= 1e-14

@@ -2,23 +2,29 @@
 field is an operator norm, checked here against the dense formulas
 ||z S + S z|| and ||e^z p e^-z - q||, on constructed and arbitrary
 exponents and at the near-threshold angles where the endpoint misses by
-about the angle. A thin-born exponent forms z only when z is read, a
+about the angle. A constructed exponent's endpoint and codiagonality are
+certified upper bounds, which lie between the dense values and
+ENDPOINT_ATOL; with the certificate forced to nan the exact report
+measures them. A thin-born exponent forms z only when z is read, a
 geodesic point needs no n x n unitary, rho-lengths under a trace need no
 n x n product, and a pair's position is built once and retained at most
 once."""
 
 import gc
+import logging
 import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projgeo as pg
 from projgeo import factor, geo, projlat, sampling
 from projgeo.errors import InternalConsistencyError, NotMember
 
-from _helpers import adj, record_kernels
+from _helpers import adj, force_exact, record_kernels
 
 
 def dense_codiagonality(g):
@@ -40,6 +46,17 @@ def assert_matches_dense(g, atol=1e-12):
         max(0.0, pg.operator_norm(g.z) - np.pi / 2), abs=atol)
 
 
+def assert_bounds_dense(g):
+    """A certified report: each bound lies between its dense value and
+    ENDPOINT_ATOL, and the skewness and norm excess are exact."""
+    res = g.residuals
+    assert dense_endpoint(g) <= res.endpoint <= geo.ENDPOINT_ATOL
+    assert dense_codiagonality(g) <= res.codiagonality <= geo.ENDPOINT_ATOL
+    assert res.skewness == 0.0
+    assert res.norm_bound == pytest.approx(
+        max(0.0, pg.operator_norm(g.z) - np.pi / 2), abs=1e-12)
+
+
 def random_skew_exponent(p, q, m, rng):
     """An arbitrary thin-born exponent: m random orthonormal vectors with
     eigenvalues in (-2, 2), so that every residual is far from 0."""
@@ -49,15 +66,61 @@ def random_skew_exponent(p, q, m, rng):
 
 
 @pytest.mark.parametrize("n", [3, 5, 8, 13, 21, 40])
-def test_constructed_residuals_match_the_dense_formulas(n):
+def test_constructed_residuals_match_the_dense_formulas(n, monkeypatch):
     rng = np.random.default_rng(80 + n)
-    for i in range(4):
-        p, q, _ = sampling.random_pair(n, rng, force_wedge=(i % 2 == 0))
-        if not projlat.position(p, q).exists():
-            continue
+    pairs = [sampling.random_pair(n, rng, force_wedge=(i % 2 == 0))[:2] for i in range(4)]
+    pairs = [(p, q) for p, q in pairs if projlat.position(p, q).exists()]
+    for p, q in pairs:
+        assert_bounds_dense(pg.minimal_exponent(p, q))
+    force_exact(monkeypatch)
+    for p, q in pairs:
         g = pg.minimal_exponent(p, q)
         assert_matches_dense(g)
         assert g.residuals.max() < geo.ENDPOINT_ATOL
+
+
+@st.composite
+def structured_exponents(draw):
+    """A constructed exponent of a structured pair: mixed part ranks,
+    wedges, angles in [0.05, pi/2 - 0.05] or clustered within 1e-6 of one
+    another, and the default or a seeded witness."""
+    n11, n00, wedge = (draw(st.integers(0, 3)) for _ in range(3))
+    angle = st.floats(0.05, np.pi / 2 - 0.05)
+    if draw(st.booleans()):
+        angles = draw(st.lists(angle, max_size=5))
+    else:
+        base, count = draw(angle), draw(st.integers(2, 4))
+        angles = [base + 1e-6 * i / count for i in range(count)]
+    if n11 + n00 + 2 * wedge + len(angles) == 0:
+        n11 = 1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p, q, _ = sampling.structured_pair(n11, n00, wedge, wedge, angles, rng)
+    pos = projlat.position(p, q)
+    seed = draw(st.none() | st.integers(1, 1000)) if wedge else None
+    w = None if seed is None else geo.partial_isometry(pos.e10, pos.e01, seed=seed)
+    return geo.position_exponent(pos, w)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(structured_exponents())
+def test_certified_report_lies_between_the_dense_values_and_the_contract(g):
+    assert_bounds_dense(g)
+
+
+def test_a_settled_pair_logs_nothing(caplog):
+    p, q, _ = sampling.structured_pair(2, 1, 1, 1, [0.4, 1.1], np.random.default_rng(3))
+    with caplog.at_level(logging.DEBUG, logger="projgeo"):
+        pg.minimal_exponent(p, q)
+    assert caplog.records == []
+
+
+def test_a_near_threshold_pair_logs_its_fallback_before_it_raises(caplog):
+    p, q, _ = sampling.structured_pair(1, 1, 0, 0, [1e-5, 0.7], np.random.default_rng(3))
+    with caplog.at_level(logging.DEBUG, logger="projgeo"):
+        with pytest.raises(InternalConsistencyError):
+            pg.minimal_exponent(p, q)
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "exponent certificate" in caplog.text
 
 
 @pytest.mark.parametrize("n", [3, 6, 11, 24, 40])
@@ -86,6 +149,7 @@ def test_near_threshold_endpoint_matches_the_dense_formula(theta, monkeypatch):
     with pytest.raises(InternalConsistencyError):
         pg.minimal_exponent(p, q)
     monkeypatch.setattr(geo, "ENDPOINT_ATOL", np.inf)
+    force_exact(monkeypatch)
     g = pg.minimal_exponent(p, q)
     if theta < np.pi / 4:
         # a plane absorbed into the meet misses by exactly sin(theta)
@@ -95,15 +159,37 @@ def test_near_threshold_endpoint_matches_the_dense_formula(theta, monkeypatch):
     assert_matches_dense(g, atol=1e-14)
 
 
+@pytest.mark.parametrize("theta", [1e-11, 3e-9, np.pi / 2 - 3e-9])
+def test_a_plane_absorbed_within_the_contract_is_certified_above_its_miss(theta):
+    # the endpoint misses by about sin(theta) or cos(theta), below
+    # ENDPOINT_ATOL; the certificate settles the report, and its bound
+    # carries the miss
+    p, q, _ = sampling.structured_pair(1, 1, 0, 0, [theta, 0.7], np.random.default_rng(3))
+    g = pg.minimal_exponent(p, q)
+    assert_bounds_dense(g)
+    assert g.residuals.endpoint >= min(np.sin(theta), np.cos(theta))
+
+
 def test_thin_residuals_factor_no_square_matrix(monkeypatch):
     rng = np.random.default_rng(95)
     p, q, _ = sampling.structured_pair(2, 3, 2, 2, [0.3, 0.8, 1.2], rng)
-    w, v = pg.minimal_exponent(p, q).spectrum
+    pos = projlat.position(p, q)
+    # a settled report: the certificate takes gemms only, and the default
+    # witness's pivoted QRs (scipy's, not recorded) are the only factorizations
+    calls = record_kernels(monkeypatch, [(np.linalg, name) for name in (
+        "eigh", "eigvalsh", "svd", "qr")] + [(scipy.linalg, "expm")])
+    settled = geo.position_exponent(pos)
+    assert calls == []
+    assert settled.residuals.max() < geo.ENDPOINT_ATOL
+    assert "z" not in vars(settled)
+    # the exact report of the same spectrum, which a caller's from_spectrum gets
+    w, v = settled.spectrum
     g = geo.GeodesicExponent.from_spectrum(w, v, p, q)
     calls = record_kernels(monkeypatch)
     res = g.residuals
     assert res.max() < geo.ENDPOINT_ATOL
     names = [name for name, _ in calls]
+    assert "eigvalsh" in names and "qr" in names
     assert "svd" not in names and "eigh" not in names and "expm" not in names
     assert all(min(shape) < p.n for _, shape in calls), calls
     assert "z" not in vars(g)  # the report did not form the dense z

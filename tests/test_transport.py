@@ -5,7 +5,7 @@ import scipy.linalg
 import projgeo as pg
 from projgeo import cli, geo, jones
 
-from _helpers import adj, record_kernels
+from _helpers import adj, force_exact, record_kernels
 
 
 def eighth_turn_path():
@@ -239,7 +239,7 @@ class TestPropagatorChecks:
             assert np.allclose(np.linalg.eigvalsh(y), np.linalg.eigvalsh(x),
                                atol=1e-8)
 
-    def test_batched_residuals_equal_the_per_matrix_loop(self):
+    def test_batched_residuals_equal_the_per_matrix_loop(self, monkeypatch):
         n = 3
         path = jones.expectation_path(
             jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4), n)
@@ -263,4 +263,11 @@ class TestPropagatorChecks:
         assert abs(rep.star - star) <= 1e-14 * max(1.0, star)
         z, p0 = path.z.z, path.end0.big.m
         codiag = pg.operator_norm(z @ p0 + p0 @ z - z)
+        # the exponent's codiagonality is a certified bound; forced to the
+        # exact report, it is the dense value
+        assert codiag <= rep.codiagonal <= geo.ENDPOINT_ATOL / 2
+        force_exact(monkeypatch)
+        exact = jones.expectation_path(
+            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4), n)
+        rep = jones.propagator_checks(exact, ts, xs)
         assert abs(rep.codiagonal - codiag) <= 1e-14 * max(1.0, codiag)
