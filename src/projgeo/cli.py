@@ -143,7 +143,7 @@ def cmd_decompose(args) -> dict:
     tol = _tolerance(args)
     p = _load_projection(args.p_file, tol)
     q = _load_projection(args.q_file, tol)
-    diag = sampling.pair_diagnostics(p, q)
+    diag = sampling.position_report(projlat.position(p, q))
     results = {
         "ranks": dict(zip(("e11", "e00", "e10", "e01", "e0"), diag["ranks"])),
         "angles": diag["angles"],

@@ -401,18 +401,16 @@ def rho_length(g: GeodesicExponent, rho: float, trace=None) -> float:
     is read from :attr:`GeodesicExponent.spectrum` (i z = V diag(w) V*).
     Its normalized trace is sum |w|^rho / n when ``trace`` is None, and
     ``trace.of_factored(V, |w|^rho)`` under a ``factor.NormalizedTrace``,
-    with no n x n product; any other z goes through :func:`numkit.rho_norm`.
+    with no n x n product, and :func:`numkit.rho_mean` takes the root; any
+    other z goes through :func:`numkit.rho_norm`.
     """
     numkit.check_rho(rho)
     if g.skewness > g.p.tol.atol_structure:
         return numkit.rho_norm(g.z, rho, trace)
     w, v = g.spectrum
-    powered = np.abs(w) ** rho
     if trace is None:
-        val = float(powered.sum()) / g.p.n
-    else:
-        val = trace.of_factored(v, powered)
-    return max(val, 0.0) ** (1.0 / rho)
+        return numkit.rho_mean(np.abs(w), rho, lambda d: float(d.sum()) / g.p.n)
+    return numkit.rho_mean(np.abs(w), rho, lambda d: trace.of_factored(v, d))
 
 
 def _stack_points(points) -> np.ndarray:
@@ -457,12 +455,16 @@ def curve_length(points, rho: float | None | list | tuple = None,
     An even order rho = 2m takes each step's tau(|D|^rho) from the squares
     of the entries of a matrix power (see :func:`_even_power_traces`), with
     no eigensolver, under the default trace tr/n and under a ``trace``
-    (a ``factor.NormalizedTrace``) alike. The operator norm and any other
-    order read the steps' singular values, |eigenvalues| of the Hermitian
-    differences, from one batched eigvalsh, which runs only when such an
-    order is asked for. Under a ``trace``, an order that is not even reads
-    |D|^rho = V diag(|lam|^rho) V* from one batched eigh D = V diag(lam) V*
-    of the steps, through ``trace.of_factored`` with per-step weights.
+    (a ``factor.NormalizedTrace``) alike; a nonzero step whose power trace
+    is not a positive normal number (an overflow or underflow at a large
+    order) is re-read from its spectrum, and a zero step stays 0. The
+    operator norm and any other order read the steps' singular values,
+    |eigenvalues| of the Hermitian differences, from one batched eigvalsh,
+    which runs only when such an order is asked for. Under a ``trace``, an
+    order that is not even reads |D|^rho = V diag(|lam|^rho) V* from one
+    batched eigh D = V diag(lam) V* of the steps, through
+    ``trace.of_factored`` with per-step weights. Each spectral value is
+    taken by :func:`numkit.rho_mean`, finite at every order.
     """
     orders = rho if isinstance(rho, (list, tuple)) else [rho]
     for r in orders:
@@ -470,7 +472,6 @@ def curve_length(points, rho: float | None | list | tuple = None,
             numkit.check_rho(r)
     mats = _stack_points(points)
     diffs = mats[1:] - mats[:-1]
-    n = mats.shape[1]
     svals = eig = None
     if any(r is None or (trace is None and r % 2 != 0) for r in orders):
         # differences of Hermitian matrices: singular values = |eigenvalues|
@@ -478,16 +479,29 @@ def curve_length(points, rho: float | None | list | tuple = None,
     if trace is not None and any(r is not None and r % 2 != 0 for r in orders):
         eig = np.linalg.eigh(diffs)
 
+    def spectral(r, steps=None) -> np.ndarray:
+        """Each step's value from its spectrum: all steps from svals or eig,
+        or only ``steps``, decomposed anew."""
+        if trace is None:
+            s = svals if steps is None else np.abs(np.linalg.eigvalsh(steps))
+            return numkit.rho_mean(s, r)
+        lam, v = eig if steps is None else np.linalg.eigh(steps)
+        return numkit.rho_mean(np.abs(lam), r, lambda d: trace.of_factored(v, d))
+
     def length(r) -> float:
         if r is None:
             return float(svals.max(axis=1).sum())
-        if r % 2 == 0:
+        if r % 2 != 0:
+            return float(spectral(r).sum())
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             taus = _even_power_traces(diffs, int(r) // 2, trace)
-        elif trace is not None:
-            taus = trace.of_factored(eig[1], np.abs(eig[0]) ** r)
-        else:
-            taus = (svals ** r).sum(axis=1) / n
-        return float((taus ** (1.0 / r)).sum())
+        bad = ~numkit.positive_normal(taus)
+        roots = np.where(bad, 0.0, taus) ** (1.0 / r)
+        if bad.any():  # a zero step stays 0
+            redo = bad & diffs.any(axis=(1, 2))
+            if redo.any():
+                roots[redo] = spectral(r, diffs[redo])
+        return float(roots.sum())
 
     lengths = [length(r) for r in orders]
     return lengths if orders is rho else lengths[0]

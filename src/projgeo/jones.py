@@ -439,13 +439,13 @@ def index_distance(jp: JonesPair):
     length of the minimal exponent under the normalized trace of the
     ambient matrix algebra and checks it against
     rho_distance_closed_form(tau, rho) = (2 tau)^{1/rho} arccos(sqrt(tau)),
-    raising InvariantViolation when the check fails (the raised error
-    carries the computed and the expected value).
+    raising InvariantViolation when the check fails, a NaN included (the
+    raised error carries the computed and the expected value).
     """
     pos = projlat.position(jp.p, jp.q)
     d = pos.distance()
     closed = math.acos(math.sqrt(jp.tau))
-    if abs(d - closed) > IDX_ATOL:
+    if not abs(d - closed) <= IDX_ATOL:
         raise InvariantViolation(
             f"distance {d!r} != arccos(sqrt(tau)) = {closed!r}",
             computed=d, expected=closed)
@@ -455,7 +455,7 @@ def index_distance(jp: JonesPair):
     def d_rho(rho: float) -> float:
         val = geo.rho_length(g, rho, tr)
         expected = rho_distance_closed_form(jp.tau, rho)
-        if abs(val - expected) > IDX_ATOL:
+        if not abs(val - expected) <= IDX_ATOL:
             raise InvariantViolation(
                 f"rho-distance {val!r} != (2 tau)^(1/rho) arccos(sqrt(tau)) = "
                 f"{expected!r} at rho = {rho}", computed=val, expected=expected)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -296,20 +296,15 @@ class Position:
         return float(self.angles.max(initial=0.0))
 
 
-# The position built last; one slot, so at most one outlives its callers.
-_last: Position | None = None
-
-
+@lru_cache(maxsize=1)
 def position(p: Projection, q: Projection) -> Position:
     """The :class:`Position` of p and q: one SVD of the range bases' product.
 
     Called again with the same two projection objects, it returns the
-    position it built last: projections and positions are immutable, so
-    ``geo.geodesic_distance`` after ``geo.minimal_exponent`` builds one."""
-    global _last
-    last = _last
-    if last is not None and last.p is p and last.q is q:
-        return last
+    position it built last: projections (compared by identity) and
+    positions are immutable, so ``geo.geodesic_distance`` after
+    ``geo.minimal_exponent`` builds one. The cache has one slot, so at most
+    one position outlives its callers."""
     if p.n != q.n:
         raise DimensionMismatch(f"ambient dimensions differ: {p.n} vs {q.n}")
     atol = p.tol.atol_spectral
@@ -343,8 +338,7 @@ def position(p: Projection, q: Projection) -> Position:
               x11, y11, x[:, gen][:, order], yg[:, order], (d / s)[:, order], angles[order])
     for arr in arrays:
         arr.flags.writeable = False
-    _last = Position(p, q, *arrays, float(miss))
-    return _last
+    return Position(p, q, *arrays, float(miss))
 
 
 def halmos_decompose(p: Projection, q: Projection) -> Position:

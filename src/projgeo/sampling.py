@@ -114,16 +114,12 @@ def spectral_symmetry_residual(p: Projection, q: Projection,
     return float(np.abs(lam + lam[::-1]).max())
 
 
-def pair_diagnostics(p: Projection, q: Projection) -> dict:
-    """Run the full invariant battery on one pair; plain-value report.
-
-    Covers the decomposition residuals, existence/uniqueness verdicts,
-    the exponent contract, the wedge intertwining, spectral symmetry,
-    and (for non-unique pairs) distinctness of seeded exponents. The
-    exponent's ``exponent_endpoint`` and ``exponent_codiagonality`` are
-    certified upper bounds (see ``geo.verify_geodesic``).
-    """
-    pos = projlat.position(p, q)
+def position_report(pos: projlat.Position) -> dict:
+    """The decomposition half of :func:`pair_diagnostics`, read from one
+    position with no exponent built: the decomposition residuals, spectral
+    symmetry, the existence verdict and the angles, and when a geodesic
+    exists its uniqueness and distance."""
+    p, q = pos.p, pos.q
     mats = np.stack([pos.e11.m, pos.e00.m, pos.e10.m, pos.e01.m, pos.e0.m])
     ends = np.stack([p.m, q.m])[:, None]
     first, second = np.triu_indices(len(mats), 1)
@@ -138,14 +134,30 @@ def pair_diagnostics(p: Projection, q: Projection) -> dict:
         "exists": bool(exists),
         "angles": [float(a) for a in pos.angles],
     }
-    if not exists:
+    if exists:
+        report["unique"] = pos.unique()
+        report["distance"] = pos.distance()
+    return report
+
+
+def pair_diagnostics(p: Projection, q: Projection) -> dict:
+    """Run the full invariant battery on one pair; plain-value report.
+
+    Covers the decomposition residuals, existence/uniqueness verdicts
+    (:func:`position_report`), the exponent contract, the wedge
+    intertwining, and (for non-unique pairs) distinctness of seeded
+    exponents. The exponent's ``exponent_endpoint`` and
+    ``exponent_codiagonality`` are certified upper bounds (see
+    ``geo.verify_geodesic``).
+    """
+    pos = projlat.position(p, q)
+    report = position_report(pos)
+    if not report["exists"]:
         return report
-    report["unique"] = pos.unique()
     g = geo.position_exponent(pos)
     res = geo.verify_geodesic(g)
     ez = g.unitary(1.0)
     report.update({
-        "distance": pos.distance(),
         "exponent_skewness": res.skewness,
         "exponent_codiagonality": res.codiagonality,
         "exponent_norm_excess": res.norm_bound,

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import projgeo as pg
-from projgeo import cli, jones
+from projgeo import cli, jones, sampling
 
 from _helpers import rotation_pair
 
@@ -61,6 +61,21 @@ class TestDecompose:
         assert code == 0
         assert rep["results"]["exists"] and rep["results"]["unique"]
         assert rep["results"]["distance"] == 0.0
+
+    def test_builds_no_exponent(self, tmp_path, capsys, monkeypatch):
+        # a plane at 1e-5 is absorbed into the meet and the exponent misses
+        # the endpoint by about sin(1e-5); the decomposition is still sound
+        p, q, _ = sampling.structured_pair(1, 1, 0, 0, [1e-5, 0.7],
+                                           np.random.default_rng(1))
+        pf, qf = write_pair(tmp_path, p, q)
+        built = []
+        real = cli.geo.position_exponent
+        monkeypatch.setattr(cli.geo, "position_exponent",
+                            lambda *args: built.append(args) or real(*args))
+        code, rep = run_json(capsys, ["decompose", pf, qf])
+        assert code == 0 and built == []
+        assert rep["results"]["ranks"]["e11"] == 2
+        assert rep["results"]["angles"] == pytest.approx([0.7], abs=1e-12)
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -382,6 +397,7 @@ def test_every_invocation_ends_in_a_documented_exit(docs):
     @example((["--tol-spectral", "0.5", "decompose", docs[0], docs[1]], True))
     @example((["geodesic", docs[0], docs[1], "--t", "inf"], True))
     @example((["random", "--n", "2", "--trials", str(cli.MAX_RANDOM_TRIALS + 1)], True))
+    @example((["jones", "--m", "4", "--rho", "1e308"], False))
     @given(command_grammar(docs))
     def run(drawn):
         argv, past_range = drawn

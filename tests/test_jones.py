@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projgeo as pg
-from projgeo import factor, jones, numkit, projlat
+from projgeo import cli, factor, jones, numkit, projlat
 from projgeo.errors import (InternalConsistencyError, InvariantViolation,
                              NotSubalgebra, TooFar)
 
@@ -55,7 +56,7 @@ class TestIndexDistance:
         d, _ = jones.index_distance(jp)
         assert d == pytest.approx(np.arccos(np.sqrt(jp.tau)), abs=1e-9)
 
-    def test_rho_distance_measures_generic_trace_weight(self, monkeypatch):
+    def test_rho_distance_measures_generic_trace_weight(self, monkeypatch, capsys):
         # the rho-length of the exponent carries the trace of the whole
         # generic part, 2 tau, so d_rho returns (2 tau)^(1/rho) theta
         for m, k in [(4, 1), (3, 2)]:
@@ -73,6 +74,15 @@ class TestIndexDistance:
             d_rho(2.0)
         assert info.value.computed == expected + 1e-6
         assert info.value.expected == pytest.approx(expected, abs=1e-12)
+        # a NaN fails the check too (abs(nan - x) > atol is False)
+        monkeypatch.setattr(jones.geo, "rho_length", lambda g, rho, tr: math.nan)
+        with pytest.raises(InvariantViolation) as info:
+            d_rho(2.0)
+        assert math.isnan(info.value.computed)
+        assert info.value.expected == pytest.approx(expected, abs=1e-12)
+        code = cli.main(["--json", "jones", "--m", "3", "--rho", "2"])
+        entry, = json.loads(capsys.readouterr().out)["results"]["rho"]
+        assert code == 0 and entry["assert_ok"] is False and math.isnan(entry["value"])
 
 
 class TestBasicConstruction:

@@ -59,6 +59,49 @@ class TestHermitianEig:
         assert np.array_equal(u1, u2)
 
 
+def fix_phases_loop(u):
+    """The column loop fix_phases replaced: its reference, bit for bit."""
+    u = u.copy()
+    if u.shape[1] == 0:
+        return u
+    mags = np.abs(u)
+    floor = 1e-12 * max(mags.max(), 1.0)
+    for j in range(u.shape[1]):
+        nz = np.flatnonzero(mags[:, j] > floor)
+        if nz.size == 0:
+            continue
+        pivot = u[nz[0], j]
+        u[:, j] *= pivot.conjugate() / abs(pivot)
+    return u
+
+
+class TestFixPhases:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_column_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = rng.integers(1, 9, size=2)
+        scale = 10.0 ** rng.uniform(-20, 3)
+        u = scale * (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))
+        kinds = rng.integers(0, 5, size=k)
+        for j, kind in enumerate(kinds):
+            if kind == 1:  # a zero column with signed zeros
+                u[:, j] = rng.choice([0.0, -0.0], size=n) + 1j * rng.choice([0.0, -0.0], size=n)
+            elif kind == 2:  # a column below the floor
+                u[:, j] *= 1e-14 / scale
+            elif kind == 3:  # leading zeros, then entries
+                u[:rng.integers(0, n + 1), j] = -0.0
+            elif kind == 4:  # a real column
+                u[:, j] = u[:, j].real - 0.0j
+        got, want = numkit.fix_phases(u), fix_phases_loop(u)
+        assert np.array_equal(got, want)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got, part)),
+                                  np.signbit(getattr(want, part)))
+
+    def test_empty(self):
+        assert numkit.fix_phases(np.zeros((3, 0), dtype=complex)).shape == (3, 0)
+
+
 class TestPolarUnitary:
     def test_positive_input(self):
         assert np.allclose(numkit.polar_unitary(2 * np.eye(2)), np.eye(2))
