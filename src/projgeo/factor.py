@@ -112,7 +112,8 @@ class NormalizedTrace:
             for sj in slices[i + 1:]:
                 off = ((v[..., si, :] * d[..., None, :])
                        @ v[..., sj, :].conj().swapaxes(-1, -2))
-                if float(np.abs(off).max()) > DEFAULT_TOL.atol_structure:
+                # written "not <=" so that a nan fails, as in member_check
+                if not float(np.abs(off).max()) <= DEFAULT_TOL.atol_structure:
                     raise NotMember("matrix has off-block mass; not in the algebra")
         weight = ((v.real ** 2 + v.imag ** 2) @ d[..., None])[..., 0]
         vals = sum(w * weight[..., sl].sum(axis=-1) / dim

@@ -432,9 +432,14 @@ def _even_power_traces(diffs: np.ndarray, m: int, trace=None) -> np.ndarray:
     |D|^{2m} = D^m (D^m)*, so under tr/n it is ||D^m||_F^2 / n, the sum of
     squares of the real and imaginary parts of D^m, and under a
     ``factor.NormalizedTrace`` it is ``trace.of_factored(D^m, 1)``, which
-    takes per-block sums of the same squares; no eigensolver runs."""
+    takes per-block sums of the same squares; no eigensolver runs. A power
+    that overflowed (an inf or nan entry) enters that trace as 0, which the
+    caller re-reads from the step's spectrum: ``of_factored`` fails a nan
+    as off-block mass."""
     power = np.linalg.matrix_power(diffs, m)
     if trace is not None:
+        finite = np.isfinite(power).all(axis=(1, 2))
+        power = np.where(finite[:, None, None], power, 0.0)
         return trace.of_factored(power, np.ones(power.shape[-1]))
     x = power.view(np.float64)
     return np.einsum("kij,kij->k", x, x) / diffs.shape[-1]

@@ -10,6 +10,7 @@ subalgebras then induce the trace-preserving conditional expectations.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import geo, numkit, projlat
 from .errors import (
+    DimensionMismatch,
     InternalConsistencyError,
     InvariantViolation,
     NotSubalgebra,
@@ -30,6 +32,7 @@ from .projlat import Projection
 
 IDX_ATOL = 1e-9  # tolerance of the index-distance identities
 AXIOM_SAMPLES, AXIOM_SEED = 4, 7  # test matrices drawn by expectation_axioms
+_PRODUCT_BLOCK = 1 << 14  # complex entries (256 KiB) in one block of member products
 
 _log = logging.getLogger("projgeo")
 
@@ -37,6 +40,14 @@ _log = logging.getLogger("projgeo")
 def vec(x: np.ndarray) -> np.ndarray:
     """Flatten a matrix to a Hilbert-Schmidt vector (row-major)."""
     return np.asarray(x, dtype=np.complex128).reshape(-1)
+
+
+def _square(x, n: int, what: str) -> np.ndarray:
+    """x as a complex n x n matrix; DimensionMismatch names both sizes."""
+    m = numkit.as_complex(x)
+    if m.shape != (n, n):
+        raise DimensionMismatch(f"{what} must be {n} x {n}, got {m.shape[0]} x {m.shape[1]}")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +164,7 @@ class ExpectationProjection:
     basis: np.ndarray  # n^2 x r, orthonormal columns spanning the range
 
     def expect(self, x) -> np.ndarray:
-        return _expect(self.basis, numkit.as_complex(x)[None])[0]
+        return _expect(self.basis, _square(x, self.n, "x")[None])[0]
 
 
 def _orthonormal_range(mats: list[np.ndarray], n: int,
@@ -170,11 +181,23 @@ def _span_residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.linalg.norm(v - basis @ (adjoint(basis) @ v), axis=0)
 
 
+def _product_blocks(left: np.ndarray, right: np.ndarray):
+    """Every product a @ b of n x n matrices, a in ``left`` and b in
+    ``right``, in a-major order (the rows a @ right one after another), as
+    stacks of one broadcast matmul each. A block takes as many left factors
+    as keep it within ``_PRODUCT_BLOCK`` complex entries, and at least one."""
+    n = right.shape[-1]
+    k = max(1, _PRODUCT_BLOCK // max(len(right) * n * n, 1))
+    for i in range(0, len(left), k):
+        yield (left[i:i + k, None] @ right).reshape(-1, n, n)
+
+
 def _product_residual(basis: np.ndarray, members: np.ndarray) -> float:
-    """Largest distance of a product a @ b of members from the span, taken
-    one row a @ members at a time (all r^2 at once take O(r^2 n^2) memory)."""
-    return float(max((_span_residuals(basis, a @ members).max() for a in members),
-                     default=0.0))
+    """Largest distance of a product a @ b of members from the span, one
+    :func:`_span_residuals` per block of :func:`_product_blocks`: memory
+    stays at one block, where all r^2 products at once take O(r^2 n^2)."""
+    return float(max((_span_residuals(basis, block).max()
+                      for block in _product_blocks(members, members)), default=0.0))
 
 
 def _expect(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -274,7 +297,13 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
     bound (:func:`_bimodule_bound`) whenever that bound is at most
     ``big.tol.atol_structure``, and the measured residual otherwise. E
     equals ``big.m`` to rounding for every projection the library builds
-    from orthonormal columns."""
+    from orthonormal columns. The closure residual is taken over the
+    member products in blocks of :func:`_product_blocks`, and the test
+    matrices are drawn once per n (:func:`_axiom_samples`). Raises
+    DimensionMismatch unless ``big`` acts on the n^2-dimensional space."""
+    if big.n != n * n:
+        raise DimensionMismatch(
+            f"projection acts on dimension {big.n}, not n^2 = {n * n} for n = {n}")
     basis = big.basis
     return _axioms(basis, n, _product_residual(basis, _members(basis, n)),
                    operator_norm, big.tol.atol_structure)
@@ -324,6 +353,17 @@ def _sandwich(a: np.ndarray, ys: np.ndarray, members: np.ndarray) -> np.ndarray:
     return prod.reshape(-1, n, r, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
 
 
+@functools.lru_cache(maxsize=8)
+def _axiom_samples(n: int) -> np.ndarray:
+    """The AXIOM_SAMPLES test matrices of :func:`_axioms` at size n, drawn
+    from AXIOM_SEED once per n, as a read-only (AXIOM_SAMPLES, n, n) stack."""
+    rng = np.random.default_rng(AXIOM_SEED)
+    xs = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                   for _ in range(AXIOM_SAMPLES)])
+    xs.flags.writeable = False
+    return xs
+
+
 def _axioms(basis: np.ndarray, n: int, closure: float, norm,
             atol: float) -> ExpectationAxioms:
     """The axioms of E = B B*, B = ``basis`` (n^2 x r, orthonormal), onto
@@ -341,22 +381,23 @@ def _axioms(basis: np.ndarray, n: int, closure: float, norm,
     r = basis.shape[1]
     gram = adjoint(basis) @ basis
     idempotent = norm(((gram - np.eye(r)) @ gram)[None])
-    rng = np.random.default_rng(AXIOM_SEED)
-    xs = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                   for _ in range(AXIOM_SAMPLES)])
+    xs = _axiom_samples(n)
     exs = _expect(basis, xs)
     eye = np.eye(n, dtype=np.complex128)
 
     unital = norm(_expect(basis, eye[None]) - eye)
     star = norm(_expect(basis, _adjoints(xs)) - _adjoints(exs))
-    tr = max(abs(np.trace(ex) - np.trace(x)) / n for x, ex in zip(xs, exs))
+    dtr = np.trace(exs, axis1=1, axis2=2) - np.trace(xs, axis1=1, axis2=2)
+    # hypot is abs() of each complex scalar bit for bit; np.abs of a complex
+    # array can differ from it in the last bit
+    tr = (np.hypot(dtr.real, dtr.imag) / n).max()
     bimod = _bimodule_bound(basis, members, gram, closure, xs)
     # written "not <=" so that a nan bound also goes to the sandwich
     if not bimod <= atol:
         _log.debug("bimodule bound %.3e exceeds %.3e; measuring the %d sandwich "
                    "products", bimod, atol, r * r)
-        # one left factor a at a time, as in _product_residual; a x b and
-        # a E(x) b come from one call, as the two halves of its stack
+        # one left factor a at a time; a x b and a E(x) b come from one
+        # call, as the two halves of its stack
         both = np.concatenate([xs, exs])
 
         def bimodule(a) -> float:
@@ -490,11 +531,12 @@ class ExpectationPath:
 
     def expect(self, t: float, x) -> np.ndarray:
         """E(t, x): the expectation at time t applied to x, as B_t (B_t* x)."""
-        return _expect(self.projection_at(t).basis, numkit.as_complex(x)[None])[0]
+        x = _square(x, self.n, "x")
+        return _expect(self.projection_at(t).basis, x[None])[0]
 
     def transport(self, t: float, x) -> np.ndarray:
         """Gamma_t(x): the propagator of the transport equation."""
-        return _gamma(self.z, t, numkit.as_complex(x)[None])[0]
+        return _gamma(self.z, t, _square(x, self.n, "x")[None])[0]
 
 
 def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
@@ -534,6 +576,7 @@ def _rk4_coordinates(path: ExpectationPath, x0, steps: int):
     D_h* R_0, so only the current one is held."""
     if steps < 100:
         raise ValueError("need at least 100 steps")
+    x = vec(_square(x0, path.n, "x0"))
     w, v = path.z.spectrum
     zw = -1j * w
     c = adjoint(v) @ path.end0.basis
@@ -553,7 +596,6 @@ def _rk4_coordinates(path: ExpectationPath, x0, steps: int):
     k3 = a_mid @ (eye + (h / 2) * k2)
     k4 = generator(h) @ (eye + h * k3)
     step = np.exp(h * zw).conj()[:, None] * (eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
-    x = vec(numkit.as_complex(x0))
 
     def walk():
         y = adjoint(v) @ x
@@ -581,7 +623,8 @@ def transport_ode_solve(path: ExpectationPath, x0, steps: int):
     matrix is R_j = D_{t_j} R_0 D_{t_j}*, where R_0 takes the usual four
     stages from A(0), A(h/2) and A(h), and the coordinates rotated back by
     D_{t_j}* advance by the one m x m matrix D_h* R_0. Returns the times
-    and the transported matrices at steps + 1 uniform points.
+    and the transported matrices at steps + 1 uniform points. Raises
+    DimensionMismatch unless x0 is n x n.
     """
     x, v, zw, ys = _rk4_coordinates(path, x0, steps)
     rotated = np.array(list(ys))
@@ -618,21 +661,41 @@ class PropagatorReport:
         return max(vars(self).values())
 
 
+def _multiplicative(z: GeodesicExponent, t: float, members: np.ndarray,
+                    gammas: np.ndarray) -> float:
+    """max ||Gamma_t(a b) - Gamma_t(a) Gamma_t(b)|| over the members a, b,
+    given ``gammas`` = Gamma_t(members): one stacked :func:`operator_norm`
+    per block of :func:`_product_blocks`. The block of Gamma_t(a) Gamma_t(b)
+    is formed after Gamma_t(a b) and the difference is written over it, a
+    contiguous block that the norm reads without a copy; the blocks are
+    freed on return, so the caller's loop over times holds none of them."""
+    mult = 0.0
+    gprods = _product_blocks(gammas, gammas)
+    for prods in _product_blocks(members, members):
+        gab = _gamma(z, t, prods)
+        res = next(gprods)
+        mult = max(mult, operator_norm(np.subtract(gab, res, out=res)))
+    return mult
+
+
 def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
     """Check the propagator identities at the given times.
 
-    ``xs`` are arbitrary test matrices for the intertwining identity;
-    multiplicativity and *-preservation are checked on the initial
-    subalgebra (its basis together with the projections of ``xs``).
-    Gamma_t is applied as :func:`_gamma` and E_t as B_t B_t* with
-    B_t = Gamma_t B_0, so no n^2 x n^2 matrix is formed. The codiagonal
-    residual ||Z P_0 + P_0 Z - Z|| is the exponent's reported
+    ``xs`` are arbitrary n x n test matrices for the intertwining identity
+    (DimensionMismatch otherwise); multiplicativity and *-preservation are
+    checked on the initial subalgebra (its basis together with the
+    projections of ``xs``). Gamma_t is applied as :func:`_gamma` and E_t as
+    B_t B_t* with B_t = Gamma_t B_0, so no n^2 x n^2 matrix is formed. The
+    member products a b and Gamma_t(a) Gamma_t(b) come in the blocks of
+    :func:`_product_blocks`, one stacked :func:`operator_norm` of
+    Gamma_t(a b) - Gamma_t(a) Gamma_t(b) per block (:func:`_multiplicative`).
+    The codiagonal residual ||Z P_0 + P_0 Z - Z|| is the exponent's reported
     codiagonality ||Z S + S Z|| halved, since Z S + S Z = 2 (Z P_0 + P_0 Z - Z)
     for S = 2 P_0 - 1: a certified upper bound, as Z is built from a
     position (``geo.verify_geodesic``).
     """
     n, z, b0 = path.n, path.z, path.end0.basis
-    xs = np.array([numkit.as_complex(x) for x in xs]).reshape(-1, n, n)
+    xs = np.array([_square(x, n, "test matrices") for x in xs]).reshape(-1, n, n)
     members = np.concatenate([_members(b0, n), _expect(b0, xs)])
     intertwine = mult = star = 0.0
     for t in ts:
@@ -642,7 +705,6 @@ def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
         gammas = _gamma(z, t, members)
         star = max(star, operator_norm(
             _gamma(z, t, _adjoints(members)) - _adjoints(gammas)))
-        for a, ga in zip(members, gammas):
-            mult = max(mult, operator_norm(_gamma(z, t, a @ members) - ga @ gammas))
+        mult = max(mult, _multiplicative(z, t, members, gammas))
     return PropagatorReport(intertwine=intertwine, multiplicative=mult, star=star,
                             codiagonal=z.residuals.codiagonality / 2)

@@ -40,6 +40,16 @@ class TestAlgebraAndTrace:
         with pytest.raises(NotMember):
             tr22(x)
 
+    @pytest.mark.parametrize("d", [[2.0, 1.0], [np.nan, 1.0]])
+    def test_factored_trace_fails_off_block_mass_and_nan(self, d):
+        # on C + C, V diag(d) V* with V the Hadamard rotation has off-block
+        # entry (d_0 - d_1) / 2: nonzero, or nan, and neither is a member
+        tr = factor.NormalizedTrace(
+            factor.FiniteAlgebra(blocks=(1, 1), weights=(0.5, 0.5)))
+        v = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        with pytest.raises(NotMember):
+            tr.of_factored(v, np.array(d))
+
     def test_traciality(self):
         rng = np.random.default_rng(30)
         a = two_by_two_blocks()

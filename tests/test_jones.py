@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import projgeo as pg
 from projgeo import cli, factor, jones, numkit, projlat
-from projgeo.errors import (InternalConsistencyError, InvariantViolation,
-                             NotSubalgebra, TooFar)
+from projgeo.errors import (DimensionMismatch, InternalConsistencyError,
+                             InvariantViolation, NotSubalgebra, TooFar)
 
 from _helpers import adj
 
@@ -187,6 +187,81 @@ def dense_axioms(big, n, basis) -> dict:
         "unital": pg.operator_norm(E(np.eye(n)) - np.eye(n)),
         "trace": max(abs(np.trace(E(x)) - np.trace(x)) / n for x in xs),
     }
+
+
+class TestProductBlocks:
+    """The member products in bounded blocks equal the per-pair loop."""
+
+    @staticmethod
+    def stacks(r, n=3, seed=45):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(r, n, n)) + 1j * rng.normal(size=(r, n, n))
+                for _ in range(2)]
+
+    @pytest.mark.parametrize("factors", [1, 2, 3])
+    @pytest.mark.parametrize("r", [0, 1, 7])
+    def test_blocks_are_the_per_pair_products(self, r, factors, monkeypatch):
+        n = 3
+        left, right = self.stacks(r, n)
+        monkeypatch.setattr(jones, "_PRODUCT_BLOCK", factors * r * n * n)
+        blocks = list(jones._product_blocks(left, right))
+        ref = [a @ b for a in left for b in right]
+        got = [m for block in blocks for m in block]
+        assert len(got) == len(ref) and all((g == w).all() for g, w in zip(got, ref))
+        # every block but the last holds `factors` left factors, the last the rest
+        sizes = [len(block) // r for block in blocks]
+        assert sizes == ([factors] * (r // factors) + [r % factors] * (r % factors > 0))
+        assert all(block.size <= jones._PRODUCT_BLOCK for block in blocks)
+
+    def test_a_block_holds_at_least_one_left_factor(self, monkeypatch):
+        left, right = self.stacks(7)
+        monkeypatch.setattr(jones, "_PRODUCT_BLOCK", 1)
+        assert [len(block) for block in jones._product_blocks(left, right)] == [7] * 7
+
+    @pytest.mark.parametrize("spec,n", [
+        (jones.MatrixSpan(mats=(np.eye(3),)), 3),
+        (jones.rotated_diagonal_spec(7, 0.3), 7),
+        (jones.TensorFactor(k=2, m=2), 4),
+    ])
+    def test_closure_equals_the_per_member_loop(self, spec, n, monkeypatch):
+        basis = jones.expectation_projection(spec, n).basis
+        members = jones._members(basis, n)
+        r = len(members)
+        ref = float(max((jones._span_residuals(basis, a @ members).max()
+                         for a in members), default=0.0))
+        assert jones._product_residual(basis, members) == ref
+        for factors in (1, 2, 3):
+            monkeypatch.setattr(jones, "_PRODUCT_BLOCK", factors * r * n * n)
+            assert jones._product_residual(basis, members) == ref, factors
+        assert jones._product_residual(basis[:, :0], members[:0]) == 0.0
+
+    def test_diagonal_closure_is_one_block(self, monkeypatch):
+        # r = n = 10: the 100 products of 100 entries each fit one block
+        basis = jones.expectation_projection(jones.diagonal_spec(10), 10).basis
+        spans = record(monkeypatch, jones, "_span_residuals")
+        jones._product_residual(basis, jones._members(basis, 10))
+        assert [np.shape(args[1]) for args, _ in spans] == [(100, 10, 10)]
+
+    def test_axiom_samples_are_drawn_once_per_n(self, monkeypatch):
+        big = jones.expectation_path(
+            jones.diagonal_spec(4), jones.rotated_diagonal_spec(4, 0.4), 4).projection_at(0.5)
+        jones._axiom_samples.cache_clear()
+        rngs = record(monkeypatch, np.random, "default_rng")
+        first = jones.expectation_axioms(big, 4)
+        assert jones.expectation_axioms(big, 4) == first
+        assert [args for args, _ in rngs] == [(jones.AXIOM_SEED,)]
+        xs = jones._axiom_samples(4)
+        assert not xs.flags.writeable
+        rng = np.random.default_rng(jones.AXIOM_SEED)
+        for x in xs:
+            assert (x == rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))).all()
+
+    def test_axioms_reject_a_projection_of_another_size(self, monkeypatch):
+        ep = jones.expectation_projection(jones.diagonal_spec(3), 3)
+        axioms = record(monkeypatch, jones, "_axioms")
+        with pytest.raises(DimensionMismatch, match=r"dimension 9, not n\^2 = 4 for n = 2"):
+            jones.expectation_axioms(ep.big, 2)
+        assert axioms == []
 
 
 def test_rotated_spec_needs_two_coordinates():

@@ -133,6 +133,16 @@ def test_every_order_is_finite_monotone_and_matches_the_log_reference(seed, exp,
             assert hi >= lo * (1.0 - 1e-12), (name, r, lo, hi)
 
 
+def test_traced_even_order_past_overflow():
+    # at rho = 1e19 a step's matrix power D^(rho/2) overflows to inf and nan
+    # entries; the traced even route reads such a step as 0 and re-reads it
+    # from its spectrum, since of_factored fails a nan as off-block mass
+    [(_, value, _, reference)] = [c for c in cases(np.random.default_rng(5998), 1.0)
+                                  if c[0] == "curve_length blocks"]
+    want = reference(1e19)
+    assert abs(value(1e19) - want) <= 1e-12 * want
+
+
 def test_sampled_geodesic_at_large_orders():
     # operator length 1.57 over 49 steps: each step's powers underflow
     p, q, _ = sampling.structured_pair(1, 1, 1, 1, [0.3, 0.9], np.random.default_rng(3))

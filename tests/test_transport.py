@@ -4,6 +4,7 @@ import scipy.linalg
 
 import projgeo as pg
 from projgeo import cli, geo, jones
+from projgeo.errors import DimensionMismatch
 
 from _helpers import adj, force_exact, record_kernels
 
@@ -82,6 +83,22 @@ class TestTransportOde:
             jones.transport_ode_solve(path, np.eye(2), 50)
         with pytest.raises(ValueError):
             jones.transport_ode_endpoint(path, np.eye(2), 99)
+
+    @pytest.mark.parametrize("solve", [jones.transport_ode_solve,
+                                       jones.transport_ode_endpoint])
+    def test_rejects_a_start_of_another_size(self, solve):
+        path = jones.expectation_path(
+            jones.diagonal_spec(3), jones.rotated_diagonal_spec(3, 0.3), 3)
+        with pytest.raises(DimensionMismatch, match="x0 must be 3 x 3, got 2 x 2"):
+            solve(path, np.eye(2), 200)
+
+    def test_path_maps_reject_a_matrix_of_another_size(self):
+        path = jones.expectation_path(
+            jones.diagonal_spec(3), jones.rotated_diagonal_spec(3, 0.3), 3)
+        for apply in (path.end0.expect, lambda x: path.expect(0.5, x),
+                      lambda x: path.transport(0.5, x)):
+            with pytest.raises(DimensionMismatch, match="x must be 3 x 3, got 2 x 2"):
+                apply(np.eye(2))
 
     def test_endpoint_is_the_last_state(self):
         # the same RK4 steps, with one state held instead of steps + 1
@@ -211,6 +228,35 @@ class TestPropagatorChecks:
         rep = jones.propagator_checks(eighth_turn_path(), (0.5,), [])
         assert rep.intertwine == 0.0
         assert rep.max() < 1e-12
+
+    def test_rejects_test_matrices_of_another_size(self, monkeypatch):
+        path = jones.expectation_path(
+            jones.diagonal_spec(3), jones.rotated_diagonal_spec(3, 0.3), 3)
+        gammas = []
+        monkeypatch.setattr(jones, "_gamma", lambda *args: gammas.append(args))
+        with pytest.raises(DimensionMismatch,
+                           match="test matrices must be 3 x 3, got 2 x 2"):
+            jones.propagator_checks(path, (0.5,), [np.eye(3), np.eye(2)])
+        assert gammas == []
+
+    def test_one_multiplicativity_norm_per_time(self, monkeypatch):
+        # r = 6 members and one projected test matrix: the 49 products fit
+        # one block, so each time takes the intertwining, star and
+        # multiplicativity residuals as one stacked norm each
+        n, ts = 6, (0.25, 0.5, 0.75)
+        path = jones.expectation_path(
+            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4), n)
+        shapes = []
+        real = jones.operator_norm
+
+        def counting(stack):
+            shapes.append(np.shape(stack))
+            return real(stack)
+
+        monkeypatch.setattr(jones, "operator_norm", counting)
+        x = np.random.default_rng(55).normal(size=(n, n))
+        jones.propagator_checks(path, ts, [x])
+        assert shapes == [(1, n, n), (7, n, n), (49, n, n)] * len(ts)
 
     def test_matrix_unit_multiplicativity(self):
         path = eighth_turn_path()
