@@ -152,7 +152,7 @@ def _certify_blocks(a: FiniteAlgebra, p: Projection, q: Projection) -> tuple:
     positions = [projlat.position(_block_projection(p, sl), _block_projection(q, sl))
                  for sl in a.slices()]
     ranks = [pos.ranks()[2:4] for pos in positions]
-    exists = all(r10 == r01 for r10, r01 in ranks)
+    exists = all(pos.exists() for pos in positions)
     if len(a.blocks) == 1 and p.rank == q.rank and not exists:
         raise InternalConsistencyError(
             "equal-trace projections in a factor must be joinable")
@@ -189,11 +189,10 @@ def orthogonal_pair(a: FiniteAlgebra, r, seed: int | None = None
 
 def multi_geodesics(p: Projection, q: Projection, count: int, rho: float,
                     t: NormalizedTrace) -> list[tuple[GeodesicExponent, float]]:
-    """Distinct normalized geodesics between orthogonal equal-trace
-    projections, with their rho-lengths.
-
-    Each geodesic comes from a differently seeded partial isometry
-    between p and q; all members of the family have the same length.
+    """Normalized geodesics between orthogonal equal-trace projections,
+    with their rho-lengths, one per seeded partial isometry between p and
+    q, all of one length: distinct when ||pq|| <= ENDPOINT_ATOL/8, where the
+    witnesses swap every plane (``geo.position_exponent``).
     """
     if p.rank != q.rank:
         raise RankMismatch(f"ranks differ: {p.rank} vs {q.rank}")

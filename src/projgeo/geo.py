@@ -29,6 +29,8 @@ _log = logging.getLogger("projgeo")
 
 # Endpoint contract for constructed exponents: ||e^z p e^{-z} - q||.
 ENDPOINT_ATOL = 1e-8
+# a supplied witness swaps wedge planes this near pi/2 (codiagonality ~9 cos)
+_WITNESS_REACH = ENDPOINT_ATOL / 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,10 +258,10 @@ def minimal_exponent(p: Projection, q: Projection,
                      w: PartialIsometry | None = None) -> GeodesicExponent:
     """Construct a normalized exponent z with e^z p e^{-z} = q.
 
-    z vanishes on p^q and p'^q', equals i(pi/2)(w + w*) on the two wedge
-    parts (w defaulting to the deterministic partial isometry between
-    them), and on each generic plane is the rotation by its principal
-    angle. Raises NoGeodesic when the wedge ranks differ.
+    z vanishes on p^q and p'^q', equals i(pi/2)(w + w*) on the wedge parts
+    it swaps (w defaulting to the deterministic partial isometry between
+    them), and on every other principal plane, of any class, is the
+    rotation by its angle. Raises NoGeodesic when the wedge ranks differ.
     """
     return position_exponent(projlat.position(p, q), w)
 
@@ -268,65 +270,68 @@ def position_exponent(pos: Position,
                       w: PartialIsometry | None = None) -> GeodesicExponent:
     """:func:`minimal_exponent` of the pair of a position already built.
 
-    The exponent is built from the spectrum the position holds. Each
-    generic plane (x_j, u_j) at angle theta_j gives the eigenvectors
-    (x_j +- i u_j)/sqrt(2) of i z with eigenvalues +-theta_j. On the wedge
-    parts z = i(pi/2)(v + v*) for the witness v, so each column a of its
-    basis ``bs`` of p^q' gives (a +- v a)/sqrt(2) with eigenvalues -+pi/2,
-    where v a is the matching column of ``bt``. The default witness is
-    ``partial_isometry(pos.e10, pos.e01)``. A supplied witness must have
-    the rank of p^q', and its bases must lie in p^q' and p'^q within
-    ENDPOINT_ATOL, or InvariantViolation is raised.
+    The exponent is built from the spectrum the position holds. Each plane
+    it turns (any class; :meth:`Position.split`), (x_j, u_j) at angle
+    theta_j, gives the eigenvectors (x_j +- i u_j)/sqrt(2) of i z with
+    eigenvalues +-theta_j. On the wedge parts it swaps z = i(pi/2)(v + v*)
+    for the witness v: each column a of its basis ``bs`` gives
+    (a +- v a)/sqrt(2) with eigenvalues -+pi/2, v a the matching column of
+    ``bt``. The default witness is ``partial_isometry(*pos.split()[1])``. A
+    supplied one must have the rank of p^q' and bases in p^q' and p'^q
+    within ENDPOINT_ATOL (else InvariantViolation); it swaps the planes
+    within ENDPOINT_ATOL/8 of pi/2, by its polar part there if it covers more.
 
     The endpoint and codiagonality residuals are settled by
     :func:`_exponent_bound` when both its bounds are at most ENDPOINT_ATOL,
     and then the report holds the bounds. Otherwise (or on a nan) the
     exact report measures them, and one DEBUG record goes to the
     ``projgeo`` logger."""
-    th, x, u = pos.angles, pos.x, pos.u
+    turned, (s10, s01) = pos.split() if w is None else pos.split(_WITNESS_REACH)
+    th, x, _, u = turned
     a = va = np.zeros((pos.p.n, 0), dtype=np.complex128)
     if not pos.unique():
         if w is None:
-            w = partial_isometry(pos.e10, pos.e01)
+            w = partial_isometry(s10, s01)
         elif (w.bs.shape[1] != pos.b10.shape[1]
               or max(_norm_off(pos.b10, w.bs), _norm_off(pos.b01, w.bt)) > ENDPOINT_ATOL):
             raise InvariantViolation("supplied isometry does not witness p^q' ~ p'^q")
         a, va = w.bs, w.bt
+        if s10.rank < a.shape[1]:  # the polar part of s01* v s10
+            b10, b01 = s10.basis, s01.basis
+            left, _, right_h = np.linalg.svd(adjoint(b01) @ va @ (adjoint(a) @ b10))
+            a, va = b10 @ adjoint(right_h), b01 @ left
     # the wedge columns swap the two wedge parts: e^z = i (v + v*) there
     half_pi = np.full(a.shape[1], HALF_PI)
     g = GeodesicExponent.from_spectrum(
         np.concatenate([th, -th, -half_pi, half_pi]),
         np.hstack([x + 1j * u, x - 1j * u, a + va, a - va]) / np.sqrt(2), pos.p, pos.q)
-    endpoint, codiag = _exponent_bound(pos, a, va, g)
+    endpoint, codiag = _exponent_bound(pos, turned, a, va, g)
     if endpoint <= ENDPOINT_ATOL and codiag <= ENDPOINT_ATOL:
         vars(g)["residuals"] = GeodesicResiduals(
             skewness=0.0, codiagonality=codiag, norm_bound=_norm_excess(g.spectrum[0]),
             endpoint=endpoint)
     else:
-        _log.debug("exponent certificate (endpoint %.3e, codiagonality %.3e, absorbed "
-                   "miss %.3e) exceeds ENDPOINT_ATOL; taking the exact report",
-                   endpoint, codiag, pos.miss)
+        _log.debug("exponent certificate (endpoint %.3e, codiagonality %.3e) exceeds "
+                   "ENDPOINT_ATOL; taking the exact report", endpoint, codiag)
     res = verify_geodesic(g)
     if res.max() > ENDPOINT_ATOL:
-        raise InternalConsistencyError(
-            f"constructed exponent fails verification ({res}); the pair "
-            "has angle data at the meet or wedge classification boundary")
+        raise InternalConsistencyError(f"constructed exponent fails verification ({res})")
     return g
 
 
-def _exponent_bound(pos: Position, a: np.ndarray, va: np.ndarray,
+def _exponent_bound(pos: Position, turned: tuple, a: np.ndarray, va: np.ndarray,
                     g: GeodesicExponent) -> tuple[float, float]:
     """Upper bounds on the endpoint and codiagonality residuals of the
-    exponent g that :func:`position_exponent` builds from ``pos`` and the
-    witness bases a of p^q' and va of p'^q, as the exact report would
-    measure them, from thin gemm-only Frobenius norms (README.md, "The
-    exponent certificate", derives them).
+    exponent g that :func:`position_exponent` builds from ``pos``, the
+    planes it turns and the witness bases a and va of the wedge parts it
+    swaps, as the exact report would measure them, from thin gemm-only
+    Frobenius norms (README.md, "The exponent certificate", derives them).
 
     Bp and Bq are the bases of p and q; X11, Y11 the principal vectors of
-    the meet planes, and X, Y, U and theta the generic planes, with X
-    rotated to X cos theta + U sin theta. The measured ingredients are the
-    orthonormality residuals eps_p, eps_q, eps_v and eps_11 of Bp, Bq, V
-    and X11, beta = ||V* X11||_F, off_p = ||(1 - Bp Bp*) a||_F,
+    the planes the exponent holds, and X, Y, U and theta the planes it
+    turns, with X rotated to X cos theta + U sin theta. The measured
+    ingredients are the orthonormality residuals eps_p, eps_q, eps_v and
+    eps_11 of Bp, Bq, V and X11, beta = ||V* X11||_F, off_p = ||(1 - Bp Bp*) a||_F,
     sigma = ||Bp* [U, va]||_F, off_q = ||(1 - Bq Bq*) va||_F and
     delta = ||[X11 - Y11, X cos theta + U sin theta - Y]||_F, each raised by
     the rounding allowance tau = 4 g(n) (rank + m),
@@ -340,24 +345,20 @@ def _exponent_bound(pos: Position, a: np.ndarray, va: np.ndarray,
                     + 2 nu (beta + eps_v) + (1 + 2 nu^2 eps_v) (off_p + xi)) + tau
         codiagonality <= 4 omega nu max(sqrt(1 + eps_p) sigma, off_p + xi) + tau.
 
-    Both are inf when eps_p, eps_q or eta reaches 1/2, and when a plane
-    absorbed by the classification misses by more than ENDPOINT_ATOL
-    (``pos.miss``): the endpoint then misses by about as much, and only
-    the exact report can say by how much."""
-    if pos.miss > ENDPOINT_ATOL:
-        return math.inf, math.inf
-    bp, bq, x11 = pos.p.basis, pos.q.basis, pos.x11
+    Both are inf when eps_p, eps_q or eta reaches 1/2."""
+    bp, bq = pos.p.basis, pos.q.basis
+    (_, xh, yh, _), (th, x, y, u) = pos.held, turned
     w, v = g.spectrum
     tau = 4.0 * numkit.complex_dot_error(bp.shape[0]) * (bp.shape[1] + v.shape[1])
-    on_p = adjoint(bp) @ np.hstack([a, pos.u, va])
+    on_p = adjoint(bp) @ np.hstack([a, u, va])
     k = a.shape[1]
-    rotated = pos.x * np.cos(pos.angles) + pos.u * np.sin(pos.angles)
+    rotated = x * np.cos(th) + u * np.sin(th)
     eps_p, eps_q, eps_v, eps_11, beta, off_p, sigma, off_q, delta = (e + tau for e in (
         pos.p.basis_residual, pos.q.basis_residual, g._v_residual,
-        numkit.orthonormality_residual(x11, math.inf), frobenius(adjoint(v) @ x11),
+        numkit.orthonormality_residual(xh, math.inf), frobenius(adjoint(v) @ xh),
         frobenius(a - bp @ on_p[:, :k]), frobenius(on_p[:, k:]),
         frobenius(va - bq @ (adjoint(bq) @ va)),
-        math.hypot(frobenius(x11 - pos.y11), frobenius(rotated - pos.y))))
+        math.hypot(frobenius(xh - yh), frobenius(rotated - y))))
     eta = max(eps_11, eps_v) + beta
     if not all(e < 0.5 for e in (eps_p, eps_q, eta)):
         return math.inf, math.inf
@@ -462,8 +463,9 @@ def curve_length(points, rho: float | None | list | tuple = None,
     no eigensolver, under the default trace tr/n and under a ``trace``
     (a ``factor.NormalizedTrace``) alike; a nonzero step whose power trace
     is not a positive normal number (an overflow or underflow at a large
-    order) is re-read from its spectrum, and a zero step stays 0. The
-    operator norm and any other order read the steps' singular values,
+    order) is re-read from its spectrum, and a zero step stays 0. Above
+    1024, when every ||D||_F^rho is 0 or below 2^-1022, no power is formed.
+    The operator norm and any other order read the steps' singular values,
     |eigenvalues| of the Hermitian differences, from one batched eigvalsh,
     which runs only when such an order is asked for. Under a ``trace``, an
     order that is not even reads |D|^rho = V diag(|lam|^rho) V* from one
@@ -498,8 +500,11 @@ def curve_length(points, rho: float | None | list | tuple = None,
             return float(svals.max(axis=1).sum())
         if r % 2 != 0:
             return float(spectral(r).sum())
+        # tau(|D|^rho) <= ||D||_F^rho, checked where the power takes ten squarings
+        top = float(frobenius(diffs).max()) if r > 1024 else 1.0
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            taus = _even_power_traces(diffs, int(r) // 2, trace)
+            taus = (np.zeros(len(diffs)) if top == 0.0 or r * math.log2(top) < -1022
+                    else _even_power_traces(diffs, int(r) // 2, trace))
         bad = ~numkit.positive_normal(taus)
         roots = np.where(bad, 0.0, taus) ** (1.0 / r)
         if bad.any():  # a zero step stays 0

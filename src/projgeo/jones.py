@@ -553,14 +553,14 @@ def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
     The gap is read off the position of (e0, e1), built once and handed to
     the exponent: 1 when a wedge part is classified (a principal angle
     with sine at least 1 - atol_spectral, or unpaired range), and the sine
-    of the largest generic angle otherwise, which is ||e0 - e1|| with the
-    planes absorbed into a meet counted as angle 0. TooFar is raised
-    exactly when a wedge part is classified.
+    of the largest generic angle otherwise, ||e0 - e1|| with the planes
+    absorbed into a meet counted as angle 0: a verdict, as the exponent
+    turns them. TooFar is raised exactly when a wedge part is classified.
     """
     end0 = expectation_projection(spec0, n, tol)
     end1 = expectation_projection(spec1, n, tol)
     pos = projlat.position(end0.big, end1.big)
-    wedge = pos.b10.shape[1] + pos.b01.shape[1] > 0
+    wedge = not pos.exists() or not pos.unique()
     gap = 1.0 if wedge else math.sin(pos.angles.max(initial=0.0))
     if check_distance and wedge:
         raise TooFar(f"||e0 - e1|| = {gap:.6f} is not below 1")

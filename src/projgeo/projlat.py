@@ -3,10 +3,10 @@ position of a pair (its five parts, principal angles and principal
 vectors) and the reflection symmetry of its generic part.
 
 A position comes from one SVD of Bp* Bq over the orthonormal range bases
-that each projection carries from birth (Bjorck & Golub). A plane joins a meet
-when the cosine of its principal angle is within atol_spectral of 1 and a
-wedge when its sine is: an angle width of about sqrt(2 atol_spectral),
-1.41e-3 by default.
+that each projection carries from birth, and planes near angle 0 from the
+sine side. Only this module classifies planes: a meet when the cosine of
+the principal angle is within atol_spectral of 1, a wedge when its sine is
+(an angle width of about sqrt(2 atol_spectral), 1.41e-3 by default).
 """
 
 from __future__ import annotations
@@ -229,38 +229,62 @@ def meet(p: Projection, q: Projection) -> Projection:
     return position(p, q).e11
 
 
+_SKIP = 1e-10  # planes this near 0 are held, and by default this near pi/2 swapped
+MEET, GENERIC, WEDGE = 0, 1, 2  # the class of a principal plane
+
+
 @dataclass(frozen=True, eq=False)
 class Position:
     """The relative position of a pair (p, q), built once by :func:`position`.
 
-    Principal vectors x_j of p and y_j of q (x_j* y_j = cos theta_j) span
-    orthogonal planes. If cos theta_j >= 1 - atol_spectral, x_j + y_j lies
-    in e11 = p ^ q and x_j - y_j in e00 = p' ^ q'; if sin theta_j >= 1 -
-    atol_spectral, the symmetric orthonormalization of (x_j, y_j) lies in
-    e10 = p ^ q' and e01 = p' ^ q, as do unpaired principal vectors. In
-    angle space either width is about sqrt(2 atol_spectral), 1.41e-3 by
-    default; ``x11`` and ``y11`` keep the principal vectors of the planes
-    absorbed into the meet. The other planes form the generic part e0:
-    ``x``, ``y``, ``u`` = (y_j - cos theta_j x_j)/sin theta_j and ascending
-    ``angles``. Every x is a column of Bp L and every y one of Bq R, for
-    the SVD L C R* of Bp* Bq. The five orthogonal parts sum to 1 and are
-    validated when first read. ``miss`` is the largest miss of an absorbed
-    plane: sin theta_j over the planes absorbed into a meet, cos theta_j
-    over those absorbed into a wedge, and 0 when no plane is absorbed.
+    Each principal plane j is held once: unit vectors x_j of range p and y_j
+    of range q, cos and sin of their angle theta_j, u_j off range p with
+    y_j = cos x_j + sin u_j (0 where sin = 0), and its class: MEET if
+    cos >= 1 - atol_spectral, WEDGE if sin is, else GENERIC. A meet plane
+    gives (x +- y)/|x +- y| in e11 = p ^ q and e00, a wedge plane the
+    symmetric orthonormalization of (x, y) in e10 = p ^ q' and e01 = p' ^ q
+    with the unpaired vectors, and the generic planes (``x``, ``u``,
+    ascending ``angles``) span e0; each part is validated when first read.
+    The exponent holds ``held`` (theta, x, y, u) and turns and swaps by :meth:`split`.
     """
 
     p: Projection
     q: Projection
-    b11: np.ndarray  # orthonormal bases of e11,
-    b10: np.ndarray  # e10
-    b01: np.ndarray  # and e01
-    x11: np.ndarray
-    y11: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    u: np.ndarray
-    angles: np.ndarray
-    miss: float
+    xs: np.ndarray      # n x k: x_j,
+    ys: np.ndarray      # y_j
+    us: np.ndarray      # and u_j of each plane,
+    cos: np.ndarray     # the cosine
+    sin: np.ndarray     # and sine of its angle
+    kind: np.ndarray    # and its class
+    p_only: np.ndarray  # unpaired principal vectors of p
+    q_only: np.ndarray  # and of q
+
+    x = cached_property(lambda self: _frozen(self.xs[:, self.kind == GENERIC]))
+    u = cached_property(lambda self: _frozen(self.us[:, self.kind == GENERIC]))
+    theta = cached_property(lambda self: _frozen(np.arctan2(self.sin, self.cos)))
+    angles = cached_property(lambda self: _frozen(self.theta[self.kind == GENERIC]))
+    held = cached_property(lambda self: self._select(self.theta <= _SKIP))
+    _splits = cached_property(lambda self: {})  # split() by its swapped planes
+
+    def _select(self, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(_frozen(a[..., mask]) for a in (self.theta, self.xs, self.ys, self.us))
+
+    @cached_property
+    def b11(self) -> np.ndarray:
+        both = self.xs[:, self.kind == MEET] + self.ys[:, self.kind == MEET]
+        return _frozen(both / np.linalg.norm(both, axis=0))
+
+    def _wedge_bases(self, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # symmetric (Lowdin) orthonormalization of (x, y): the Gram matrix
+        # [[1, c], [c, 1]] has inverse square root [[a+b, a-b], [a-b, a+b]]/2
+        c, xw, yw = self.cos[planes], self.xs[:, planes], self.ys[:, planes]
+        a, b = 1.0 / np.sqrt(1.0 + c), 1.0 / np.sqrt(1.0 - c)
+        return (_frozen(np.hstack([((a + b) * xw + (a - b) * yw) / 2, self.p_only])),
+                _frozen(np.hstack([((a - b) * xw + (a + b) * yw) / 2, self.q_only])))
+
+    _wedges = cached_property(lambda self: self._wedge_bases(self.kind == WEDGE))
+    b10 = property(lambda self: self._wedges[0])
+    b01 = property(lambda self: self._wedges[1])
 
     def ranks(self) -> tuple[int, int, int, int, int]:
         """Ranks of (e11, e00, e10, e01, e0)."""
@@ -280,6 +304,16 @@ class Position:
         b = np.hstack([self.b11, self.b10, self.b01, self.x, self.u])
         return make_projection(np.eye(self.p.n) - b @ adjoint(b), self.p.tol)
 
+    def split(self, reach: float = _SKIP) -> tuple[tuple, tuple[Projection, Projection]]:
+        """(theta, x, y, u) of the planes above 1e-10 the exponent turns, and the
+        parts it swaps: wedge planes within ``reach`` of pi/2, unpaired vectors."""
+        swap = (self.kind == WEDGE) & (self.theta >= np.pi / 2 - reach)
+        if (key := swap.tobytes()) not in self._splits:
+            parts = ((self.e10, self.e01) if np.array_equal(swap, self.kind == WEDGE)
+                     else tuple(self._span(b) for b in self._wedge_bases(swap)))
+            self._splits[key] = self._select((self.theta > _SKIP) & ~swap), parts
+        return self._splits[key]
+
     def exists(self) -> bool:
         return self.b10.shape[1] == self.b01.shape[1]
 
@@ -298,7 +332,15 @@ class Position:
 
 @lru_cache(maxsize=1)
 def position(p: Projection, q: Projection) -> Position:
-    """The :class:`Position` of p and q: one SVD of the range bases' product.
+    """The :class:`Position` of p and q, each plane from its accurate side.
+
+    One SVD Bp* Bq = L C R* gives the principal vectors Bp L, Bq R, the
+    cosines C that set the classes and the sines |y - cos x| (Bjorck & Golub).
+    Cosines near 1 do not tell planes apart, so the planes with cos >= 1 -
+    max(atol_spectral, 1e-6) are taken again when their sines exceed 1e-10
+    in Frobenius norm, from one SVD (1 - P) Y = U S Q* of their q vectors
+    (P = Bp Bp*; Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002):
+    y = Y Q, x = P y / |P y|, sines S and u = U off range p and the other u.
 
     Called again with the same two projection objects, it returns the
     position it built last: projections (compared by identity) and
@@ -312,33 +354,28 @@ def position(p: Projection, q: Projection) -> Position:
     left, cos, right_h = np.linalg.svd(adjoint(bp) @ bq)
     xs, ys = bp @ left, bq @ adjoint(right_h)
     k = cos.size
-    x, y = xs[:, :k], ys[:, :k]
-    cos = np.clip(cos, 0.0, 1.0)
-    meets = cos >= 1.0 - atol
-    wedges = ~meets & (np.sqrt(1.0 - cos * cos) >= 1.0 - atol)
-    gen = ~(meets | wedges)
-    x11, y11 = x[:, meets], y[:, meets]
-    both = x11 + y11
-    # symmetric (Lowdin) orthonormalization of (x, y): the Gram matrix
-    # [[1, c], [c, 1]] has inverse square root [[a+b, a-b], [a-b, a+b]]/2
-    c, xw, yw = cos[wedges], x[:, wedges], y[:, wedges]
-    a, b = 1.0 / np.sqrt(1.0 + c), 1.0 / np.sqrt(1.0 - c)
-    yg = y[:, gen]
-    d = yg - cos[gen] * x[:, gen]
-    s = np.linalg.norm(d, axis=0)
-    # the sine of a meet plane from its vectors, like s: read off a cosine
-    # near 1 it would be accurate only to about sqrt(eps) = 1.5e-8
-    sines = np.linalg.norm(y11 - cos[meets] * x11, axis=0)
-    miss = max(sines.max(initial=0.0), c.max(initial=0.0))
-    angles = np.arctan2(s, cos[gen])
-    order = np.argsort(angles)
-    arrays = (both / np.linalg.norm(both, axis=0),
-              np.hstack([((a + b) * xw + (a - b) * yw) / 2, xs[:, k:]]),
-              np.hstack([((a - b) * xw + (a + b) * yw) / 2, ys[:, k:]]),
-              x11, y11, x[:, gen][:, order], yg[:, order], (d / s)[:, order], angles[order])
-    for arr in arrays:
-        arr.flags.writeable = False
-    return Position(p, q, *arrays, float(miss))
+    x, y, cos = xs[:, :k], ys[:, :k], np.clip(cos, 0.0, 1.0)
+    kind = np.where(cos >= 1.0 - atol, MEET, np.where(
+        np.sqrt(1.0 - cos * cos) >= 1.0 - atol, WEDGE, GENERIC))
+    near = cos >= 1.0 - max(atol, 1e-6)
+    d = y - cos * x
+    # the classes come in this order as the cosines descend; sines by class, bit for bit
+    sin = np.hstack([np.linalg.norm(d[:, kind == c], axis=0) for c in (MEET, GENERIC, WEDGE)])
+    u = d / np.where(sin > 0.0, sin, 1.0)
+    if frobenius(d[:, near]) > _SKIP:
+        h = adjoint(bp) @ y[:, near]
+        uu, s, qh = np.linalg.svd(y[:, near] - bp @ h, full_matrices=False)
+        uu, sin[near], qh = uu[:, ::-1], s[::-1], qh[::-1]
+        px = bp @ (h @ adjoint(qh))
+        cos[near] = np.linalg.norm(px, axis=0)
+        x[:, near], y[:, near] = px / cos[near], y[:, near] @ adjoint(qh)
+        rest = np.hstack([bp, u[:, ~near], ys[:, k:]])
+        u[:, near] = uu - rest @ (adjoint(rest) @ uu)
+    order, gen = np.arange(k), kind == GENERIC
+    order[gen] = order[gen][np.argsort(np.arctan2(sin[gen], cos[gen]))]
+    arrays = (x[:, order], y[:, order], u[:, order], cos[order], sin[order], kind[order],
+              xs[:, k:].copy(), ys[:, k:].copy())
+    return Position(p, q, *(_frozen(a) for a in arrays))
 
 
 def halmos_decompose(p: Projection, q: Projection) -> Position:

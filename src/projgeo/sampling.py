@@ -34,10 +34,10 @@ def structured_pair(n11: int, n00: int, n10: int, n01: int, angles,
     """Pair with prescribed part ranks and generic principal angles.
 
     Returns (p, q, info) where info records the ambient dimension and the
-    intended ranks (e11, e00, e10, e01, e0). Angles must avoid 0 and
-    pi/2 by more than the classification width, about
-    sqrt(2 atol_spectral) in angle space (1.41e-3 by default), otherwise
-    the corresponding plane is absorbed into a meet or wedge part.
+    intended ranks (e11, e00, e10, e01, e0). An angle within the width
+    sqrt(2 atol_spectral) (1.41e-3 by default) of 0 or pi/2 is counted in a
+    meet or wedge part by the verdicts, while the exponent still turns its
+    plane by it unless it lies within 1e-10 of the threshold.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     g = angles.size
@@ -73,9 +73,8 @@ def random_pair(n: int, rng: np.random.Generator, force_wedge: bool = False,
 
     With force_wedge the pair always has equal wedge ranks >= 1 (so a
     geodesic exists but is not unique). Generic angles are drawn from
-    [0.05, pi/2 - 0.05], far outside the classification width of about
-    sqrt(2 atol_spectral) (1.41e-3 by default) at 0 and pi/2, so the
-    classification is unambiguous.
+    [0.05, pi/2 - 0.05], far outside the classification width (see
+    :func:`structured_pair`, which reaches inside it) at 0 and pi/2.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -145,7 +144,7 @@ def pair_diagnostics(p: Projection, q: Projection) -> dict:
 
     Covers the decomposition residuals, existence/uniqueness verdicts
     (:func:`position_report`), the exponent contract, the wedge
-    intertwining, and (for non-unique pairs) distinctness of seeded
+    intertwining, and (for an exact wedge part) distinctness of seeded
     exponents. The exponent's ``exponent_endpoint`` and
     ``exponent_codiagonality`` are certified upper bounds (see
     ``geo.verify_geodesic``).
@@ -165,7 +164,7 @@ def pair_diagnostics(p: Projection, q: Projection) -> dict:
         "wedge_intertwine": float(operator_norm(
             ez @ pos.e10.m @ adjoint(ez) - pos.e01.m)),
     })
-    if pos.e10.rank > 0:
+    if pos.split()[1][0].rank > 0:  # a wedge part within 1e-10 of exact
         zs = [geo.position_exponent(
             pos, geo.partial_isometry(pos.e10, pos.e01, seed=s)).z
             for s in WITNESS_SEEDS]

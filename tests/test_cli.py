@@ -63,8 +63,8 @@ class TestDecompose:
         assert rep["results"]["distance"] == 0.0
 
     def test_builds_no_exponent(self, tmp_path, capsys, monkeypatch):
-        # a plane at 1e-5 is absorbed into the meet and the exponent misses
-        # the endpoint by about sin(1e-5); the decomposition is still sound
+        # a plane at 1e-5 is absorbed into the meet; the decomposition reports
+        # the classification and builds no exponent
         p, q, _ = sampling.structured_pair(1, 1, 0, 0, [1e-5, 0.7],
                                            np.random.default_rng(1))
         pf, qf = write_pair(tmp_path, p, q)
@@ -241,6 +241,19 @@ class TestTransport:
         assert res["gap"] == path.gap
         ref = pg.operator_norm(path.end0.big.m - path.end1.big.m)
         assert abs(path.gap - ref) <= 1e-14 * max(1.0, ref)
+
+    def test_near_threshold_turn(self, capsys):
+        # a rotation by 1e-4 lies inside the classification width: the gap,
+        # a verdict, reads 0, and the exponent turns the plane by its angle
+        code, rep = run_json(capsys, ["transport", "--n", "2", "--spec0", "diagonal",
+                                      "--spec1", "rotated:1e-4"])
+        assert code == 0
+        res = rep["results"]
+        assert res["gap"] == 0.0
+        assert res["ode_vs_propagator"] < 1e-10
+        assert max(res["propagator"].values()) < 1e-8
+        for ax in res["expectation_axioms"].values():
+            assert max(ax.values()) < 1e-8
 
     def test_quarter_turn_exits_3(self, capsys):
         assert cli.main(["transport", "--spec0", "diagonal",

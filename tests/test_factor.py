@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import projgeo as pg
-from projgeo import factor, sampling
+from projgeo import factor, geo, sampling
 from projgeo.errors import BadTrace, NotMember, RankMismatch
 
 from _helpers import meet_oracle, rotation_pair
@@ -180,6 +181,26 @@ class TestMultiGeodesics:
             for j in range(i + 1, 5):
                 assert pg.operator_norm(fam[i][0].z - fam[j][0].z) > 1e-6
 
+    def test_a_pair_orthogonal_within_the_tolerance_keeps_distinct_geodesics(self):
+        # ||pq|| = 1e-9 passes the orthogonality guard; the supplied witnesses
+        # swap the plane at pi/2 - 1e-9 rather than turn it
+        alg = factor.FiniteAlgebra.full(4)
+        tr = factor.NormalizedTrace(alg)
+        e = np.eye(4, dtype=complex)
+        p = pg.from_span(e[:, 0])
+        q = pg.from_span(1e-9 * e[:, 0] + np.sqrt(1 - 1e-18) * e[:, 1])
+        assert pg.operator_norm(p.m @ q.m) == pytest.approx(1e-9, rel=1e-6)
+        fam = factor.multi_geodesics(p, q, count=3, rho=2.0, t=tr)
+        assert len(fam) == 3
+        for g, length in fam:
+            assert pg.verify_geodesic(g).max() <= geo.ENDPOINT_ATOL
+            ez = scipy.linalg.expm(g.z)
+            assert pg.operator_norm(ez @ p.m @ ez.conj().T - q.m) < 1e-8
+            assert length == pytest.approx(fam[0][1], abs=1e-12)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert pg.operator_norm(fam[i][0].z - fam[j][0].z) > 1e-6
+
     def test_rank_mismatch(self):
         alg = factor.FiniteAlgebra.full(4)
         tr = factor.NormalizedTrace(alg)
@@ -197,3 +218,22 @@ class TestMultiGeodesics:
             (_, length), = factor.multi_geodesics(p, q, count=1, rho=2.0, t=tr)
             lengths.append(length)
         assert lengths[1] < lengths[0]
+
+
+@pytest.mark.parametrize("theta", [1e-7, 1e-4, 1e-3, np.pi / 2 - 1e-7,
+                                   np.pi / 2 - 1e-4, np.pi / 2 - 1e-3])
+def test_blockwise_exponent_turns_near_threshold_planes(theta):
+    # each block holds a plane inside the classification width, absorbed
+    # into a meet or a wedge; the block's exponent turns it by its angle
+    alg = factor.FiniteAlgebra(blocks=(4, 4), weights=(0.5, 0.5))
+    rng = np.random.default_rng(17)
+    pm, qm = np.zeros((8, 8), dtype=complex), np.zeros((8, 8), dtype=complex)
+    for sl, ranks, angles in zip(alg.slices(), [(0, 0, 0, 0), (1, 1, 0, 0)],
+                                 [[theta, 0.6], [theta]]):
+        p, q, _ = sampling.structured_pair(*ranks, angles, rng)
+        pm[sl, sl], qm[sl, sl] = p.m, q.m
+    p, q = pg.make_projection(pm), pg.make_projection(qm)
+    g = factor.blockwise_minimal_exponent(alg, p, q)
+    assert pg.verify_geodesic(g).max() <= geo.ENDPOINT_ATOL
+    e = scipy.linalg.expm(g.z)
+    assert pg.operator_norm(e @ p.m @ e.conj().T - q.m) <= 1e-12

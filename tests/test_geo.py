@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import projgeo as pg
 from projgeo import factor, geo, jones, sampling
@@ -190,24 +191,25 @@ class TestMinimalExponent:
 
     def test_boundary_angle_classification(self):
         # an angle within the spectral width of pi/2 is classified as a
-        # wedge pair; deep inside the zone the wedge exponent still meets
-        # the contract, but at intermediate depths codiagonality degrades
-        # to the angle scale and construction refuses instead of
-        # returning an off-contract exponent
+        # wedge pair, and an angle outside it as generic; the exponent
+        # swaps the plane through the witness only within 1e-10 of pi/2 and
+        # turns it by its angle farther in, so every depth meets the
+        # contract, each against the dense e^z p e^-z
         p = pg.make_projection(np.diag([1.0, 0.0]))
 
         def at(eps):
             c, s = np.cos(np.pi / 2 - eps), np.sin(np.pi / 2 - eps)
             return pg.make_projection([[c * c, c * s], [c * s, s * s]])
 
-        deep = at(1e-9)
-        assert pg.halmos_decompose(p, deep).ranks() == (0, 0, 1, 1, 0)
-        assert pg.verify_geodesic(pg.minimal_exponent(p, deep)).max() < 1e-8
-        with pytest.raises(geo.InternalConsistencyError):
-            pg.minimal_exponent(p, at(1e-7))
-        outside = at(2e-3)  # classified generic again
-        assert pg.halmos_decompose(p, outside).ranks() == (0, 0, 0, 0, 2)
-        assert pg.verify_geodesic(pg.minimal_exponent(p, outside)).max() < 1e-8
+        for eps, ranks in ((1e-9, (0, 0, 1, 1, 0)), (1e-7, (0, 0, 1, 1, 0)),
+                           (2e-3, (0, 0, 0, 0, 2))):
+            q = at(eps)
+            assert pg.halmos_decompose(p, q).ranks() == ranks
+            g = pg.minimal_exponent(p, q)
+            assert pg.verify_geodesic(g).max() < 1e-8
+            e = scipy.linalg.expm(g.z)
+            assert pg.operator_norm(e @ p.m @ adj(e) - q.m) < 1e-12
+            assert pg.operator_norm(g.z) == pytest.approx(np.pi / 2 - eps, abs=1e-12)
 
     def test_non_uniqueness_from_seeds(self):
         rng = np.random.default_rng(24)

@@ -1,0 +1,91 @@
+"""Every valid pair ends in a verified exponent or a typed error, also at
+the angles the random generators never draw: planes within 0.05 of 0 or
+of pi/2 (log-uniform down to 1e-13), clusters of equal angles, mixed part
+ranks, classification widths up to the cap, and expectation paths between
+the diagonal and its rotation by such an angle."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import projgeo as pg
+from projgeo import geo, jones, projlat, sampling
+from projgeo.errors import NoGeodesic, TooFar
+from projgeo.numkit import MAX_ATOL_SPECTRAL
+
+RANKS = [(1, 1, 0, 0), (0, 0, 2, 2), (2, 1, 1, 1), (0, 0, 0, 0), (3, 2, 0, 0)]
+
+near = st.floats(np.log(1e-13), np.log(0.05)).map(np.exp)
+
+
+@st.composite
+def near_threshold_pairs(draw):
+    """A structured pair with one to three planes within 0.05 of 0 or
+    pi/2, each angle drawn alone, at 1.5 times the first, or as a cluster
+    of three equal angles; mixed part ranks, unequal wedges included; and
+    the default width or one log-uniform in [1e-14, MAX_ATOL_SPECTRAL)."""
+    ranks = draw(st.sampled_from(RANKS) | st.tuples(*[st.integers(0, 3)] * 4))
+    theta = draw(near)
+    angles = draw(st.sampled_from([[theta, 0.7], [theta, 1.5 * theta, 0.7], [theta] * 3]))
+    if draw(st.booleans()):
+        angles = [np.pi / 2 - a if a != 0.7 else a for a in angles]
+    tol = pg.DEFAULT_TOL
+    if draw(st.booleans()):
+        width = np.exp(draw(st.floats(np.log(1e-14), np.log(MAX_ATOL_SPECTRAL),
+                                      exclude_max=True)))
+        tol = pg.ToleranceProfile(atol_spectral=width)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return sampling.structured_pair(*ranks, angles, rng, tol)[:2]
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(near_threshold_pairs())
+def test_a_near_threshold_pair_gets_a_verified_exponent_or_a_typed_error(pair):
+    p, q = pair
+    try:
+        g = pg.minimal_exponent(p, q)
+    except NoGeodesic:
+        assert p.rank != q.rank
+        return
+    assert pg.verify_geodesic(g).max() <= geo.ENDPOINT_ATOL
+    # a seeded witness of the classified wedge parts verifies too
+    pos = projlat.position(p, q)
+    w = geo.partial_isometry(pos.e10, pos.e01, seed=1)
+    assert pg.verify_geodesic(geo.position_exponent(pos, w)).max() <= geo.ENDPOINT_ATOL
+
+
+@pytest.mark.parametrize("depth", [1e-9, 1e-7, 1e-4])
+def test_a_witness_of_the_classified_wedge_turns_its_near_threshold_plane(depth):
+    # e10 holds an exact wedge plane and one at pi/2 - depth; a witness of
+    # the whole of e10 ~ e01 swaps the exact one and, from 1.25e-9 on, turns
+    # the other, so two witnesses differ only on the exact wedge
+    p, q, _ = sampling.structured_pair(1, 1, 1, 1, [np.pi / 2 - depth, 0.7],
+                                       np.random.default_rng(3))
+    pos = projlat.position(p, q)
+    assert pos.ranks() == (1, 1, 2, 2, 2)
+    gs = [pg.minimal_exponent(p, q, w=geo.partial_isometry(pos.e10, pos.e01, seed=s))
+          for s in (None, 4)]
+    for g in gs:
+        assert pg.verify_geodesic(g).max() <= geo.ENDPOINT_ATOL
+        ez = scipy.linalg.expm(g.z)
+        assert pg.operator_norm(ez @ p.m @ ez.conj().T - q.m) < 2 * depth
+        assert pg.operator_norm(g.z) == pytest.approx(np.pi / 2, abs=1e-12)
+    assert pg.operator_norm(gs[0].z - gs[1].z) > 1e-3
+    if depth > 1e-8:  # the near plane is turned, the same under both witnesses
+        (_, x, _, u), _ = pos.split(geo.ENDPOINT_ATOL / 8)
+        rot = np.hstack([x, u])
+        assert pg.operator_norm((gs[0].z - gs[1].z) @ rot) < 1e-12
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(st.sampled_from([2, 3, 6]), near, st.booleans())
+def test_an_expectation_path_by_a_near_threshold_rotation_is_built_or_too_far(
+        n, theta, wedge):
+    spec1 = jones.rotated_diagonal_spec(n, np.pi / 2 - theta if wedge else theta)
+    try:
+        path = jones.expectation_path(jones.diagonal_spec(n), spec1, n)
+    except TooFar:
+        return
+    assert pg.verify_geodesic(path.z).max() <= geo.ENDPOINT_ATOL

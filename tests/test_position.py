@@ -1,8 +1,8 @@
 """The relative position of a pair: its parts against an independent
-null-space oracle, planes inside the classification width, one position
-per diagnostic battery, a ceiling on dense kernel calls, no repeated
-factorization on the geodesic path, and make_projection's decisions on
-operator-norm residuals."""
+null-space oracle, planes inside the classification width and the angles
+they keep, one position per diagnostic battery, a ceiling on dense kernel
+calls, no repeated factorization on the geodesic path, and
+make_projection's decisions on operator-norm residuals."""
 
 import numpy as np
 import pytest
@@ -193,13 +193,22 @@ def test_make_projection_rejection_threshold():
 
 
 @pytest.mark.parametrize("theta", [1e-5, 1e-3, np.pi / 2 - 1e-5, np.pi / 2 - 1e-3])
-def test_miss_is_the_absorbed_planes_sine_or_cosine(theta):
-    # a plane absorbed into the meet misses by sin(theta), one absorbed into
-    # a wedge by cos(theta); the sine is read off the vectors, so it stays
-    # accurate far below sqrt(eps)
+def test_an_absorbed_plane_keeps_its_angle(theta):
+    # a plane absorbed into the meet or a wedge keeps its angle's distance
+    # from the threshold to rel 1e-6, far below sqrt(eps): a meet plane's
+    # angle is read from the sine side, a wedge plane's from its cosine;
+    # the exponent turns it
     p, q, _ = sampling.structured_pair(1, 1, 0, 0, [theta, 0.7], np.random.default_rng(4))
     pos = projlat.position(p, q)
     assert pos.ranks()[4] == 2
-    assert pos.miss == pytest.approx(min(np.sin(theta), np.cos(theta)), rel=1e-6)
+    absorbed = pos.kind != projlat.GENERIC
+    depth = np.minimum(pos.theta, np.pi / 2 - pos.theta)[absorbed]
+    assert depth.max() == pytest.approx(min(theta, np.pi / 2 - theta), rel=1e-6)
+    assert sorted(pos.split()[0][0]) == pytest.approx(sorted([theta, 0.7]), rel=1e-6)
+    # exact meets and wedges are held and swapped
     p, q, _ = sampling.structured_pair(2, 1, 1, 1, [0.7], np.random.default_rng(4))
-    assert projlat.position(p, q).miss <= 1e-14
+    pos = projlat.position(p, q)
+    assert pos.held[0].size == 2 and pos.split()[0][0] == pytest.approx([0.7], abs=1e-12)
+    assert np.abs(np.pi / 2 - pos.theta[pos.kind == projlat.WEDGE]).max() <= 1e-14
+    for swapped, part in zip(pos.split()[1], (pos.e10, pos.e01)):
+        assert np.array_equal(swapped.basis, part.basis)
