@@ -259,8 +259,8 @@ def minimal_exponent(p: Projection, q: Projection,
     """Construct a normalized exponent z with e^z p e^{-z} = q.
 
     z vanishes on p^q and p'^q', equals i(pi/2)(w + w*) on the wedge parts
-    it swaps (w defaulting to the deterministic partial isometry between
-    them), and on every other principal plane, of any class, is the
+    it swaps (w defaulting to the deterministic partial isometry of p^q'
+    onto p'^q), and on every other principal plane, of any class, is the
     rotation by its angle. Raises NoGeodesic when the wedge ranks differ.
     """
     return position_exponent(projlat.position(p, q), w)
@@ -276,10 +276,10 @@ def position_exponent(pos: Position,
     eigenvalues +-theta_j. On the wedge parts it swaps z = i(pi/2)(v + v*)
     for the witness v: each column a of its basis ``bs`` gives
     (a +- v a)/sqrt(2) with eigenvalues -+pi/2, v a the matching column of
-    ``bt``. The default witness is ``partial_isometry(*pos.split()[1])``. A
-    supplied one must have the rank of p^q' and bases in p^q' and p'^q
-    within ENDPOINT_ATOL (else InvariantViolation); it swaps the planes
-    within ENDPOINT_ATOL/8 of pi/2, by its polar part there if it covers more.
+    ``bt``. The default witness ``partial_isometry(pos.e10, pos.e01)`` swaps the
+    planes within 1e-10 of pi/2; a supplied one, of the rank of p^q' with bases in
+    p^q' and p'^q within ENDPOINT_ATOL (else InvariantViolation), those within
+    ENDPOINT_ATOL/8. Either swaps by its polar part there if it covers more.
 
     The endpoint and codiagonality residuals are settled by
     :func:`_exponent_bound` when both its bounds are at most ENDPOINT_ATOL,
@@ -288,18 +288,17 @@ def position_exponent(pos: Position,
     ``projgeo`` logger."""
     turned, (s10, s01) = pos.split() if w is None else pos.split(_WITNESS_REACH)
     th, x, _, u = turned
-    a = va = np.zeros((pos.p.n, 0), dtype=np.complex128)
+    a, va = s10, s01  # empty when the pair has no wedge part
     if not pos.unique():
         if w is None:
-            w = partial_isometry(s10, s01)
+            w = partial_isometry(pos.e10, pos.e01)
         elif (w.bs.shape[1] != pos.b10.shape[1]
               or max(_norm_off(pos.b10, w.bs), _norm_off(pos.b01, w.bt)) > ENDPOINT_ATOL):
             raise InvariantViolation("supplied isometry does not witness p^q' ~ p'^q")
         a, va = w.bs, w.bt
-        if s10.rank < a.shape[1]:  # the polar part of s01* v s10
-            b10, b01 = s10.basis, s01.basis
-            left, _, right_h = np.linalg.svd(adjoint(b01) @ va @ (adjoint(a) @ b10))
-            a, va = b10 @ adjoint(right_h), b01 @ left
+        if s10.shape[1] < a.shape[1]:  # the polar part of s01* v s10
+            left, _, right_h = np.linalg.svd(adjoint(s01) @ va @ (adjoint(a) @ s10))
+            a, va = s10 @ adjoint(right_h), s01 @ left
     # the wedge columns swap the two wedge parts: e^z = i (v + v*) there
     half_pi = np.full(a.shape[1], HALF_PI)
     g = GeodesicExponent.from_spectrum(
@@ -464,7 +463,7 @@ def curve_length(points, rho: float | None | list | tuple = None,
     (a ``factor.NormalizedTrace``) alike; a nonzero step whose power trace
     is not a positive normal number (an overflow or underflow at a large
     order) is re-read from its spectrum, and a zero step stays 0. Above
-    1024, when every ||D||_F^rho is 0 or below 2^-1022, no power is formed.
+    1024 no power is formed, and every nonzero step is read from its spectrum.
     The operator norm and any other order read the steps' singular values,
     |eigenvalues| of the Hermitian differences, from one batched eigvalsh,
     which runs only when such an order is asked for. Under a ``trace``, an
@@ -500,10 +499,9 @@ def curve_length(points, rho: float | None | list | tuple = None,
             return float(svals.max(axis=1).sum())
         if r % 2 != 0:
             return float(spectral(r).sum())
-        # tau(|D|^rho) <= ||D||_F^rho, checked where the power takes ten squarings
-        top = float(frobenius(diffs).max()) if r > 1024 else 1.0
+        # above 1024 the power takes over ten squarings and may leave the double range
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            taus = (np.zeros(len(diffs)) if top == 0.0 or r * math.log2(top) < -1022
+            taus = (np.zeros(len(diffs)) if r > 1024
                     else _even_power_traces(diffs, int(r) // 2, trace))
         bad = ~numkit.positive_normal(taus)
         roots = np.where(bad, 0.0, taus) ** (1.0 / r)

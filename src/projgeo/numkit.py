@@ -32,6 +32,9 @@ _UNIT_ROUNDOFF = _EPS / 2
 # the classification width at which a plane at pi/4 joins both a meet and
 # a wedge window (cos = sin = 1/sqrt(2))
 MAX_ATOL_SPECTRAL = 1.0 - 1.0 / math.sqrt(2.0)
+# the narrowest width: a Haar projection's eigenvalues carry rounding up to
+# 4.3e-15 at n = 512 and 6.6e-15 at n = 1024, which a narrower one rejects
+MIN_ATOL_SPECTRAL = 8e-15
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,8 @@ class ToleranceProfile:
     atol_spectral must stay below 1 - 1/sqrt(2) (about 0.293): at that
     width a plane at pi/4 has both its cosine and its sine within
     atol_spectral of 1, so the meet and wedge windows overlap and its
-    classification is undefined.
+    classification is undefined. It must be at least MIN_ATOL_SPECTRAL
+    (8e-15), the rounding that a valid projection's eigenvalues carry.
     """
 
     atol_structure: float = 1e-8
@@ -65,10 +69,11 @@ class ToleranceProfile:
                 raise ValueError(f"{name} must be positive and finite")
         if self.atol_rank < _EPS:
             raise ValueError("atol_rank must be at least machine epsilon")
-        if self.atol_spectral >= MAX_ATOL_SPECTRAL:
+        if not MIN_ATOL_SPECTRAL <= self.atol_spectral < MAX_ATOL_SPECTRAL:
             raise ValueError(f"atol_spectral must be below 1 - 1/sqrt(2) = "
                              f"{MAX_ATOL_SPECTRAL:.6f}, where the meet and wedge "
-                             "windows overlap")
+                             f"windows overlap, and at least {MIN_ATOL_SPECTRAL:g}, "
+                             "the rounding of a valid projection's eigenvalues")
 
     def rank_cutoff(self, n: int, smax: float) -> float:
         """Singular values at or below this count as zero."""

@@ -245,7 +245,7 @@ class Position:
     symmetric orthonormalization of (x, y) in e10 = p ^ q' and e01 = p' ^ q
     with the unpaired vectors, and the generic planes (``x``, ``u``,
     ascending ``angles``) span e0; each part is validated when first read.
-    The exponent holds ``held`` (theta, x, y, u) and turns and swaps by :meth:`split`.
+    The exponent holds ``held``, turns and swaps by :meth:`split` with a witness of e10 ~ e01.
     """
 
     p: Projection
@@ -304,13 +304,13 @@ class Position:
         b = np.hstack([self.b11, self.b10, self.b01, self.x, self.u])
         return make_projection(np.eye(self.p.n) - b @ adjoint(b), self.p.tol)
 
-    def split(self, reach: float = _SKIP) -> tuple[tuple, tuple[Projection, Projection]]:
-        """(theta, x, y, u) of the planes above 1e-10 the exponent turns, and the
-        parts it swaps: wedge planes within ``reach`` of pi/2, unpaired vectors."""
+    def split(self, reach: float = _SKIP) -> tuple[tuple, tuple[np.ndarray, np.ndarray]]:
+        """(theta, x, y, u) of the planes above 1e-10 the exponent turns, and bases of
+        the parts it swaps: wedge planes within ``reach`` of pi/2, unpaired vectors."""
         swap = (self.kind == WEDGE) & (self.theta >= np.pi / 2 - reach)
         if (key := swap.tobytes()) not in self._splits:
-            parts = ((self.e10, self.e01) if np.array_equal(swap, self.kind == WEDGE)
-                     else tuple(self._span(b) for b in self._wedge_bases(swap)))
+            parts = (self._wedges if np.array_equal(swap, self.kind == WEDGE)
+                     else self._wedge_bases(swap))
             self._splits[key] = self._select((self.theta > _SKIP) & ~swap), parts
         return self._splits[key]
 

@@ -144,8 +144,8 @@ def pair_diagnostics(p: Projection, q: Projection) -> dict:
 
     Covers the decomposition residuals, existence/uniqueness verdicts
     (:func:`position_report`), the exponent contract, the wedge
-    intertwining, and (for an exact wedge part) distinctness of seeded
-    exponents. The exponent's ``exponent_endpoint`` and
+    intertwining, and when ``unique`` is False the gap between the exponents
+    of two seeded witnesses (0 if they swap nothing). The exponent's ``exponent_endpoint`` and
     ``exponent_codiagonality`` are certified upper bounds (see
     ``geo.verify_geodesic``).
     """
@@ -164,7 +164,7 @@ def pair_diagnostics(p: Projection, q: Projection) -> dict:
         "wedge_intertwine": float(operator_norm(
             ez @ pos.e10.m @ adjoint(ez) - pos.e01.m)),
     })
-    if pos.split()[1][0].rank > 0:  # a wedge part within 1e-10 of exact
+    if not report["unique"]:
         zs = [geo.position_exponent(
             pos, geo.partial_isometry(pos.e10, pos.e01, seed=s)).z
             for s in WITNESS_SEEDS]

@@ -27,6 +27,30 @@ def run_json(capsys, argv):
     return code, (json.loads(out) if out else None)
 
 
+# valid JSON that is not a matrix document (BAD_DOCS) or not a subalgebra
+# spec (BAD_SPECS): a list, a number, a string, a missing field or a field
+# of the wrong type
+DOC = {"n": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+BAD_DOCS = [[1, 2], 3, "p", {"re": DOC["re"], "im": DOC["im"]}, {**DOC, "n": [1]},
+            {**DOC, "n": "2"}, {**DOC, "n": True}, {**DOC, "re": 5},
+            {**DOC, "im": [[{}, 0.0], [0.0, 0.0]]}]
+BAD_SPECS = [[1, 2], 3, {"kind": 3}, {"kind": "bogus"}, {"kind": "block_partition", "groups": 5},
+             {"kind": "block_partition", "groups": [[0], 1]},
+             {"kind": "block_partition", "groups": [[0.5], [1]]},
+             {"kind": "tensor_factor", "k": "2", "m": 1},
+             {"kind": "matrix_span", "matrices": 7},
+             {"kind": "matrix_span", "matrices": [{**DOC, "n": [1]}]}]
+GOOD_SPECS = [{"kind": "block_partition", "groups": [[0], [1]]},
+              {"kind": "tensor_factor", "k": 1, "m": 2},
+              {"kind": "matrix_span", "matrices": [
+                  DOC, {**DOC, "re": [[0.0, 0.0], [0.0, 1.0]]}]}]
+
+
+def write_json(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestMatrixDocuments:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(60)
@@ -39,6 +63,32 @@ class TestMatrixDocuments:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             cli.document_to_matrix({"n": 2, "re": [[1.0]], "im": [[0.0]]})
+
+    @pytest.mark.parametrize("doc", BAD_DOCS)
+    def test_a_malformed_document_exits_2(self, doc, tmp_path, capsys):
+        f = write_json(tmp_path / "m.json", doc)
+        assert cli.main(["decompose", f, f]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc", BAD_SPECS)
+    def test_a_malformed_spec_file_exits_2(self, doc, tmp_path, capsys):
+        f = write_json(tmp_path / "s.json", doc)
+        assert cli.main(["transport", "--spec0", "diagonal", "--spec1", "@" + f]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc, named, other, n", [
+        (GOOD_SPECS[0], "diagonal", "rotated:0.3", "2"),
+        ({"kind": "tensor_factor", "k": 2, "m": 2}, "tensor:2x2", "tensor:2x2", "4"),
+        ({"kind": "matrix_span", "matrices": [cli.matrix_to_document(m) for m in
+                                              jones.rotated_diagonal_spec(2, 0.3).mats]},
+         "rotated:0.3", "diagonal", "2")])
+    def test_a_spec_file_reads_as_its_named_spec(self, doc, named, other, n, tmp_path, capsys):
+        f = write_json(tmp_path / "s.json", doc)
+        reports = [run_json(capsys, ["transport", "--n", n, "--steps", "100", "--trials", "1",
+                                     "--spec0", spec, "--spec1", other])
+                   for spec in ("@" + f, named)]
+        assert reports[0][0] == reports[1][0] == 0
+        assert reports[0][1]["results"] == reports[1][1]["results"]
 
 
 class TestDecompose:
@@ -251,6 +301,8 @@ class TestTransport:
         res = rep["results"]
         assert res["gap"] == 0.0
         assert res["ode_vs_propagator"] < 1e-10
+        # the probe's errors are rounding that grows with the steps: no order
+        assert res["convergence_order"] is None
         assert max(res["propagator"].values()) < 1e-8
         for ax in res["expectation_axioms"].values():
             assert max(ax.values()) < 1e-8
@@ -328,9 +380,10 @@ COUNT_PAST = ("0", "-1", HUGE, "nan", "1e3")
 RHO = ("", "1", "2,4", "1e308"), ("0", "-1", "0.5", "nan", "inf")
 COMMON = [
     ("--tol-structure", ("1e-8", "1e300"), ("0", "-1", "nan", "inf", "-inf"), False),
-    # 0.3 and up lie past the cap 1 - 1/sqrt(2), where the windows overlap
-    ("--tol-spectral", ("1e-6", "0.1"), ("0", "-1", "nan", "inf", "0.3", "0.5", "1e300"),
-     False),
+    # 0.3 and up lie past the cap 1 - 1/sqrt(2), where the windows overlap,
+    # and 1e-16 below the floor 8e-15, the rounding of valid projections
+    ("--tol-spectral", ("1e-6", "0.1"),
+     ("0", "-1", "nan", "inf", "0.3", "0.5", "1e300", "1e-16"), False),
     ("--tol-rank", ("1e-10", "1e300"), ("0", "-1", "nan", "inf", "1e-20"), False),
     ("--seed", ("0", "7", str(10 ** 30)), ("-1", "nan"), False),
     ("--json", (), (), False),
@@ -341,11 +394,13 @@ def command_grammar(docs):
     """Strategy of (argv, past range). Each flag is (name, in-range values,
     past-range values, required); a name of None is a positional argument
     and a flag with no values is a switch."""
-    pf, qf, junk = docs
-    pair = [(None, (pf, qf), (junk, junk + ".missing"), True)] * 2
-    spec = (("diagonal", "rotated:0.3", "rotated:-1", "rotated:1e308", "tensor:1x2"),
+    pf, qf, junk, bad_docs, good_specs, bad_specs = docs
+    pair = [(None, (pf, qf), (junk, junk + ".missing", *bad_docs), True)] * 2
+    spec = (("diagonal", "rotated:0.3", "rotated:-1", "rotated:1e308", "tensor:1x2",
+             *("@" + f for f in good_specs)),
             ("rotated:nan", "rotated:inf", "tensor:0x0", "tensor:-1x-2",
-             "tensor:100000x100000", "bogus", "@" + junk + ".missing"))
+             "tensor:100000x100000", "bogus", "@" + junk + ".missing",
+             *("@" + f for f in bad_specs)))
     commands = {
         "decompose": pair,
         "geodesic": pair + [
@@ -400,7 +455,9 @@ def docs(tmp_path_factory):
     cli.write_matrix(pf, p.m)
     cli.write_matrix(qf, q.m)
     junk.write_text("{not json")
-    return str(pf), str(qf), str(junk)
+    files = [[write_json(root / f"{name}{i}.json", doc) for i, doc in enumerate(group)]
+             for name, group in (("doc", BAD_DOCS), ("good", GOOD_SPECS), ("spec", BAD_SPECS))]
+    return (str(pf), str(qf), str(junk), *files)
 
 
 def test_every_invocation_ends_in_a_documented_exit(docs):

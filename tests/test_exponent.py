@@ -197,10 +197,12 @@ def test_default_witness_is_the_pivoted_partial_isometry(n):
 
 
 def test_default_exponent_equals_that_of_the_default_witness():
-    # one wedge construction: the default witness is this partial isometry
+    # one wedge construction: the default witness is this partial isometry,
+    # taken by its polar part like a supplied one when a wedge plane is turned
     rng = np.random.default_rng(12)
-    for _ in range(8):
-        p, q, _ = sampling.random_pair(12, rng, force_wedge=True)
+    pairs = [sampling.random_pair(12, rng, force_wedge=True)[:2] for _ in range(8)]
+    pairs.append(sampling.structured_pair(0, 0, 1, 1, [np.pi / 2 - 1e-5, 0.7], rng)[:2])
+    for p, q in pairs:
         pos = projlat.position(p, q)
         w = pg.partial_isometry(pos.e10, pos.e01)
         assert np.array_equal(geo.position_exponent(pos).z, geo.position_exponent(pos, w).z)

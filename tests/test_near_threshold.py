@@ -79,6 +79,17 @@ def test_a_witness_of_the_classified_wedge_turns_its_near_threshold_plane(depth)
         assert pg.operator_norm((gs[0].z - gs[1].z) @ rot) < 1e-12
 
 
+@pytest.mark.parametrize("depth, gap", [(1e-9, 2.93), (1e-5, 0.0)])
+def test_the_seeded_gap_follows_the_uniqueness_verdict(depth, gap):
+    # a wedge plane at pi/2 - depth is classified, so unique is False: at
+    # 1e-9 a supplied witness swaps it, at 1e-5 every witness turns it
+    p, q, _ = sampling.structured_pair(1, 1, 0, 0, [np.pi / 2 - depth, 0.7],
+                                       np.random.default_rng(2))
+    report = sampling.pair_diagnostics(p, q)
+    assert report["unique"] is False
+    assert report["seeded_exponent_gap"] == pytest.approx(gap, abs=0.01)
+
+
 @settings(max_examples=12, deadline=None, database=None)
 @given(st.sampled_from([2, 3, 6]), near, st.booleans())
 def test_an_expectation_path_by_a_near_threshold_rotation_is_built_or_too_far(

@@ -348,3 +348,15 @@ def test_classification_widths_where_the_windows_overlap_are_rejected(value):
     with pytest.raises(ValueError, match="atol_spectral must be below"):
         numkit.ToleranceProfile(atol_spectral=value)
     numkit.ToleranceProfile(atol_spectral=np.nextafter(numkit.MAX_ATOL_SPECTRAL, 0.0))
+
+
+@pytest.mark.parametrize("value", [np.nextafter(numkit.MIN_ATOL_SPECTRAL, 0.0), 1e-15, 1e-16,
+                                   1e-30])
+def test_classification_widths_below_rounding_are_rejected(value):
+    # at 1e-16 the ends of a structured pair fail the spectral check, and at
+    # 1e-15 a Haar projection at n = 64; the floor accepts both
+    with pytest.raises(ValueError, match="at least 8e-15"):
+        numkit.ToleranceProfile(atol_spectral=value)
+    tol = numkit.ToleranceProfile(atol_spectral=numkit.MIN_ATOL_SPECTRAL)
+    sampling.structured_pair(1, 1, 0, 0, [0.3], np.random.default_rng(1), tol)
+    sampling.random_projection(64, 21, np.random.default_rng(0), tol)

@@ -211,4 +211,4 @@ def test_an_absorbed_plane_keeps_its_angle(theta):
     assert pos.held[0].size == 2 and pos.split()[0][0] == pytest.approx([0.7], abs=1e-12)
     assert np.abs(np.pi / 2 - pos.theta[pos.kind == projlat.WEDGE]).max() <= 1e-14
     for swapped, part in zip(pos.split()[1], (pos.e10, pos.e01)):
-        assert np.array_equal(swapped.basis, part.basis)
+        assert np.array_equal(swapped, part.basis)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projgeo as pg
-from projgeo import jones, projlat, sampling
+from projgeo import jones, numkit, projlat, sampling
 from projgeo.errors import DimensionMismatch, NoGenericPart, NotProjection, RankDeficient
 
 from _helpers import adj, meet_oracle, record_kernels, rotation_pair
@@ -158,6 +158,23 @@ def test_only_the_eigh_fallback_logs(caplog):
             pg.make_projection(0.5 * np.eye(2))  # trace 1, no certified basis
     [rec] = caplog.records
     assert rec.levelno == logging.DEBUG and "eigh" in rec.getMessage()
+
+
+def test_the_eigh_fallback_accepts_what_the_certificate_cannot_settle(caplog):
+    # each eigenvalue moved by up to 5e-9: ||sym - B B*||_F exceeds
+    # atol_structure, while every eigenvalue lies well within it of {0, 1}
+    rng = np.random.default_rng(15)
+    u = numkit.haar_unitary(64, rng)
+    lam = np.r_[np.ones(32), np.zeros(32)] + rng.uniform(-5e-9, 5e-9, 64)
+    with caplog.at_level(logging.DEBUG, logger="projgeo"):
+        p = pg.make_projection((u * lam) @ adj(u))
+    [rec] = caplog.records
+    assert rec.levelno == logging.DEBUG and "eigh" in rec.getMessage()
+    assert p.rank == 32
+    assert pg.operator_norm(p.basis @ adj(p.basis) - u[:, :32] @ adj(u[:, :32])) <= 1e-12
+    assert "basis_residual" not in vars(p)  # measured when first read
+    assert p.basis_residual <= 1e-13
+    assert vars(p)["basis_residual"] == p.basis_residual
 
 
 class TestFromOrthonormal:
