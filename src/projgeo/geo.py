@@ -30,7 +30,7 @@ _log = logging.getLogger("projgeo")
 # Endpoint contract for constructed exponents: ||e^z p e^{-z} - q||.
 ENDPOINT_ATOL = 1e-8
 # a supplied witness swaps wedge planes this near pi/2 (codiagonality ~9 cos)
-_WITNESS_REACH = ENDPOINT_ATOL / 8
+WITNESS_REACH = ENDPOINT_ATOL / 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +286,7 @@ def position_exponent(pos: Position,
     and then the report holds the bounds. Otherwise (or on a nan) the
     exact report measures them, and one DEBUG record goes to the
     ``projgeo`` logger."""
-    turned, (s10, s01) = pos.split() if w is None else pos.split(_WITNESS_REACH)
+    turned, (s10, s01) = pos.split() if w is None else pos.split(WITNESS_REACH)
     th, x, _, u = turned
     a, va = s10, s01  # empty when the pair has no wedge part
     if not pos.unique():

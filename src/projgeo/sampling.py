@@ -145,9 +145,9 @@ def pair_diagnostics(p: Projection, q: Projection) -> dict:
     Covers the decomposition residuals, existence/uniqueness verdicts
     (:func:`position_report`), the exponent contract, the wedge
     intertwining, and when ``unique`` is False the gap between the exponents
-    of two seeded witnesses (0 if they swap nothing). The exponent's ``exponent_endpoint`` and
-    ``exponent_codiagonality`` are certified upper bounds (see
-    ``geo.verify_geodesic``).
+    of two seeded witnesses (0, none built, if they swap nothing). The
+    exponent's ``exponent_endpoint`` and ``exponent_codiagonality`` are
+    certified upper bounds (see ``geo.verify_geodesic``).
     """
     pos = projlat.position(p, q)
     report = position_report(pos)
@@ -164,9 +164,9 @@ def pair_diagnostics(p: Projection, q: Projection) -> dict:
         "wedge_intertwine": float(operator_norm(
             ez @ pos.e10.m @ adjoint(ez) - pos.e01.m)),
     })
-    if not report["unique"]:
-        zs = [geo.position_exponent(
-            pos, geo.partial_isometry(pos.e10, pos.e01, seed=s)).z
-            for s in WITNESS_SEEDS]
-        report["seeded_exponent_gap"] = float(operator_norm(zs[0] - zs[1]))
+    if not report["unique"]:  # witnesses that swap no column give one exponent
+        _, (swapped, _) = pos.split(geo.WITNESS_REACH)
+        zs = [geo.position_exponent(pos, geo.partial_isometry(pos.e10, pos.e01, seed=s)).z
+              for s in (WITNESS_SEEDS if swapped.size else ())]
+        report["seeded_exponent_gap"] = float(operator_norm(zs[0] - zs[1])) if zs else 0.0
     return report

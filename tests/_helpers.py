@@ -16,7 +16,8 @@ from projgeo import geo, sampling
 
 KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
            (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
-           (scipy.linalg, "qr"), (scipy.linalg.lapack, "zpstrf")]
+           (scipy.linalg, "qr"), (scipy.linalg.lapack, "zpstrf"),
+           (scipy.linalg.lapack, "zpotrf")]
 
 
 def adj(a):

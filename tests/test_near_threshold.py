@@ -56,6 +56,19 @@ def test_a_near_threshold_pair_gets_a_verified_exponent_or_a_typed_error(pair):
     assert pg.verify_geodesic(geo.position_exponent(pos, w)).max() <= geo.ENDPOINT_ATOL
 
 
+@pytest.mark.parametrize("theta", [1.6e-10, 3e-10, 1e-9])
+def test_planes_just_above_the_skip_cut_keep_a_certificate_at_rounding(theta):
+    # the rounding of (1 - P) Y reaches the u of a plane at theta as eps / theta
+    # along the other planes' u; taken off before the sine SVD, it leaves the
+    # u orthonormal, and the certified endpoint at rounding
+    for seed in range(4):
+        p, q, _ = sampling.structured_pair(3, 2, 0, 0, [theta, 1.5 * theta, 0.7],
+                                           np.random.default_rng(seed))
+        assert pg.verify_geodesic(pg.minimal_exponent(p, q)).endpoint <= 1e-11
+        u = projlat.position(p, q).us[:, 3:]  # the turned planes
+        assert pg.operator_norm(u.conj().T @ u - np.eye(3)) <= 1e-13
+
+
 @pytest.mark.parametrize("depth", [1e-9, 1e-7, 1e-4])
 def test_a_witness_of_the_classified_wedge_turns_its_near_threshold_plane(depth):
     # e10 holds an exact wedge plane and one at pi/2 - depth; a witness of
@@ -80,14 +93,18 @@ def test_a_witness_of_the_classified_wedge_turns_its_near_threshold_plane(depth)
 
 
 @pytest.mark.parametrize("depth, gap", [(1e-9, 2.93), (1e-5, 0.0)])
-def test_the_seeded_gap_follows_the_uniqueness_verdict(depth, gap):
+def test_the_seeded_gap_follows_the_uniqueness_verdict(monkeypatch, depth, gap):
     # a wedge plane at pi/2 - depth is classified, so unique is False: at
-    # 1e-9 a supplied witness swaps it, at 1e-5 every witness turns it
+    # 1e-9 a supplied witness swaps it, at 1e-5 every witness turns it, and
+    # the gap is 0 with no seeded exponent built
     p, q, _ = sampling.structured_pair(1, 1, 0, 0, [np.pi / 2 - depth, 0.7],
                                        np.random.default_rng(2))
+    built, real = [], geo.position_exponent
+    monkeypatch.setattr(geo, "position_exponent", lambda *args: built.append(args) or real(*args))
     report = sampling.pair_diagnostics(p, q)
     assert report["unique"] is False
     assert report["seeded_exponent_gap"] == pytest.approx(gap, abs=0.01)
+    assert len(built) == (3 if gap else 1)
 
 
 @settings(max_examples=12, deadline=None, database=None)

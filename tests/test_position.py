@@ -137,9 +137,10 @@ def test_kernel_call_ceiling(monkeypatch):
 def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
     # the same n = 32 wedge pair, from its matrices: the one validating
     # pivoted Cholesky per input projection is the only factorization of
-    # an n x n matrix, and no eigh runs at all; the exponent's spectrum is
-    # read off the position (no eigh of z), its residuals are settled by
-    # the certificate's gemms (no QR of the thin report), and no expm runs
+    # an n x n matrix, its factor needs no refining Cholesky, and no eigh
+    # runs at all; the exponent's spectrum is read off the position (no
+    # eigh of z), its residuals are settled by the certificate's gemms (no
+    # QR of the thin report), and no expm runs
     rng = np.random.default_rng(5)
     p, q, _ = sampling.structured_pair(3, 3, 4, 4, np.linspace(0.2, 1.3, 9), rng)
     calls = record_kernels(monkeypatch)
@@ -150,6 +151,7 @@ def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
     assert pg.geodesic_distance(p, q) == pytest.approx(np.pi / 2)
     square = [call for call in calls if min(call[1]) >= p.n]
     assert square == [("zpstrf", (32, 32))] * 2
+    assert "zpotrf" not in [name for name, _ in calls]
     assert "eigh" not in [name for name, _ in calls]
     assert "expm" not in [name for name, _ in calls]
     assert [shape for name, shape in calls if name == "qr"] == [(4, 32), (4, 32)]

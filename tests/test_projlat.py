@@ -177,6 +177,38 @@ def test_the_eigh_fallback_accepts_what_the_certificate_cannot_settle(caplog):
     assert vars(p)["basis_residual"] == p.basis_residual
 
 
+def test_a_clean_projection_is_certified_by_its_unrefined_factor(monkeypatch):
+    # the pivoted Cholesky factor reproduces an exact projection within the
+    # rounding allowance, so no Gram Cholesky refines it
+    rng = np.random.default_rng(16)
+    mats = [projection_matrix("haar", n, n // 2, rng)[0] for n in (64, 192)]
+    mats.append(projection_matrix("blocks", 48, 20, rng)[0])
+    for m in mats:
+        calls = record_kernels(monkeypatch)
+        p = pg.make_projection(m)
+        assert [name for name, _ in calls] == ["zpstrf"]
+        allowance = 8 * numkit.complex_dot_error(p.n)
+        assert pg.operator_norm(p.basis @ adj(p.basis) - p.m) <= allowance
+        monkeypatch.undo()
+
+
+def test_noisy_projections_keep_the_rounding_bound():
+    # noise of 1e-12 to 1e-11 leaves the pivoted Cholesky factor above the
+    # rounding allowance; the refined basis reproduces sym as well as sym is
+    # idempotent. An allowance of 4 g(n) k passes an unrefined factor of
+    # n = 197, k = 189 that misses this bound by 2.6e-12.
+    rng = np.random.default_rng(40)
+    for _ in range(12):
+        n = int(rng.integers(150, 201))
+        proj = projection_matrix("haar", n, n - int(rng.integers(0, 9)), rng)[0]
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = (h + adj(h)) / 2
+        m = proj + 10.0 ** rng.uniform(-12.0, -11.0) * h / np.linalg.norm(h, 2)
+        p = pg.make_projection(m)
+        idem = pg.operator_norm(p.m @ p.m - p.m)
+        assert pg.operator_norm(p.basis @ adj(p.basis) - p.m) <= 2 * idem + 1e-12
+
+
 class TestFromOrthonormal:
     def test_basis_and_rank(self):
         b = np.linalg.qr(np.random.default_rng(13).normal(size=(6, 2)))[0]
