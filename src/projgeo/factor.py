@@ -196,7 +196,7 @@ def multi_geodesics(p: Projection, q: Projection, count: int, rho: float,
     """
     if p.rank != q.rank:
         raise RankMismatch(f"ranks differ: {p.rank} vs {q.rank}")
-    if numkit.operator_norm(p.m @ q.m) > p.tol.atol_structure:
+    if numkit.bounded_norm(p.m @ q.m, p.tol.atol_structure) > p.tol.atol_structure:
         raise InvariantViolation("projections must be orthogonal (pq = 0)")
     pos = projlat.position(p, q)
     out = []

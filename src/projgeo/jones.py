@@ -215,12 +215,6 @@ def _gamma(z: GeodesicExponent, t: float, mats: np.ndarray) -> np.ndarray:
     return z.apply(t, rows.T).T.reshape(mats.shape)
 
 
-def _frobenius_max(mats: np.ndarray) -> float:
-    """Largest Frobenius norm over a stack of matrices: an upper bound of
-    its :func:`numkit.operator_norm`, since ||R|| <= ||R||_F."""
-    return float(numkit.frobenius(mats).max(initial=0.0))
-
-
 def expectation_projection(spec: SubalgebraSpec, n: int,
                            tol: ToleranceProfile = DEFAULT_TOL
                            ) -> ExpectationProjection:
@@ -231,11 +225,10 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
     are validated, raising NotSubalgebra on failure.
 
     The conditional-expectation axioms of E = B B*, B the orthonormal
-    ``basis``, are then settled by upper bounds: :func:`_axioms` with
-    Frobenius norms, which run no SVD, and the bimodule field from
-    :func:`_bimodule_bound`. Only when a bound exceeds ``atol_structure``
-    (or is nan) do the exact operator-norm residuals decide, and their
-    value goes into the InternalConsistencyError.
+    ``basis``, are checked in one :func:`_axioms` pass at bound
+    ``atol_structure``: only a field whose Frobenius or bimodule bound
+    exceeds it (or is nan) is measured, so the largest field, which the
+    InternalConsistencyError carries, is exact.
     """
     mats = spanning_matrices(spec, n)
     basis = _orthonormal_range(mats, n, tol)
@@ -248,13 +241,11 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
             f"span is not a unital *-subalgebra (residual {worst:.3e})")
     big = projlat._from_orthonormal(basis, tol)
     ep = ExpectationProjection(big=big, spec=spec, n=n, basis=basis)
-    # written "not <=" so that a nan bound also goes to the exact check
     atol = tol.atol_structure
-    if not _axioms(basis, n, closure, _frobenius_max, atol).max() <= atol:
-        res = _axioms(basis, n, closure, operator_norm, atol).max()
-        if res > atol:
-            raise InternalConsistencyError(
-                f"expectation axioms fail on a validated subalgebra ({res:.3e})")
+    res = _axioms(basis, n, closure, atol, atol).max()
+    if res > atol:
+        raise InternalConsistencyError(
+            f"expectation axioms fail on a validated subalgebra ({res:.3e})")
     return ep
 
 
@@ -306,7 +297,7 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
             f"projection acts on dimension {big.n}, not n^2 = {n * n} for n = {n}")
     basis = big.basis
     return _axioms(basis, n, _product_residual(basis, _members(basis, n)),
-                   operator_norm, big.tol.atol_structure)
+                   big.tol.atol_structure, 0.0)
 
 
 def _bimodule_bound(basis: np.ndarray, members: np.ndarray, gram: np.ndarray,
@@ -364,29 +355,28 @@ def _axiom_samples(n: int) -> np.ndarray:
     return xs
 
 
-def _axioms(basis: np.ndarray, n: int, closure: float, norm,
-            atol: float) -> ExpectationAxioms:
+def _axioms(basis: np.ndarray, n: int, closure: float, atol: float,
+            bound: float) -> ExpectationAxioms:
     """The axioms of E = B B*, B = ``basis`` (n^2 x r, orthonormal), onto
-    the range algebra B spans, applied as :func:`_expect`. ``norm``
-    measures the largest residual of a stack: :func:`_frobenius_max` for
-    upper bounds, :func:`operator_norm` for operator norms. The idempotency
-    E E - E = B M B* with M = G - 1, G = B* B, has the norm of the r x r
-    matrix M G (both are max |s^2 (s^2 - 1)| over the singular values s of
-    B); the product residual ``closure`` comes measured by the caller.
+    the range algebra B spans, applied as :func:`_expect`, each norm field
+    by :func:`numkit.bounded_norm` at ``bound`` (at 0, every field is exact).
+    The idempotency E E - E = B M B* with M = G - 1, G = B* B, has the norm
+    of the r x r matrix M G (both are max |s^2 (s^2 - 1)| over the singular
+    values s of B); the product residual ``closure`` comes measured by the caller.
 
     The bimodule field is :func:`_bimodule_bound` when that is at most
     ``atol``; only otherwise (or on a nan) are the r^2 sandwich products
-    formed and measured with ``norm``."""
+    formed and measured."""
     members = _members(basis, n)
     r = basis.shape[1]
     gram = adjoint(basis) @ basis
-    idempotent = norm(((gram - np.eye(r)) @ gram)[None])
+    idempotent = numkit.bounded_norm((gram - np.eye(r)) @ gram, bound)
     xs = _axiom_samples(n)
     exs = _expect(basis, xs)
     eye = np.eye(n, dtype=np.complex128)
 
-    unital = norm(_expect(basis, eye[None]) - eye)
-    star = norm(_expect(basis, _adjoints(xs)) - _adjoints(exs))
+    unital = numkit.bounded_norm(_expect(basis, eye[None]) - eye, bound)
+    star = numkit.bounded_norm(_expect(basis, _adjoints(xs)) - _adjoints(exs), bound)
     dtr = np.trace(exs, axis1=1, axis2=2) - np.trace(xs, axis1=1, axis2=2)
     # hypot is abs() of each complex scalar bit for bit; np.abs of a complex
     # array can differ from it in the last bit
@@ -402,7 +392,7 @@ def _axioms(basis: np.ndarray, n: int, closure: float, norm,
 
         def bimodule(a) -> float:
             prods = _sandwich(a, both, members).reshape(2, -1, n, n)
-            return norm(_expect(basis, prods[0]) - prods[1])
+            return numkit.bounded_norm(_expect(basis, prods[0]) - prods[1], bound)
 
         bimod = max(map(bimodule, members), default=0.0)
     return ExpectationAxioms(idempotent=idempotent, unital=unital, star=star,
@@ -453,7 +443,7 @@ def jones_pair(m: int, k: int, tol: ToleranceProfile = DEFAULT_TOL) -> JonesPair
         qm += np.outer(v, v.conj())
     p = projlat.make_projection(pm, tol)
     q = projlat.make_projection(qm, tol)
-    if operator_norm(pm @ qm @ pm - tau * pm) > 1e-10:
+    if numkit.bounded_norm(pm @ qm @ pm - tau * pm, 1e-10) > 1e-10:
         raise InternalConsistencyError("angle relation p q p = tau p fails")
     ranks = projlat.position(p, q).ranks()
     if ranks != (0, n - 2 * k, 0, 0, 2 * k):

@@ -1,7 +1,8 @@
 """Dense complex linear-algebra kernel with explicit tolerance contracts.
 
 Every residual of the library is a norm taken here, of a matrix or of a
-stack of matrices, and every trace rho-norm takes its trace and root
+stack of matrices, decided against a tolerance by :func:`bounded_norm`
+and reported exactly; every trace rho-norm takes its trace and root
 through :func:`rho_mean`, finite at every order. The unitary exponential
 of a skew matrix is evaluated through an eigendecomposition, never a
 truncated series, so it is unitary to eigensolver accuracy.
@@ -140,12 +141,17 @@ def operator_norm(a) -> float:
     return best
 
 
+def bounded_norm(a, bound: float) -> float:
+    """The Frobenius norm of a matrix (the largest over a stack), which bounds
+    its :func:`operator_norm`, when positive (squares of tiny entries underflow)
+    and at most ``bound``; else, a nan included, the operator norm."""
+    frob = frobenius(a) if a.ndim == 2 else float(frobenius(a).max(initial=0.0))
+    return frob if 0.0 < frob <= bound else operator_norm(a)
+
+
 def orthonormality_residual(b: np.ndarray, bound: float) -> float:
-    """||b* b - 1|| of n x k columns b, settled by its Frobenius upper bound
-    unless that exceeds ``bound``; only then is the operator norm taken."""
-    gram_err = adjoint(b) @ b - np.eye(b.shape[1])
-    frob = frobenius(gram_err)
-    return frob if frob <= bound else operator_norm(gram_err)
+    """||b* b - 1|| of n x k columns b, as :func:`bounded_norm` at ``bound``."""
+    return bounded_norm(adjoint(b) @ b - np.eye(b.shape[1]), bound)
 
 
 def complex_dot_error(k: int) -> float:
@@ -178,7 +184,7 @@ def hermitian_eig(h, tol: ToleranceProfile = DEFAULT_TOL):
     real positive.
     """
     h = as_complex(h)
-    if operator_norm(h - adjoint(h)) > tol.atol_structure:
+    if bounded_norm(h - adjoint(h), tol.atol_structure) > tol.atol_structure:
         raise NotHermitian("Hermiticity residual exceeds atol_structure")
     w, u = np.linalg.eigh((h + adjoint(h)) / 2)
     return w, fix_phases(u)
@@ -199,7 +205,7 @@ def polar_unitary(a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 def exp_skew(z, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Unitary exponential of a skew-Hermitian matrix."""
     z = as_complex(z)
-    if operator_norm(z + adjoint(z)) > tol.atol_structure:
+    if bounded_norm(z + adjoint(z), tol.atol_structure) > tol.atol_structure:
         raise NotSkewHermitian("skewness residual exceeds atol_structure")
     skew = (z - adjoint(z)) / 2
     w, u = np.linalg.eigh(1j * skew)  # 1j*z is Hermitian for skew z
@@ -214,7 +220,7 @@ def log_unitary_principal(w, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """
     w = as_complex(w)
     n = w.shape[0]
-    if operator_norm(adjoint(w) @ w - np.eye(n)) > tol.atol_structure:
+    if bounded_norm(adjoint(w) @ w - np.eye(n), tol.atol_structure) > tol.atol_structure:
         raise ValueError("input is not unitary within atol_structure")
     t, q = scipy.linalg.schur(w, output="complex")
     lam = np.diag(t)

@@ -74,11 +74,9 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
     """Validate and wrap a matrix as an orthogonal projection.
 
     The entries are re-symmetrized as sym = (m + m*)/2 before the
-    idempotency and spectral checks, but a Hermiticity residual
-    ||m - m*|| above atol_structure in the original input is already
-    grounds for rejection. That residual is settled by the Frobenius norm,
-    which bounds the operator norm, unless the bound exceeds the tolerance;
-    only then are the eigenvalues of the normal matrix i(m - m*) taken.
+    idempotency and spectral checks, but a Hermiticity residual ||m - m*||
+    above atol_structure (:func:`numkit.bounded_norm`, reported exactly) in
+    the original input is already grounds for rejection.
 
     A projection is then accepted from a range basis that certifies it
     (see :func:`_certified_basis`), with no eigendecomposition. Any sym
@@ -89,10 +87,9 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
     it.
     """
     m = numkit.as_complex(m)
-    if frobenius(m - adjoint(m)) > tol.atol_structure:
-        herm = float(np.abs(np.linalg.eigvalsh(1j * (m - adjoint(m)))).max())
-        if herm > tol.atol_structure:
-            raise NotProjection(f"Hermiticity residual {herm:.3e} > atol_structure")
+    herm = numkit.bounded_norm(m - adjoint(m), tol.atol_structure)
+    if herm > tol.atol_structure:
+        raise NotProjection(f"Hermiticity residual {herm:.3e} > atol_structure")
     sym = (m + adjoint(m)) / 2
     basis, eps = _certified_basis(sym, tol)
     if basis is None:

@@ -1,7 +1,9 @@
 """Every residual is measured by numkit's one norm kernel. The library's
 source is parsed with ast: a singular-values-only SVD appears in numkit
-alone, and no module reaches into another module for a private norm
-helper, so a second copy of the kernel cannot grow back unnoticed."""
+alone, no module reaches into another module for a private norm helper,
+and outside numkit no operator_norm call is compared with a tolerance (a
+pass/fail check takes bounded_norm), so a second copy of the kernel or of
+its settle rule cannot grow back unnoticed."""
 
 import ast
 import re
@@ -55,3 +57,31 @@ def test_no_module_uses_another_modules_private_norm_helper():
                 found += [f"{name}.py:{node.lineno} {node.module}.{alias.name}"
                           for alias in node.names if NORM_HELPER.match(alias.name)]
     assert found == []
+
+
+ORDERINGS = (ast.Gt, ast.GtE, ast.Lt, ast.LtE)
+
+
+def norm_comparisons(tree: ast.AST, name: str) -> list[int]:
+    """Lines of the ordering comparisons with a direct call of ``name`` as an
+    operand."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and any(isinstance(op, ORDERINGS) for op in node.ops)
+            and any(isinstance(operand, ast.Call) and callee(operand) == name
+                    for operand in [node.left, *node.comparators])]
+
+
+def test_pass_fail_norm_checks_go_through_bounded_norm():
+    # outside numkit a tolerance check takes bounded_norm, which runs an SVD
+    # only when the Frobenius norm cannot settle it; operator_norm is kept
+    # for the values that are reported
+    sample = ast.parse("if numkit.operator_norm(a) > tol: pass\n"
+                       "ok = tol >= operator_norm(b)\n"
+                       "worst = max(worst, operator_norm(c))\n")
+    assert norm_comparisons(sample, "operator_norm") == [1, 2]
+    mods = modules()
+    found = [f"{name}.py:{line}" for name, tree in mods.items() if name != "numkit"
+             for line in norm_comparisons(tree, "operator_norm")]
+    assert found == []
+    assert {name for name, tree in mods.items()
+            if norm_comparisons(tree, "bounded_norm")} >= {"factor", "jones", "numkit"}
