@@ -81,7 +81,11 @@ class GeodesicExponent:
     Built from z alone, its :attr:`spectrum` is one eigh of i z. Built by
     :meth:`from_spectrum`, as :func:`position_exponent` builds it, it holds
     a thin spectrum that needs no eigendecomposition, and the dense z is
-    formed only when first read. Instances are immutable."""
+    formed only when first read. :func:`position_exponent` also keeps the
+    planes it was built from, which :func:`geodesic_point` rotates.
+    Instances are immutable."""
+
+    _planes = None  # (X11, theta, X, U, a, v a, Gram bound) of position_exponent
 
     def __init__(self, z, p: Projection, q: Projection):
         z = np.array(z)
@@ -285,7 +289,10 @@ def position_exponent(pos: Position,
     :func:`_exponent_bound` when both its bounds are at most ENDPOINT_ATOL,
     and then the report holds the bounds. Otherwise (or on a nan) the
     exact report measures them, and one DEBUG record goes to the
-    ``projgeo`` logger."""
+    ``projgeo`` logger. The exponent keeps the held vectors, the turned
+    planes, the wedge bases a and v a it swaps and the certificate's bound
+    on their Gram residual, from which :func:`geodesic_point` forms its
+    points."""
     turned, (s10, s01) = pos.split() if w is None else pos.split(WITNESS_REACH)
     th, x, _, u = turned
     a, va = s10, s01  # empty when the pair has no wedge part
@@ -304,7 +311,8 @@ def position_exponent(pos: Position,
     g = GeodesicExponent.from_spectrum(
         np.concatenate([th, -th, -half_pi, half_pi]),
         np.hstack([x + 1j * u, x - 1j * u, a + va, a - va]) / np.sqrt(2), pos.p, pos.q)
-    endpoint, codiag = _exponent_bound(pos, turned, a, va, g)
+    endpoint, codiag, gram = _exponent_bound(pos, turned, a, va, g)
+    vars(g)["_planes"] = (pos.held[1], th, x, u, a, va, gram)
     if endpoint <= ENDPOINT_ATOL and codiag <= ENDPOINT_ATOL:
         vars(g)["residuals"] = GeodesicResiduals(
             skewness=0.0, codiagonality=codiag, norm_bound=_norm_excess(g.spectrum[0]),
@@ -319,12 +327,13 @@ def position_exponent(pos: Position,
 
 
 def _exponent_bound(pos: Position, turned: tuple, a: np.ndarray, va: np.ndarray,
-                    g: GeodesicExponent) -> tuple[float, float]:
+                    g: GeodesicExponent) -> tuple[float, float, float]:
     """Upper bounds on the endpoint and codiagonality residuals of the
     exponent g that :func:`position_exponent` builds from ``pos``, the
     planes it turns and the witness bases a and va of the wedge parts it
-    swaps, as the exact report would measure them, from thin gemm-only
-    Frobenius norms (README.md, "The exponent certificate", derives them).
+    swaps, as the exact report would measure them, and on the Gram residual
+    of every geodesic point's basis, from thin gemm-only Frobenius norms
+    (README.md, "The exponent certificate", derives them).
 
     Bp and Bq are the bases of p and q; X11, Y11 the principal vectors of
     the planes the exponent holds, and X, Y, U and theta the planes it
@@ -344,7 +353,11 @@ def _exponent_bound(pos: Position, turned: tuple, a: np.ndarray, va: np.ndarray,
                     + 2 nu (beta + eps_v) + (1 + 2 nu^2 eps_v) (off_p + xi)) + tau
         codiagonality <= 4 omega nu max(sqrt(1 + eps_p) sigma, off_p + xi) + tau.
 
-    Both are inf when eps_p, eps_q or eta reaches 1/2."""
+    Both are inf when eps_p, eps_q or eta reaches 1/2. The third bound,
+    eta + 2 tau, holds for the basis [X11, X cos t theta + U sin t theta,
+    a cos(t pi/2) + i va sin(t pi/2)] of :func:`geodesic_point` at every t:
+    it is [X11, X, U, a, va] times columns that are orthonormal, and tau
+    covers the rounding of forming it and of measuring its Gram."""
     bp, bq = pos.p.basis, pos.q.basis
     (_, xh, yh, _), (th, x, y, u) = pos.held, turned
     w, v = g.spectrum
@@ -359,8 +372,9 @@ def _exponent_bound(pos: Position, turned: tuple, a: np.ndarray, va: np.ndarray,
         frobenius(va - bq @ (adjoint(bq) @ va)),
         math.hypot(frobenius(xh - yh), frobenius(rotated - y))))
     eta = max(eps_11, eps_v) + beta
+    gram = eta + 2.0 * tau
     if not all(e < 0.5 for e in (eps_p, eps_q, eta)):
-        return math.inf, math.inf
+        return math.inf, math.inf, gram
     nu = math.sqrt(1.0 + eta)
     xi = eps_p * nu * math.sqrt((1.0 + eps_p) / (1.0 - eps_p)) + tau
     psi = eps_q * (nu + delta) * math.sqrt((1.0 + eps_q) / (1.0 - eps_q)) + tau
@@ -369,20 +383,32 @@ def _exponent_bound(pos: Position, turned: tuple, a: np.ndarray, va: np.ndarray,
         + (1.0 + 2.0 * nu * nu * eps_v) * (off_p + xi)) + tau
     omega = float(np.abs(w).max(initial=0.0))
     codiag = 4.0 * omega * nu * max(math.sqrt(1.0 + eps_p) * sigma, off_p + xi) + tau
-    return endpoint, codiag
+    return endpoint, codiag, gram
 
 
 def geodesic_point(g: GeodesicExponent, t: float) -> Projection:
-    """The projection e^{tz} p e^{-tz}, validated.
+    """The projection e^{tz} p e^{-tz}, validated, with no n x n unitary and
+    no eigendecomposition of its own. A t that is not finite raises
+    ValueError.
 
-    Its range is e^{tz} range(p), so it is built from the orthonormal basis
-    ``g.apply(t, g.p.basis)``, with no n x n unitary, and validated through
-    that basis's orthonormality residual, with no eigendecomposition of its
-    own. A t that is not finite raises ValueError.
+    For an exponent built by :func:`position_exponent` its basis is the
+    position's planes turned by t theta, [X11, X cos t theta + U sin t theta,
+    a cos(t pi/2) + i va sin(t pi/2)], formed elementwise, which is e^{tz}
+    [X11, X, a] in exact arithmetic; its ``basis_residual`` is the bound of
+    :func:`_exponent_bound` on that basis's Gram residual, and the Gram is
+    measured, after one DEBUG record, only when the bound cannot settle the
+    check. The range lies within about xi + off_p of e^{tz} range(p)
+    (README.md, "The exponent certificate"). Any other exponent gives the
+    basis ``g.apply(t, g.p.basis)``, validated through its measured Gram.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    return projlat._from_orthonormal(g.apply(t, g.p.basis), g.p.tol)
+    if g._planes is None:
+        return projlat._from_orthonormal(g.apply(t, g.p.basis), g.p.tol)
+    xh, th, x, u, a, va, gram = g._planes
+    c, s = math.cos(t * HALF_PI), math.sin(t * HALF_PI)
+    b = np.hstack([xh, x * np.cos(t * th) + u * np.sin(t * th), c * a + 1j * s * va])
+    return projlat._from_orthonormal(b, g.p.tol, certified=gram)
 
 
 def geodesic_distance(p: Projection, q: Projection) -> float:

@@ -517,6 +517,9 @@ class ExpectationPath:
     gap: float  # ||E_0 - E_1||, read off the position when the path is built
 
     def projection_at(self, t: float) -> Projection:
+        """E_t = Gamma_t E_0 Gamma_t*, validated: ``geo.geodesic_point``,
+        whose basis is the position's planes turned by t theta and whose
+        ``basis_residual`` is the exponent certificate's bound."""
         return geo.geodesic_point(self.z, t)
 
     def expect(self, t: float, x) -> np.ndarray:
@@ -675,7 +678,8 @@ def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
     (DimensionMismatch otherwise); multiplicativity and *-preservation are
     checked on the initial subalgebra (its basis together with the
     projections of ``xs``). Gamma_t is applied as :func:`_gamma` and E_t as
-    B_t B_t* with B_t = Gamma_t B_0, so no n^2 x n^2 matrix is formed. The
+    B_t B_t* with B_t the basis of ``path.projection_at(t)``, which spans
+    Gamma_t range(E_0), so no n^2 x n^2 matrix is formed. The
     member products a b and Gamma_t(a) Gamma_t(b) come in the blocks of
     :func:`_product_blocks`, one stacked :func:`operator_norm` of
     Gamma_t(a b) - Gamma_t(a) Gamma_t(b) per block (:func:`_multiplicative`).

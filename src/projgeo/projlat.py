@@ -41,7 +41,9 @@ class Projection:
     the sym that make_projection validated, or else the symmetrized
     basis basis*, formed when first read. ``basis_residual`` bounds
     ||basis* basis - 1|| from above: the residual measured when the basis
-    was certified or validated, or else measured when first read.
+    was certified or validated, a proven bound that settled the validation
+    (``geo.geodesic_point`` of a position-built exponent), or else
+    measured when first read.
     """
 
     basis: np.ndarray
@@ -87,10 +89,11 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
     it.
     """
     m = numkit.as_complex(m)
-    herm = numkit.bounded_norm(m - adjoint(m), tol.atol_structure)
+    mh = adjoint(m)
+    herm = numkit.bounded_norm(m - mh, tol.atol_structure)
     if herm > tol.atol_structure:
         raise NotProjection(f"Hermiticity residual {herm:.3e} > atol_structure")
-    sym = (m + adjoint(m)) / 2
+    sym = (m + mh) / 2
     basis, eps = _certified_basis(sym, tol)
     if basis is None:
         _log.debug("no certified range basis for an n = %d projection; taking "
@@ -174,7 +177,8 @@ def _certificate(b: np.ndarray, sym: np.ndarray) -> tuple[float, float]:
     return eps, eps + frobenius(resid)
 
 
-def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile) -> Projection:
+def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile,
+                      certified: float | None = None) -> Projection:
     """The projection b b* onto the span of n x k orthonormal columns b.
 
     It is validated through eps = ||b* b - 1||, a k x k residual, and
@@ -187,12 +191,23 @@ def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile) -> Projection:
     the rank (eigenvalues above 1/2) is k. The Frobenius norm bounds eps
     and settles it unless it exceeds the tolerance. b itself becomes the
     read-only ``basis``, and no matrix is formed until ``m`` is read.
+
+    A caller that holds a proven upper bound ``certified`` of eps passes it:
+    a bound at most the tolerance is taken as eps, with no Gram formed, and
+    any other, a nan included, is set aside after one DEBUG record, and eps
+    is measured.
     """
     bound = min(tol.atol_structure / 2, tol.atol_spectral, 0.25)
-    eps = numkit.orthonormality_residual(b, bound)
-    if eps > bound:
-        raise NotProjection(
-            f"orthonormality residual {eps:.3e} of the range basis > {bound:.3e}")
+    if certified is not None and certified <= bound:
+        eps = certified
+    else:
+        if certified is not None:
+            _log.debug("certified orthonormality residual %.3e of an n = %d range basis "
+                       "exceeds %.3e; measuring its Gram", certified, b.shape[0], bound)
+        eps = numkit.orthonormality_residual(b, bound)
+        if eps > bound:
+            raise NotProjection(
+                f"orthonormality residual {eps:.3e} of the range basis > {bound:.3e}")
     p = Projection(basis=_frozen(b), tol=tol)
     vars(p)["basis_residual"] = eps
     return p

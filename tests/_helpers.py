@@ -113,5 +113,5 @@ def record_kernels(monkeypatch, kernels=KERNELS):
 
 def force_exact(monkeypatch):
     """Patch the exponent certificate to nan, so that every exponent built
-    from a position gets the exact report."""
-    monkeypatch.setattr(geo, "_exponent_bound", lambda *args: (math.nan, math.nan))
+    from a position gets the exact report, and its points a measured Gram."""
+    monkeypatch.setattr(geo, "_exponent_bound", lambda *args: (math.nan,) * 3)

@@ -2,20 +2,29 @@
 n <= 12, whose part ranks reach p = 0 and p = 1, with exact angles 0 and
 pi/2 beside random ones, conjugated by a permutation (which keeps exact
 zeros) or by a Haar unitary. Every entry point ends in a verified result
-or in the typed error that the ranks predict."""
+or in the typed error that the ranks predict. Near-threshold pairs, with
+a seeded witness on half the non-unique ones, check the geodesic points
+against the dense e^{tz} p e^{-tz} and their certified Gram residuals."""
 
+import logging
 import math
+import unittest
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import projgeo as pg
-from projgeo import geo, sampling
+from projgeo import geo, numkit, projlat, sampling
 from projgeo.errors import NoGeodesic, RankMismatch
 
+from _helpers import adj
+
 ANGLES = st.one_of(st.just(0.0), st.just(math.pi / 2), st.floats(0.01, math.pi / 2 - 0.01))
+# within [1e-13, 0.05] of a threshold, log-uniform
+NEAR = st.floats(-13.0, math.log10(0.05)).map(lambda e: 10.0 ** e)
 
 
 @st.composite
@@ -77,3 +86,64 @@ def test_every_entry_point_verifies_or_raises_the_typed_error(pair):
     else:
         g = pg.blockwise_minimal_exponent(algebra, big_p, big_q)
         assert pg.verify_geodesic(g).max() <= geo.ENDPOINT_ATOL
+
+
+@st.composite
+def near_threshold_exponents(draw):
+    """(p, q, g): a structured pair whose angles lie near 0 or pi/2 (one to
+    three of them, or the cluster [theta, 1.5 theta, 0.7]), conjugated by a
+    Haar unitary, and its exponent, with a seeded witness on half the
+    non-unique pairs."""
+    if draw(st.booleans()):
+        theta = draw(NEAR)
+        offsets = [theta, 1.5 * theta]
+    else:
+        offsets = draw(st.lists(NEAR, min_size=1, max_size=3))
+    angles = [math.pi / 2 - a if draw(st.booleans()) else a for a in offsets]
+    if len(offsets) == 2:
+        angles.append(0.7)
+    n11, n00, wedge = (draw(st.integers(0, 2)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p, q, _ = sampling.structured_pair(n11, n00, wedge, wedge, angles, rng)
+    pos = projlat.position(p, q)
+    w = None
+    if not pos.unique() and draw(st.booleans()):
+        w = geo.partial_isometry(pos.e10, pos.e01, seed=draw(st.integers(1, 1000)))
+    return p, q, geo.position_exponent(pos, w)
+
+
+def range_bound(g, t):
+    """README, "The exponent certificate": the range of the point at t lies
+    within (off + |t| omega eta nu sqrt((1 + eta)/(1 - eta))) / sqrt(1 - eta)
+    of e^{tz} range(p), for off = ||(1 - P) [X11, X, A]||, eta the Gram
+    residual of [X11, X, U, A, W] and omega = ||z||, here measured densely."""
+    xh, _, x, u, a, va, _ = g._planes
+    cp, m = np.hstack([xh, x, a]), np.hstack([xh, x, u, a, va])
+    off = pg.operator_norm(cp - g.p.m @ cp)
+    eta = pg.operator_norm(adj(m) @ m - np.eye(m.shape[1]))
+    omega = float(np.abs(g.spectrum[0]).max(initial=0.0))
+    return (off + abs(t) * omega * eta * math.sqrt(1 + eta) * math.sqrt(
+        (1 + eta) / (1 - eta))) / math.sqrt(1 - eta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=near_threshold_exponents())
+def test_near_threshold_points_lie_within_their_certified_bounds(case):
+    p, q, g = case
+    for t in (-0.3, 0.0, 0.5, 1.0):
+        point = pg.geodesic_point(g, t)  # validated
+        assert point.rank == p.rank
+        measured = numkit.orthonormality_residual(point.basis, 0.0)
+        assert measured <= point.basis_residual
+        e = scipy.linalg.expm(t * g.z)
+        dense = e @ p.m @ adj(e)
+        # the two matrices differ from the range projections by their Gram
+        # residuals, and the dense reference by its rounding
+        slack = p.basis_residual + point.basis_residual + 64 * p.n * np.finfo(float).eps
+        assert pg.operator_norm(point.m - dense) <= range_bound(g, t) + slack
+        if t == 1.0:
+            assert pg.operator_norm(point.m - q.m) <= geo.ENDPOINT_ATOL
+    # a geodesic between two points settles its own certificate: no fallback logs
+    with unittest.TestCase().assertNoLogs("projgeo", logging.DEBUG):
+        h = pg.minimal_exponent(pg.geodesic_point(g, 0.25), pg.geodesic_point(g, 0.75))
+    assert pg.verify_geodesic(h).max() <= geo.ENDPOINT_ATOL

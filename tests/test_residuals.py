@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projgeo as pg
-from projgeo import factor, geo, projlat, sampling
+from projgeo import factor, geo, numkit, projlat, sampling
 from projgeo.errors import NotMember
 
 from _helpers import adj, force_exact, record_kernels
@@ -220,19 +220,52 @@ def test_thin_born_z_is_formed_on_first_read():
 
 
 def test_geodesic_point_forms_no_unitary(monkeypatch):
+    # a position-built exponent rotates its planes and certifies the Gram
+    # residual: it neither applies e^{tz} to p's basis nor measures the
+    # Gram; an exponent given densely does both
     rng = np.random.default_rng(97)
     p, q, _ = sampling.structured_pair(2, 1, 1, 1, [0.5, 1.1], rng)
     g = pg.minimal_exponent(p, q)
+    dense = geo.GeodesicExponent(g.z, p, q)
 
     def unitary(self, t):
         raise AssertionError("geodesic_point formed the n x n unitary")
 
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
     monkeypatch.setattr(geo.GeodesicExponent, "unitary", unitary)
+    monkeypatch.setattr(geo.GeodesicExponent, "apply",
+                        counted("apply", geo.GeodesicExponent.apply))
+    monkeypatch.setattr(numkit, "orthonormality_residual",
+                        counted("gram", numkit.orthonormality_residual))
     for t in (-0.3, 0.5, 1.0):
         e = scipy.linalg.expm(t * g.z)
-        point = pg.geodesic_point(g, t)
-        assert pg.operator_norm(point.m - e @ p.m @ adj(e)) <= 1e-12
-        assert point.rank == p.rank
+        for exponent, expected in ((g, []), (dense, ["apply", "gram"])):
+            calls.clear()
+            point = pg.geodesic_point(exponent, t)
+            assert calls == expected
+            assert pg.operator_norm(point.m - e @ p.m @ adj(e)) <= 1e-12
+            assert point.rank == p.rank
+
+
+def test_a_point_whose_bound_cannot_settle_measures_its_gram(caplog, monkeypatch):
+    p, q, _ = sampling.structured_pair(2, 1, 1, 1, [0.5, 1.1], np.random.default_rng(97))
+    settled = pg.geodesic_point(pg.minimal_exponent(p, q), 0.5)
+    force_exact(monkeypatch)
+    g = pg.minimal_exponent(p, q)
+    with caplog.at_level(logging.DEBUG, logger="projgeo"):
+        point = pg.geodesic_point(g, 0.5)
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "measuring its Gram" in caplog.text
+    assert point.basis_residual == numkit.orthonormality_residual(point.basis, 1e-8)
+    assert point.basis_residual <= settled.basis_residual
+    assert pg.operator_norm(point.m - settled.m) == 0.0
 
 
 def block_pair(alg, rng):
