@@ -287,6 +287,8 @@ def cmd_random(args) -> dict:
     ranks = [int(v) for v in args.ranks.split(",")] if args.ranks else None
     if ranks is not None and not all(0 <= r <= args.n for r in ranks):
         raise ValueError(f"--ranks must lie in [0, {args.n}]")
+    if ranks is not None and (len(ranks) > 2 or args.force_wedge):
+        raise ValueError("--ranks takes one or two ranks RP[,RQ], and not with --force-wedge")
     trials = []
     residual_keys = (
         "halmos_sum_residual", "halmos_commutator_residual",
@@ -298,11 +300,9 @@ def cmd_random(args) -> dict:
     n_exists = n_unique = n_nonunique_detected = 0
     for i in range(args.trials):
         rng = np.random.default_rng(args.seed + i)
-        if ranks is not None and not args.force_wedge:
-            rp = ranks[0]
-            rq = ranks[1] if len(ranks) > 1 else ranks[0]
-            p = sampling.random_projection(args.n, rp, rng, tol)
-            q = sampling.random_projection(args.n, rq, rng, tol)
+        if ranks is not None:
+            p = sampling.random_projection(args.n, ranks[0], rng, tol)
+            q = sampling.random_projection(args.n, ranks[-1], rng, tol)
         else:
             p, q, _ = sampling.random_pair(args.n, rng, args.force_wedge, tol)
         diag = sampling.pair_diagnostics(p, q)

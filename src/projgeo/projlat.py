@@ -309,9 +309,9 @@ class Position:
     e0 = cached_property(lambda self: self._span(self.x, self.u))
 
     @cached_property
-    def e00(self) -> Projection:
+    def e00(self) -> Projection:  # the complement of the other parts, from a complete QR
         b = np.hstack([self.b11, self.b10, self.b01, self.x, self.u])
-        return make_projection(np.eye(self.p.n) - b @ adjoint(b), self.p.tol)
+        return self._span(np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:])
 
     def split(self, reach: float = _SKIP) -> tuple[tuple, tuple[np.ndarray, np.ndarray]]:
         """(theta, x, y, u) of the planes above 1e-10 the exponent turns, and bases of
@@ -409,11 +409,6 @@ def range_basis(p: Projection) -> np.ndarray:
         return np.zeros(b.shape, dtype=np.complex128)
     qmat, _, _ = scipy.linalg.qr(adjoint(b), pivoting=True)
     return numkit.fix_phases(b @ qmat)
-
-
-def compress(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """basis* m basis: the matrix of m restricted to span(basis)."""
-    return adjoint(basis) @ m @ basis
 
 
 def davis_symmetry(p: Projection, q: Projection) -> np.ndarray:

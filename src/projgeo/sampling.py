@@ -108,8 +108,8 @@ def spectral_symmetry_residual(p: Projection, q: Projection,
         pos = projlat.position(p, q)
     if pos.angles.size == 0:
         return 0.0
-    basis = np.hstack([pos.x, pos.u])
-    lam = np.linalg.eigvalsh(projlat.compress(p.m - q.m, basis))
+    a, b = (adjoint(r.basis) @ np.hstack([pos.x, pos.u]) for r in (p, q))
+    lam = np.linalg.eigvalsh(adjoint(a) @ a - adjoint(b) @ b)
     return float(np.abs(lam + lam[::-1]).max())
 
 
@@ -117,23 +117,28 @@ def position_report(pos: projlat.Position) -> dict:
     """The decomposition half of :func:`pair_diagnostics`, read from one
     position with no exponent built: the decomposition residuals, spectral
     symmetry, the existence verdict and the angles, and when a geodesic
-    exists its uniqueness and distance."""
+    exists its uniqueness and distance, with no part matrix formed (README,
+    "The diagnostic battery")."""
     p, q = pos.p, pos.q
-    mats = np.stack([pos.e11.m, pos.e00.m, pos.e10.m, pos.e01.m, pos.e0.m])
-    ends = np.stack([p.m, q.m])[:, None]
-    first, second = np.triu_indices(len(mats), 1)
-    exists = pos.exists()
+    bases = (pos.b11, pos.e00.basis, pos.b10, pos.b01, np.hstack([pos.x, pos.u]))
+    part = np.repeat(np.arange(5), [b.shape[1] for b in bases])  # the part of each column
+    frame = np.hstack(bases)
+    gram = adjoint(frame) @ frame  # e_i e_j: the rows of part i, the columns of part j
+    # W* r W for r = p, q; [e_i, r]: the rows of part i, the columns of the others
+    inner = np.stack([adjoint(c) @ c for c in (adjoint(r.basis) @ frame for r in (p, q))])
     report = {
         "n": p.n,
         "ranks": list(pos.ranks()),
-        "halmos_sum_residual": operator_norm(mats.sum(axis=0) - np.eye(p.n)),
-        "halmos_commutator_residual": operator_norm(mats @ ends - ends @ mats),
-        "halmos_pairwise_residual": operator_norm(mats[first] @ mats[second]),
+        "halmos_sum_residual": operator_norm(gram - np.eye(p.n)),
+        "halmos_commutator_residual": max(operator_norm(inner[:, part == i][..., part != i])
+                                          for i in range(5)),
+        "halmos_pairwise_residual": max(operator_norm(gram[part == i][:, part == j])
+                                        for i in range(5) for j in range(i + 1, 5)),
         "spectral_symmetry_residual": spectral_symmetry_residual(p, q, pos),
-        "exists": bool(exists),
+        "exists": pos.exists(),
         "angles": [float(a) for a in pos.angles],
     }
-    if exists:
+    if report["exists"]:
         report["unique"] = pos.unique()
         report["distance"] = pos.distance()
     return report
@@ -144,9 +149,10 @@ def pair_diagnostics(p: Projection, q: Projection) -> dict:
 
     Covers the decomposition residuals, existence/uniqueness verdicts
     (:func:`position_report`), the exponent contract, the wedge
-    intertwining, and when ``unique`` is False the gap between the exponents
-    of two seeded witnesses (0, none built, if they swap nothing). The
-    exponent's ``exponent_endpoint`` and ``exponent_codiagonality`` are
+    intertwining ||e^z e10 e^-z - e01|| (as ||(1 - b01 b01*) e^z b10||, equal
+    for equal ranks), and when ``unique`` is False the gap between the
+    exponents of two seeded witnesses (0, none built, if they swap nothing).
+    The exponent's ``exponent_endpoint`` and ``exponent_codiagonality`` are
     certified upper bounds (see ``geo.verify_geodesic``).
     """
     pos = projlat.position(p, q)
@@ -155,14 +161,13 @@ def pair_diagnostics(p: Projection, q: Projection) -> dict:
         return report
     g = geo.position_exponent(pos)
     res = geo.verify_geodesic(g)
-    ez = g.unitary(1.0)
+    moved = g.apply(1.0, pos.b10)  # e^z b10
     report.update({
         "exponent_skewness": res.skewness,
         "exponent_codiagonality": res.codiagonality,
         "exponent_norm_excess": res.norm_bound,
         "exponent_endpoint": res.endpoint,
-        "wedge_intertwine": float(operator_norm(
-            ez @ pos.e10.m @ adjoint(ez) - pos.e01.m)),
+        "wedge_intertwine": operator_norm(moved - pos.b01 @ (adjoint(pos.b01) @ moved)),
     })
     if not report["unique"]:  # witnesses that swap no column give one exponent
         _, (swapped, _) = pos.split(geo.WITNESS_REACH)

@@ -37,6 +37,11 @@ def rotation_pair(theta, tol=pg.DEFAULT_TOL):
     return p, q
 
 
+def compress(m, basis):
+    """basis* m basis: the matrix of m restricted to span(basis)."""
+    return adj(basis) @ m @ basis
+
+
 def meet_oracle(pm, qm, atol=1e-8):
     """Projection onto range(p) & range(q) via the null space of
     p + q - 2I, computed with an SVD (independent of the library's
@@ -45,6 +50,34 @@ def meet_oracle(pm, qm, atol=1e-8):
     u, s, vh = np.linalg.svd(pm + qm - 2 * np.eye(n))
     null = vh[s < atol].conj().T
     return null @ adj(null)
+
+
+def part_matrices(pos):
+    """The five parts as dense matrices, each the symmetrized b b* of its
+    basis (what ``Projection.m`` forms), with no validation of the bases."""
+    bases = [pos.b11, pos.e00.basis, pos.b10, pos.b01, np.hstack([pos.x, pos.u])]
+    mats = [b @ adj(b) for b in bases]
+    return [(m + adj(m)) / 2 for m in mats]
+
+
+def split_residuals(pos, p, q):
+    """Sum, pairwise and commutator residuals of the five parts."""
+    mats = part_matrices(pos)
+    total = pg.operator_norm(sum(mats) - np.eye(p.n))
+    pairwise = max(pg.operator_norm(a @ b)
+                   for i, a in enumerate(mats) for b in mats[i + 1:])
+    commutator = max(pg.operator_norm(e @ r.m - r.m @ e)
+                     for e in mats for r in (p, q))
+    return total, pairwise, commutator
+
+
+def battery_rounding(report, n):
+    """How far a report's thin residuals may lie from :func:`split_residuals`:
+    with eta = ||W* W - 1|| the sum residual of the frame W of the parts'
+    bases, W* [e_i, r] W = [E_i, W* r W] + O(eta) and a product through W keeps
+    its norm within a factor 1 +- eta, so the fields differ by at most about
+    3 eta, plus the rounding of n-term products."""
+    return 4 * (report["halmos_sum_residual"] + n * np.finfo(float).eps)
 
 
 def random_joinable_pair(n, rng, force_wedge=False, tol=pg.DEFAULT_TOL):

@@ -355,6 +355,13 @@ class TestRandom:
         assert code == 0
         assert rep["results"]["n_exists"] == 5
 
+    @pytest.mark.parametrize("extra", [["--ranks", "1,2,3"], ["--ranks", "3", "--force-wedge"]])
+    def test_ambiguous_ranks_exit_2(self, extra, monkeypatch, capsys):
+        # more than two ranks, or ranks with a forced wedge, name no one pair
+        monkeypatch.setattr(cli.sampling, "pair_diagnostics", None)
+        assert cli.main(["random", "--n", "6", *extra]) == 2
+        assert "--ranks takes one or two ranks" in capsys.readouterr().err
+
 
 class TestParser:
     def test_unknown_command_exits_2(self):
@@ -417,7 +424,8 @@ def command_grammar(docs):
                       ("--trials", ("1", "2"), ("21",) + COUNT_PAST, False),
                       ("--order-probe", ("100",), ("99", "5001") + COUNT_PAST, False)],
         "random": [("--n", ("2", "3"), ("1", "65") + COUNT_PAST, True),
-                   ("--ranks", ("0", "1", "1,2", "2,0"), ("-1", "4", "1,-1", "x"), False),
+                   ("--ranks", ("0", "1", "1,2", "2,0"), ("-1", "4", "1,-1", "x", "1,2,3"),
+                    False),
                    ("--trials", ("1", "2"), ("1001",) + COUNT_PAST, False),
                    ("--force-wedge", (), (), False)],
     }
@@ -441,6 +449,8 @@ def command_grammar(docs):
             tokens = [t for t in (flag, value) if t is not None]
             # a common flag goes before or after the subcommand, not both
             (before if i >= len(commands[name]) and draw(st.booleans()) else after).extend(tokens)
+        # fixed ranks and a forced wedge are two ways to draw the pair
+        past_range |= "--ranks" in after and "--force-wedge" in after
         return before + after, past_range
 
     return draw()
@@ -468,6 +478,8 @@ def test_every_invocation_ends_in_a_documented_exit(docs):
     @example((["geodesic", docs[0], docs[1], "--t", "inf"], True))
     @example((["random", "--n", "2", "--trials", str(cli.MAX_RANDOM_TRIALS + 1)], True))
     @example((["jones", "--m", "4", "--rho", "1e308"], False))
+    @example((["random", "--n", "6", "--ranks", "1,2,3"], True))
+    @example((["random", "--n", "6", "--ranks", "3", "--force-wedge"], True))
     @given(command_grammar(docs))
     def run(drawn):
         argv, past_range = drawn

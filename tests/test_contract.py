@@ -50,15 +50,9 @@ def pairs(draw):
     return tuple(pg.make_projection(x.m[perm][:, perm]) for x in (p, q))
 
 
-def block_sum(a, b):
-    m = np.zeros((len(a) + len(b),) * 2, dtype=complex)
-    m[:len(a), :len(a)], m[len(a):, len(a):] = a, b
-    return pg.make_projection(m)
-
-
 @settings(max_examples=150, deadline=None)
-@given(pair=pairs())
-def test_every_entry_point_verifies_or_raises_the_typed_error(pair):
+@given(pair=pairs(), others=st.integers(0, 2))
+def test_every_entry_point_verifies_or_raises_the_typed_error(pair, others):
     p, q = pair
     if p.rank != q.rank:
         with pytest.raises(NoGeodesic):
@@ -74,18 +68,23 @@ def test_every_entry_point_verifies_or_raises_the_typed_error(pair):
             length = pg.rho_length(g, rho)
             # the normalized trace averages |w|^rho, so the length is at most ||z||
             assert math.isfinite(length) and length <= z_norm + 1e-12
-    # beside a second block holding a rotation pair, the pair stays joinable
-    # inside the algebra exactly when its ranks agree
-    algebra = pg.FiniteAlgebra(blocks=(p.n, 2), weights=(0.5, 0.5))
+    # in an algebra of one to three blocks (the pair's own, then blocks holding
+    # a rotation pair and a common line) the pair stays joinable inside the
+    # algebra exactly when its ranks agree, and its exponent lies in the algebra
     c, s = math.cos(0.7), math.sin(0.7)
-    big_p = block_sum(p.m, np.diag([1.0, 0.0]))
-    big_q = block_sum(q.m, np.array([[c * c, c * s], [c * s, s * s]]))
+    beside = [(np.diag([1.0, 0.0]), np.array([[c * c, c * s], [c * s, s * s]])),
+              (np.eye(1), np.eye(1))][:others]
+    blocks = (p.n, *(a.shape[0] for a, _ in beside))
+    algebra = pg.FiniteAlgebra(blocks=blocks, weights=(1 / len(blocks),) * len(blocks))
+    big = [pg.make_projection(scipy.linalg.block_diag(x.m, *(b[i] for b in beside)))
+           for i, x in enumerate((p, q))]
     if p.rank != q.rank:
         with pytest.raises(RankMismatch):
-            pg.blockwise_minimal_exponent(algebra, big_p, big_q)
+            pg.blockwise_minimal_exponent(algebra, *big)
     else:
-        g = pg.blockwise_minimal_exponent(algebra, big_p, big_q)
+        g = pg.blockwise_minimal_exponent(algebra, *big)
         assert pg.verify_geodesic(g).max() <= geo.ENDPOINT_ATOL
+        assert pg.member_check(algebra, g.z)
 
 
 @st.composite

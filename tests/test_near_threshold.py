@@ -2,7 +2,9 @@
 the angles the random generators never draw: planes within 0.05 of 0 or
 of pi/2 (log-uniform down to 1e-13), clusters of equal angles, mixed part
 ranks, classification widths up to the cap, and expectation paths between
-the diagonal and its rotation by such an angle."""
+the diagonal and its rotation by such an angle. On the same pairs the
+diagnostic battery, read off the parts' bases, agrees with the dense part
+matrices."""
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ import projgeo as pg
 from projgeo import geo, jones, projlat, sampling
 from projgeo.errors import NoGeodesic, TooFar
 from projgeo.numkit import MAX_ATOL_SPECTRAL
+
+from _helpers import adj, battery_rounding, part_matrices, split_residuals
 
 RANKS = [(1, 1, 0, 0), (0, 0, 2, 2), (2, 1, 1, 1), (0, 0, 0, 0), (3, 2, 0, 0)]
 
@@ -54,6 +58,34 @@ def test_a_near_threshold_pair_gets_a_verified_exponent_or_a_typed_error(pair):
     pos = projlat.position(p, q)
     w = geo.partial_isometry(pos.e10, pos.e01, seed=1)
     assert pg.verify_geodesic(geo.position_exponent(pos, w)).max() <= geo.ENDPOINT_ATOL
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(near_threshold_pairs())
+def test_the_battery_agrees_with_the_dense_parts_near_a_threshold(pair):
+    # the frame of the parts' bases is square; the verdicts are those of the
+    # dense part matrices, and each residual, the wedge check included, lies
+    # within the frame's rounding of its dense value
+    p, q = pair
+    report = sampling.pair_diagnostics(p, q)
+    pos = projlat.position(p, q)
+    frame = np.hstack([pos.b11, pos.e00.basis, pos.b10, pos.b01, pos.x, pos.u])
+    assert frame.shape == (p.n, p.n)
+    mats = part_matrices(pos)
+    ranks = [round(np.trace(m).real) for m in mats]
+    assert report["ranks"] == ranks
+    assert report["angles"] == list(pos.angles)
+    assert report["exists"] == (ranks[2] == ranks[3])
+    bound = battery_rounding(report, p.n)
+    thin = [report[f"halmos_{k}_residual"] for k in ("sum", "pairwise", "commutator")]
+    assert np.abs(np.subtract(thin, split_residuals(pos, p, q))).max() <= bound
+    if not report["exists"]:
+        return
+    assert report["unique"] == (ranks[2] == 0)
+    assert report["distance"] == (np.pi / 2 if ranks[2] else max(report["angles"], default=0.0))
+    ez = scipy.linalg.expm(geo.position_exponent(pos).z)
+    dense = pg.operator_norm(ez @ mats[2] @ adj(ez) - mats[3])
+    assert abs(report["wedge_intertwine"] - dense) <= bound
 
 
 @pytest.mark.parametrize("theta", [1.6e-10, 3e-10, 1e-9])

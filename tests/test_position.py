@@ -11,11 +11,8 @@ import projgeo as pg
 from projgeo import geo, jones, projlat, sampling
 from projgeo.errors import NotProjection
 
-from _helpers import adj, meet_oracle, record_kernels
-
-
-def part_matrices(pos):
-    return [pos.e11.m, pos.e00.m, pos.e10.m, pos.e01.m, pos.e0.m]
+from _helpers import (adj, battery_rounding, meet_oracle, part_matrices,
+                      random_joinable_pair, record_kernels, split_residuals)
 
 
 def oracle_parts(p, q):
@@ -23,17 +20,6 @@ def oracle_parts(p, q):
     meets = [meet_oracle(a, b) for a, b in
              ((p.m, q.m), (eye - p.m, eye - q.m), (p.m, eye - q.m), (eye - p.m, q.m))]
     return meets + [eye - sum(meets)]
-
-
-def split_residuals(pos, p, q):
-    """Sum, pairwise and commutator residuals of the five parts."""
-    mats = part_matrices(pos)
-    total = pg.operator_norm(sum(mats) - np.eye(p.n))
-    pairwise = max(pg.operator_norm(a @ b)
-                   for i, a in enumerate(mats) for b in mats[i + 1:])
-    commutator = max(pg.operator_norm(e @ r.m - r.m @ e)
-                     for e in mats for r in (p, q))
-    return total, pairwise, commutator
 
 
 @pytest.mark.parametrize("n", [4, 8, 12])
@@ -67,8 +53,8 @@ def test_unequal_and_extreme_ranks():
 ])
 def test_plane_inside_classification_width_splits_orthogonally(theta, ranks):
     # 1e-3 lies inside sqrt(2 atol_spectral) ~ 1.41e-3 of 0 and of pi/2;
-    # the wedge pair (x, y) is not orthogonal there, so e00 = 1 - (sum of
-    # the other parts) is a projection only after the symmetric split
+    # the wedge pair (x, y) is not orthogonal there, so the parts are
+    # orthogonal only after the symmetric split
     rng = np.random.default_rng(31)
     p, q, _ = sampling.structured_pair(1, 1, 1, 1, [theta, 0.7], rng)
     pos = projlat.position(p, q)
@@ -99,15 +85,53 @@ def test_pair_diagnostics_builds_one_position(monkeypatch):
 
 @pytest.mark.parametrize("force_wedge", [False, True])
 def test_pair_diagnostics_stacked_norms_equal_the_per_matrix_loop(force_wedge):
-    # three stacked operator norms stand for 21 single-matrix ones, bit for bit
+    # the blocks of the frame's Gram stand for 21 dense norms, within the rounding
+    # that the bases' residual allows
     rng = np.random.default_rng(35)
     for n in (3, 6, 9, 12):
         p, q, _ = sampling.random_pair(n, rng, force_wedge=force_wedge)
         report = sampling.pair_diagnostics(p, q)
-        total, pairwise, commutator = split_residuals(projlat.position(p, q), p, q)
-        assert report["halmos_sum_residual"] == total
-        assert report["halmos_pairwise_residual"] == pairwise
-        assert report["halmos_commutator_residual"] == commutator
+        bound = battery_rounding(report, n)
+        dense = split_residuals(projlat.position(p, q), p, q)
+        thin = [report[f"halmos_{k}_residual"] for k in ("sum", "pairwise", "commutator")]
+        assert np.abs(np.subtract(thin, dense)).max() <= bound, (thin, dense)
+
+
+@pytest.mark.parametrize("i, j", [(0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4)])
+def test_the_pairwise_residual_reads_every_pair_of_parts(i, j):
+    # part j's basis tilted toward part i's by delta: the battery reads the
+    # overlap sin(delta) of the two parts, as the dense products do
+    p, q, _ = sampling.structured_pair(1, 1, 1, 1, [0.7], np.random.default_rng(37))
+    pos = projlat.position(p, q)
+    bases = {0: pos.b11, 2: pos.b10, 3: pos.b01, 4: pos.x}
+    delta = 1e-3
+    tilted = np.cos(delta) * bases[j] + np.sin(delta) * bases[i]
+    if j == 4:
+        vars(pos)["x"] = tilted
+    else:
+        vars(pos)["_wedges"] = (tilted, pos.b01) if j == 2 else (pos.b10, tilted)
+    report = sampling.position_report(pos)
+    assert report["halmos_pairwise_residual"] == pytest.approx(np.sin(delta), rel=1e-9)
+    assert split_residuals(pos, p, q)[1] == pytest.approx(np.sin(delta), rel=1e-9)
+
+
+def test_the_battery_forms_no_part_matrix_and_no_unitary(monkeypatch):
+    # the report reads the parts' bases, and the wedge check applies e^z to b10:
+    # no part forms its n x n matrix, and no n x n unitary is formed
+    def unitary(self, t):
+        raise AssertionError("pair_diagnostics formed the n x n unitary")
+
+    monkeypatch.setattr(geo.GeodesicExponent, "unitary", unitary)
+    rng = np.random.default_rng(36)
+    for force_wedge, built in ((False, {"e00"}), (True, {"e00", "e10", "e01"})):
+        p, q, _ = random_joinable_pair(9, rng, force_wedge=force_wedge)
+        report = sampling.pair_diagnostics(p, q)
+        assert report["unique"] is not force_wedge
+        pos = projlat.position(p, q)
+        parts = {name: vars(pos)[name] for name in ("e11", "e00", "e10", "e01", "e0")
+                 if name in vars(pos)}
+        assert set(parts) == built
+        assert all("m" not in vars(part) for part in parts.values())
 
 
 # Dense kernel calls made by one minimal_exponent + geodesic_distance on

@@ -9,7 +9,7 @@ import projgeo as pg
 from projgeo import jones, numkit, projlat, sampling
 from projgeo.errors import DimensionMismatch, NoGenericPart, NotProjection, RankDeficient
 
-from _helpers import adj, meet_oracle, record_kernels, rotation_pair
+from _helpers import adj, compress, meet_oracle, record_kernels, rotation_pair
 
 
 def pi4_pair():
@@ -336,8 +336,8 @@ class TestHalmosDecompose:
         p, q, _ = sampling.structured_pair(1, 1, 1, 1, [0.5, 0.9], rng)
         parts = pg.halmos_decompose(p, q)
         basis = projlat.range_basis(parts.e0)
-        p0 = pg.make_projection(projlat.compress(p.m, basis))
-        q0 = pg.make_projection(projlat.compress(q.m, basis))
+        p0 = pg.make_projection(compress(p.m, basis))
+        q0 = pg.make_projection(compress(q.m, basis))
         sub = pg.halmos_decompose(p0, q0)
         assert sub.ranks()[:4] == (0, 0, 0, 0)
 
