@@ -9,7 +9,6 @@ normalized when the operator norm of z is at most pi/2.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,8 +23,6 @@ from .numkit import adjoint, frobenius, operator_norm
 from .projlat import Position, Projection
 
 HALF_PI = np.pi / 2
-
-_log = logging.getLogger("projgeo")
 
 # Endpoint contract for constructed exponents: ||e^z p e^{-z} - q||.
 ENDPOINT_ATOL = 1e-8
@@ -62,9 +59,9 @@ class PartialIsometry:
 class GeodesicResiduals:
     """The exponent's residual report. For an exponent built by
     :func:`position_exponent`, ``endpoint`` and ``codiagonality`` are
-    certified upper bounds (:func:`_exponent_bound`), and the measured
-    values only where a bound exceeds ENDPOINT_ATOL; ``skewness`` and
-    ``norm_bound`` are exact."""
+    certified upper bounds (:func:`_exponent_bound`) where
+    :func:`numkit.settles` accepts them at ENDPOINT_ATOL, and measured
+    values otherwise; ``skewness`` and ``norm_bound`` are exact."""
 
     skewness: float
     codiagonality: float
@@ -285,14 +282,12 @@ def position_exponent(pos: Position,
     p^q' and p'^q within ENDPOINT_ATOL (else InvariantViolation), those within
     ENDPOINT_ATOL/8. Either swaps by its polar part there if it covers more.
 
-    The endpoint and codiagonality residuals are settled by
-    :func:`_exponent_bound` when both its bounds are at most ENDPOINT_ATOL,
-    and then the report holds the bounds. Otherwise (or on a nan) the
-    exact report measures them, and one DEBUG record goes to the
-    ``projgeo`` logger. The exponent keeps the held vectors, the turned
-    planes, the wedge bases a and v a it swaps and the certificate's bound
-    on their Gram residual, from which :func:`geodesic_point` forms its
-    points."""
+    The report holds the endpoint and codiagonality bounds of
+    :func:`_exponent_bound` where :func:`numkit.settles` accepts them at
+    ENDPOINT_ATOL, and else the exact report measures them. The exponent
+    keeps the held vectors, the turned planes, the wedge bases a and v a it
+    swaps and the certificate's bound on their Gram residual, from which
+    :func:`geodesic_point` forms its points."""
     turned, (s10, s01) = pos.split() if w is None else pos.split(WITNESS_REACH)
     th, x, _, u = turned
     a, va = s10, s01  # empty when the pair has no wedge part
@@ -313,13 +308,11 @@ def position_exponent(pos: Position,
         np.hstack([x + 1j * u, x - 1j * u, a + va, a - va]) / np.sqrt(2), pos.p, pos.q)
     endpoint, codiag, gram = _exponent_bound(pos, turned, a, va, g)
     vars(g)["_planes"] = (pos.held[1], th, x, u, a, va, gram)
-    if endpoint <= ENDPOINT_ATOL and codiag <= ENDPOINT_ATOL:
+    if numkit.settles("exponent certificate (endpoint, codiagonality)", ENDPOINT_ATOL,
+                      endpoint, codiag):
         vars(g)["residuals"] = GeodesicResiduals(
             skewness=0.0, codiagonality=codiag, norm_bound=_norm_excess(g.spectrum[0]),
             endpoint=endpoint)
-    else:
-        _log.debug("exponent certificate (endpoint %.3e, codiagonality %.3e) exceeds "
-                   "ENDPOINT_ATOL; taking the exact report", endpoint, codiag)
     res = verify_geodesic(g)
     if res.max() > ENDPOINT_ATOL:
         raise InternalConsistencyError(f"constructed exponent fails verification ({res})")
@@ -396,10 +389,11 @@ def geodesic_point(g: GeodesicExponent, t: float) -> Projection:
     a cos(t pi/2) + i va sin(t pi/2)], formed elementwise, which is e^{tz}
     [X11, X, a] in exact arithmetic; its ``basis_residual`` is the bound of
     :func:`_exponent_bound` on that basis's Gram residual, and the Gram is
-    measured, after one DEBUG record, only when the bound cannot settle the
-    check. The range lies within about xi + off_p of e^{tz} range(p)
-    (README.md, "The exponent certificate"). Any other exponent gives the
-    basis ``g.apply(t, g.p.basis)``, validated through its measured Gram.
+    measured only when the bound cannot settle the check
+    (:func:`numkit.settles`). The range lies within about xi + off_p of
+    e^{tz} range(p) (README.md, "The exponent certificate"). Any other
+    exponent gives the basis ``g.apply(t, g.p.basis)``, validated through
+    its measured Gram.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")

@@ -11,7 +11,6 @@ subalgebras then induce the trace-preserving conditional expectations.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -33,8 +32,6 @@ from .projlat import Projection
 IDX_ATOL = 1e-9  # tolerance of the index-distance identities
 AXIOM_SAMPLES, AXIOM_SEED = 4, 7  # test matrices drawn by expectation_axioms
 _PRODUCT_BLOCK = 1 << 14  # complex entries (256 KiB) in one block of member products
-
-_log = logging.getLogger("projgeo")
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -257,9 +254,9 @@ class ExpectationAxioms:
     closure of the range under products.
 
     ``bimodule`` is the certified upper bound of :func:`_bimodule_bound`
-    whenever that bound is at most ``atol_structure``; otherwise it is the
-    measured residual of the sandwich products. Every other field is
-    measured."""
+    where :func:`numkit.settles` accepts it at ``atol_structure``; otherwise
+    it is the measured residual of the sandwich products. Every other field
+    is measured."""
 
     idempotent: float
     unital: float
@@ -284,14 +281,13 @@ def _adjoints(mats: np.ndarray) -> np.ndarray:
 def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
     """Measure the conditional-expectation axioms of E = B B* on HS(M_n),
     B = ``big.basis``, against its own range algebra, each residual an
-    exact operator norm, except ``bimodule``: it is a certified upper
-    bound (:func:`_bimodule_bound`) whenever that bound is at most
-    ``big.tol.atol_structure``, and the measured residual otherwise. E
-    equals ``big.m`` to rounding for every projection the library builds
-    from orthonormal columns. The closure residual is taken over the
-    member products in blocks of :func:`_product_blocks`, and the test
-    matrices are drawn once per n (:func:`_axiom_samples`). Raises
-    DimensionMismatch unless ``big`` acts on the n^2-dimensional space."""
+    exact operator norm except the certified ``bimodule``
+    (:class:`ExpectationAxioms`). E equals ``big.m`` to rounding for every
+    projection the library builds from orthonormal columns. The closure
+    residual is taken over the member products in blocks of
+    :func:`_product_blocks`, and the test matrices are drawn once per n
+    (:func:`_axiom_samples`). Raises DimensionMismatch unless ``big`` acts
+    on the n^2-dimensional space."""
     if big.n != n * n:
         raise DimensionMismatch(
             f"projection acts on dimension {big.n}, not n^2 = {n * n} for n = {n}")
@@ -364,8 +360,8 @@ def _axioms(basis: np.ndarray, n: int, closure: float, atol: float,
     of the r x r matrix M G (both are max |s^2 (s^2 - 1)| over the singular
     values s of B); the product residual ``closure`` comes measured by the caller.
 
-    The bimodule field is :func:`_bimodule_bound` when that is at most
-    ``atol``; only otherwise (or on a nan) are the r^2 sandwich products
+    The bimodule field is :func:`_bimodule_bound` where :func:`numkit.settles`
+    accepts it at ``atol``; only otherwise are the r^2 sandwich products
     formed and measured."""
     members = _members(basis, n)
     r = basis.shape[1]
@@ -382,10 +378,7 @@ def _axioms(basis: np.ndarray, n: int, closure: float, atol: float,
     # array can differ from it in the last bit
     tr = (np.hypot(dtr.real, dtr.imag) / n).max()
     bimod = _bimodule_bound(basis, members, gram, closure, xs)
-    # written "not <=" so that a nan bound also goes to the sandwich
-    if not bimod <= atol:
-        _log.debug("bimodule bound %.3e exceeds %.3e; measuring the %d sandwich "
-                   "products", bimod, atol, r * r)
+    if not numkit.settles("bimodule bound", atol, bimod):
         # one left factor a at a time; a x b and a E(x) b come from one
         # call, as the two halves of its stack
         both = np.concatenate([xs, exs])

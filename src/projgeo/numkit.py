@@ -2,10 +2,11 @@
 
 Every residual of the library is a norm taken here, of a matrix or of a
 stack of matrices, decided against a tolerance by :func:`bounded_norm`
-and reported exactly; every trace rho-norm takes its trace and root
-through :func:`rho_mean`, finite at every order. The unitary exponential
-of a skew matrix is evaluated through an eigendecomposition, never a
-truncated series, so it is unitary to eigensolver accuracy.
+and reported exactly; a certified field's proven bound by :func:`settles`;
+every trace rho-norm takes its trace and root through :func:`rho_mean`,
+finite at every order. The unitary exponential of a skew matrix is
+evaluated through an eigendecomposition, never a truncated series, so it
+is unitary to eigensolver accuracy.
 :func:`hermitian_eig`, :func:`polar_unitary` and
 :func:`log_unitary_principal` have no caller in the library; they stay
 only because the benchmark traces them.
@@ -13,6 +14,7 @@ only because the benchmark traces them.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -26,6 +28,8 @@ from .errors import (
     NotSkewHermitian,
     SingularInput,
 )
+
+_log = logging.getLogger("projgeo")
 
 _EPS = float(np.finfo(np.float64).eps)
 _UNIT_ROUNDOFF = _EPS / 2
@@ -147,6 +151,17 @@ def bounded_norm(a, bound: float) -> float:
     and at most ``bound``; else, a nan included, the operator norm."""
     frob = frobenius(a) if a.ndim == 2 else float(frobenius(a).max(initial=0.0))
     return frob if 0.0 < frob <= bound else operator_norm(a)
+
+
+def settles(site: str, tol: float, *bounds: float) -> bool:
+    """Whether every proven bound is at most ``tol`` (a nan never is); if not,
+    one DEBUG record on the ``projgeo`` logger names the site, the bounds and
+    tol, and the caller measures."""
+    if all(b <= tol for b in bounds):
+        return True
+    _log.debug("%s: %s not within %.3e; measuring", site,
+               ", ".join(f"{b:.3e}" for b in bounds), tol)
+    return False
 
 
 def orthonormality_residual(b: np.ndarray, bound: float) -> float:

@@ -192,18 +192,14 @@ def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile,
     and settles it unless it exceeds the tolerance. b itself becomes the
     read-only ``basis``, and no matrix is formed until ``m`` is read.
 
-    A caller that holds a proven upper bound ``certified`` of eps passes it:
-    a bound at most the tolerance is taken as eps, with no Gram formed, and
-    any other, a nan included, is set aside after one DEBUG record, and eps
-    is measured.
+    A caller that holds a proven upper bound ``certified`` of eps passes it,
+    and where :func:`numkit.settles` accepts it at that tolerance it is
+    taken as eps, with no Gram formed; else eps is measured.
     """
     bound = min(tol.atol_structure / 2, tol.atol_spectral, 0.25)
-    if certified is not None and certified <= bound:
+    if certified is not None and numkit.settles("geodesic point's Gram bound", bound, certified):
         eps = certified
     else:
-        if certified is not None:
-            _log.debug("certified orthonormality residual %.3e of an n = %d range basis "
-                       "exceeds %.3e; measuring its Gram", certified, b.shape[0], bound)
         eps = numkit.orthonormality_residual(b, bound)
         if eps > bound:
             raise NotProjection(
@@ -253,7 +249,8 @@ class Position:
     gives (x +- y)/|x +- y| in e11 = p ^ q and e00, a wedge plane the
     symmetric orthonormalization of (x, y) in e10 = p ^ q' and e01 = p' ^ q
     with the unpaired vectors, and the generic planes (``x``, ``u``,
-    ascending ``angles``) span e0; each part is validated when first read.
+    ascending ``angles``) span e0, through a QR since [x, u] is orthonormal
+    only to about eps / sin; each part is validated when first read.
     The exponent holds ``held``, turns and swaps by :meth:`split` with a witness of e10 ~ e01.
     """
 
@@ -306,7 +303,7 @@ class Position:
     e11 = cached_property(lambda self: self._span(self.b11))
     e10 = cached_property(lambda self: self._span(self.b10))
     e01 = cached_property(lambda self: self._span(self.b01))
-    e0 = cached_property(lambda self: self._span(self.x, self.u))
+    e0 = cached_property(lambda self: self._span(np.linalg.qr(np.hstack([self.x, self.u]))[0]))
 
     @cached_property
     def e00(self) -> Projection:  # the complement of the other parts, from a complete QR

@@ -1,8 +1,10 @@
 """A slice of the contract suite over the public API: structured pairs with
 n <= 12, whose part ranks reach p = 0 and p = 1, with exact angles 0 and
 pi/2 beside random ones, conjugated by a permutation (which keeps exact
-zeros) or by a Haar unitary. Every entry point ends in a verified result
-or in the typed error that the ranks predict. Near-threshold pairs, with
+zeros) or by a Haar unitary, at the default width or a drawn one. Every
+entry point ends in a verified result or in the typed error that the
+ranks predict, and so does every pair that make_projection accepts after
+Hermitian noise of norm 1e-13 to 1e-7. Near-threshold pairs, with
 a seeded witness on half the non-unique ones, check the geodesic points
 against the dense e^{tz} p e^{-tz} and their certified Gram residuals."""
 
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 
 import projgeo as pg
 from projgeo import geo, numkit, projlat, sampling
-from projgeo.errors import NoGeodesic, RankMismatch
+from projgeo.errors import NoGeodesic, NotProjection, RankMismatch
+from projgeo.numkit import MAX_ATOL_SPECTRAL
 
 from _helpers import adj
 
@@ -27,11 +30,18 @@ ANGLES = st.one_of(st.just(0.0), st.just(math.pi / 2), st.floats(0.01, math.pi /
 NEAR = st.floats(-13.0, math.log10(0.05)).map(lambda e: 10.0 ** e)
 
 
+# the default width, or one log-uniform in [1e-14, MAX_ATOL_SPECTRAL)
+WIDTHS = st.just(pg.DEFAULT_TOL) | st.floats(
+    math.log(1e-14), math.log(MAX_ATOL_SPECTRAL), exclude_max=True).map(
+    lambda e: pg.ToleranceProfile(atol_spectral=math.exp(e)))
+
+
 @st.composite
-def pairs(draw):
-    """(p, q): the parts e11, e00, e10, e01 of the given ranks and one
-    generic plane per angle; "p=0" and "p=1" empty the parts outside p or
-    inside it."""
+def pairs(draw, noisy=False):
+    """(pm, qm, tol): the matrices of a pair, not yet validated, with the
+    parts e11, e00, e10, e01 of the given ranks and one generic plane per
+    angle, and a drawn width; "p=0" and "p=1" empty the parts outside p or
+    inside it. ``noisy`` adds Hermitian noise of norm 10^U(-13, -7) to both."""
     shape = draw(st.sampled_from(["any", "p=0", "p=1"]))
     ranks = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
     angles = draw(st.lists(ANGLES, max_size=3)) if shape == "any" else []
@@ -41,27 +51,41 @@ def pairs(draw):
         ranks[1] = ranks[3] = 0
     n = sum(ranks) + 2 * len(angles)
     assume(1 <= n <= 12)
+    tol = draw(WIDTHS)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if draw(st.booleans()):
-        p, q, _ = sampling.structured_pair(*ranks, angles, rng)
-        return p, q
-    p, q, _ = sampling.structured_pair(*ranks, angles)
-    perm = rng.permutation(n)
-    return tuple(pg.make_projection(x.m[perm][:, perm]) for x in (p, q))
+    haar = draw(st.booleans())
+    p, q, _ = sampling.structured_pair(*ranks, angles, rng if haar else None, tol)
+    perm = np.arange(n) if haar else rng.permutation(n)
+    mats = [x.m[perm][:, perm] for x in (p, q)]
+    if noisy:
+        size = 10.0 ** draw(st.floats(-13.0, -7.0))
+        for i, m in enumerate(mats):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = g + adj(g)
+            mats[i] = m + size / pg.operator_norm(h) * h
+    return (*mats, tol)
 
 
-@settings(max_examples=150, deadline=None)
-@given(pair=pairs(), others=st.integers(0, 2))
-def test_every_entry_point_verifies_or_raises_the_typed_error(pair, others):
-    p, q = pair
+def check_exponent(p, q):
+    """A verified exponent with validated points when the ranks agree, else NoGeodesic."""
     if p.rank != q.rank:
         with pytest.raises(NoGeodesic):
             pg.minimal_exponent(p, q)
-    else:
-        g = pg.minimal_exponent(p, q)
-        assert pg.verify_geodesic(g).max() <= geo.ENDPOINT_ATOL
-        points = [pg.geodesic_point(g, t) for t in (0.0, 0.5, 1.0)]  # each validated
-        assert pg.operator_norm(points[-1].m - q.m) <= geo.ENDPOINT_ATOL
+        return
+    g = pg.minimal_exponent(p, q)
+    assert pg.verify_geodesic(g).max() <= geo.ENDPOINT_ATOL
+    points = [pg.geodesic_point(g, t) for t in (0.0, 0.5, 1.0)]  # each validated
+    assert pg.operator_norm(points[-1].m - q.m) <= geo.ENDPOINT_ATOL
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=pairs(), others=st.integers(0, 2))
+def test_every_entry_point_verifies_or_raises_the_typed_error(case, others):
+    *mats, tol = case
+    p, q = (pg.make_projection(m, tol) for m in mats)
+    g = check_exponent(p, q)
+    if g is not None:
         z_norm = pg.operator_norm(g.z)
         assert z_norm <= math.pi / 2 + 1e-12
         for rho in (1, 2):
@@ -76,7 +100,7 @@ def test_every_entry_point_verifies_or_raises_the_typed_error(pair, others):
               (np.eye(1), np.eye(1))][:others]
     blocks = (p.n, *(a.shape[0] for a, _ in beside))
     algebra = pg.FiniteAlgebra(blocks=blocks, weights=(1 / len(blocks),) * len(blocks))
-    big = [pg.make_projection(scipy.linalg.block_diag(x.m, *(b[i] for b in beside)))
+    big = [pg.make_projection(scipy.linalg.block_diag(x.m, *(b[i] for b in beside)), tol)
            for i, x in enumerate((p, q))]
     if p.rank != q.rank:
         with pytest.raises(RankMismatch):
@@ -85,6 +109,17 @@ def test_every_entry_point_verifies_or_raises_the_typed_error(pair, others):
         g = pg.blockwise_minimal_exponent(algebra, *big)
         assert pg.verify_geodesic(g).max() <= geo.ENDPOINT_ATOL
         assert pg.member_check(algebra, g.z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=pairs(noisy=True))
+def test_a_noisy_pair_is_rejected_or_ends_as_its_ranks_predict(case):
+    *mats, tol = case
+    try:
+        p, q = (pg.make_projection(m, tol) for m in mats)
+    except NotProjection:
+        return
+    check_exponent(p, q)
 
 
 @st.composite

@@ -74,6 +74,7 @@ def test_the_battery_agrees_with_the_dense_parts_near_a_threshold(pair):
     mats = part_matrices(pos)
     ranks = [round(np.trace(m).real) for m in mats]
     assert report["ranks"] == ranks
+    assert [e.rank for e in (pos.e11, pos.e00, pos.e10, pos.e01, pos.e0)] == ranks  # validated
     assert report["angles"] == list(pos.angles)
     assert report["exists"] == (ranks[2] == ranks[3])
     bound = battery_rounding(report, p.n)
@@ -86,6 +87,21 @@ def test_the_battery_agrees_with_the_dense_parts_near_a_threshold(pair):
     ez = scipy.linalg.expm(geo.position_exponent(pos).z)
     dense = pg.operator_norm(ez @ mats[2] @ adj(ez) - mats[3])
     assert abs(report["wedge_intertwine"] - dense) <= bound
+
+
+def test_every_part_validates_at_a_narrow_width():
+    # the u of a plane at 0.0149 is orthogonal to the other planes' only to
+    # about eps / sin, above a part's bound at the width 1.357e-14, so e0
+    # takes its basis from a QR of [x, u]
+    tol = pg.ToleranceProfile(atol_spectral=1.357e-14)
+    for seed in range(40):
+        p, q, info = sampling.structured_pair(2, 0, 2, 1, [0.01486, 0.7],
+                                              np.random.default_rng(seed), tol)
+        pos = projlat.position(p, q)
+        parts = [pos.e11, pos.e00, pos.e10, pos.e01, pos.e0]  # each validated
+        assert tuple(e.rank for e in parts) == pos.ranks() == info["ranks"]
+        v = np.hstack([pos.x, pos.u])
+        assert pg.operator_norm(v - pos.e0.m @ v) <= 1e-13
 
 
 @pytest.mark.parametrize("theta", [1.6e-10, 3e-10, 1e-9])
@@ -140,12 +156,18 @@ def test_the_seeded_gap_follows_the_uniqueness_verdict(monkeypatch, depth, gap):
 
 
 @settings(max_examples=12, deadline=None, database=None)
-@given(st.sampled_from([2, 3, 6]), near, st.booleans())
+@given(st.sampled_from([2, 3, 6]), near, st.booleans(), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 32 - 1))
 def test_an_expectation_path_by_a_near_threshold_rotation_is_built_or_too_far(
-        n, theta, wedge):
+        n, theta, wedge, t, seed):
+    # a path that is built verifies, and its propagator identities hold at a
+    # drawn time on a drawn test matrix within the residual contract
     spec1 = jones.rotated_diagonal_spec(n, np.pi / 2 - theta if wedge else theta)
     try:
         path = jones.expectation_path(jones.diagonal_spec(n), spec1, n)
     except TooFar:
         return
     assert pg.verify_geodesic(path.z).max() <= geo.ENDPOINT_ATOL
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert jones.propagator_checks(path, [t], [x]).max() <= 1e-8

@@ -1,9 +1,11 @@
-"""Every residual is measured by numkit's one norm kernel. The library's
-source is parsed with ast: a singular-values-only SVD appears in numkit
-alone, no module reaches into another module for a private norm helper,
-and outside numkit no operator_norm call is compared with a tolerance (a
-pass/fail check takes bounded_norm), so a second copy of the kernel or of
-its settle rule cannot grow back unnoticed."""
+"""Every residual is measured by numkit's one norm kernel, and every
+certified bound is decided by its one settle rule. The library's source is
+parsed with ast: a singular-values-only SVD appears in numkit alone; no
+module reaches into another module for a private norm helper; outside
+numkit no operator_norm call is compared with a tolerance (a pass/fail
+check takes bounded_norm); and only numkit (numkit.settles) and projlat
+(the eigh record of make_projection) get a logger. So a second copy of the
+kernel or of its settle rules cannot grow back unnoticed."""
 
 import ast
 import re
@@ -85,3 +87,17 @@ def test_pass_fail_norm_checks_go_through_bounded_norm():
     assert found == []
     assert {name for name, tree in mods.items()
             if norm_comparisons(tree, "bounded_norm")} >= {"factor", "jones", "numkit"}
+
+
+def test_certified_bounds_are_settled_and_logged_by_numkit_only():
+    # numkit.settles compares each certified bound with its tolerance and
+    # writes the fallback record; projlat keeps one record, of the eigh
+    # fallback of make_projection, which reports a missing certificate
+    mods = modules()
+    calls = {name: [callee(node) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+             for name, tree in mods.items()}
+    assert {name for name, names in calls.items() if "getLogger" in names} == {
+        "numkit", "projlat"}
+    assert calls["projlat"].count("debug") == 1
+    assert {name for name, names in calls.items() if "settles" in names} >= {
+        "geo", "jones", "projlat"}

@@ -262,7 +262,7 @@ def test_a_point_whose_bound_cannot_settle_measures_its_gram(caplog, monkeypatch
     with caplog.at_level(logging.DEBUG, logger="projgeo"):
         point = pg.geodesic_point(g, 0.5)
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
-    assert "measuring its Gram" in caplog.text
+    assert "geodesic point's Gram bound" in caplog.text
     assert point.basis_residual == numkit.orthonormality_residual(point.basis, 1e-8)
     assert point.basis_residual <= settled.basis_residual
     assert pg.operator_norm(point.m - settled.m) == 0.0
