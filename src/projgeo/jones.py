@@ -101,12 +101,8 @@ def rotated_diagonal_spec(n: int, theta: float) -> MatrixSpan:
     u[0, 1] = -s
     u[1, 0] = s
     u[1, 1] = c
-    mats = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[i, i] = 1.0
-        mats.append(u @ e @ adjoint(u))
-    return MatrixSpan(mats=tuple(mats))
+    # member i is u_i u_i* for the column u_i of the rotation
+    return MatrixSpan(mats=tuple(np.einsum("ai,bi->iab", u, u.conj())))
 
 
 def spanning_matrices(spec: SubalgebraSpec, n: int) -> list[np.ndarray]:
@@ -556,10 +552,9 @@ def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
 
 def _rk4_coordinates(path: ExpectationPath, x0, steps: int):
     """Set up the fixed-step RK4 of :func:`transport_ode_solve` and return
-    (x, V, zw, ys): x = vec x0, i Z = V diag(w) V* with zw = -i w, and an
-    iterator over the rotated coordinates y_j = D_{t_j}* V* x_j,
-    j = 0..steps, each advanced from the last by the one m x m step matrix
-    D_h* R_0, so only the current one is held."""
+    (x, V, zw, y0, S): x = vec x0, i Z = V diag(w) V* with zw = -i w,
+    y0 = V* x, and the one m x m step matrix S = D_h* R_0 by which the
+    rotated coordinates y_j = D_{t_j}* V* x_j advance, so y_j = S^j y0."""
     if steps < 100:
         raise ValueError("need at least 100 steps")
     x = vec(_square(x0, path.n, "x0"))
@@ -582,15 +577,7 @@ def _rk4_coordinates(path: ExpectationPath, x0, steps: int):
     k3 = a_mid @ (eye + (h / 2) * k2)
     k4 = generator(h) @ (eye + h * k3)
     step = np.exp(h * zw).conj()[:, None] * (eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
-
-    def walk():
-        y = adjoint(v) @ x
-        yield y
-        for _ in range(steps):
-            y = step @ y
-            yield y
-
-    return x, v, zw, walk()
+    return x, v, zw, adjoint(v) @ x, step
 
 
 def transport_ode_solve(path: ExpectationPath, x0, steps: int):
@@ -608,26 +595,48 @@ def transport_ode_solve(path: ExpectationPath, x0, steps: int):
     A_0 = Z P_0 + P_0 Z - 2 P_0 Z P_0, P_0 = V* E_0 V. So each RK4 step
     matrix is R_j = D_{t_j} R_0 D_{t_j}*, where R_0 takes the usual four
     stages from A(0), A(h/2) and A(h), and the coordinates rotated back by
-    D_{t_j}* advance by the one m x m matrix D_h* R_0. Returns the times
-    and the transported matrices at steps + 1 uniform points. Raises
-    DimensionMismatch unless x0 is n x n.
+    D_{t_j}* advance by the one m x m matrix S = D_h* R_0: y_j = S^j y_0.
+    The iterates come by doubling: rows j + 2^i are S^{2^i} times rows
+    j < 2^i, with S^{2^i} by repeated squaring, so all steps + 1 take
+    ceil(log2(steps + 1)) block products and each is a product of at most
+    log2(steps) + 1 powers. Returns the times and the transported matrices
+    at steps + 1 uniform points. Raises DimensionMismatch unless x0 is
+    n x n.
     """
-    x, v, zw, ys = _rk4_coordinates(path, x0, steps)
-    rotated = np.array(list(ys))
+    x, v, zw, y0, power = _rk4_coordinates(path, x0, steps)
+    rotated = np.empty((steps + 1, zw.size), dtype=np.complex128)
+    rotated[0] = y0
+    done = 1
+    while True:
+        more = min(done, steps + 1 - done)
+        rotated[done:done + more] = rotated[:more] @ power.T
+        done += more
+        if done > steps:
+            break
+        power = power @ power
     times = np.linspace(0.0, 1.0, steps + 1)
     coords = np.exp(np.outer(times, zw)) * rotated
-    states = (x - v @ rotated[0]) + coords @ v.T
+    states = (x - v @ y0) + coords @ v.T
     return times, states.reshape(steps + 1, path.n, path.n)
 
 
 def transport_ode_endpoint(path: ExpectationPath, x0, steps: int) -> np.ndarray:
-    """The state at t = 1 of :func:`transport_ode_solve`, by the same RK4
-    steps, holding one state instead of all steps + 1."""
-    x, v, zw, ys = _rk4_coordinates(path, x0, steps)
-    first = last = next(ys)
-    for last in ys:
-        pass
-    state = (x - v @ first) + (np.exp(zw) * last) @ v.T
+    """The state at t = 1 of :func:`transport_ode_solve`: y_steps =
+    S^steps y_0 by binary powering, applying S^{2^i} for the set bits of
+    steps from the lowest up, the nesting of the solve's last row. It
+    holds the power and one state, so memory does not grow with steps;
+    a single vector goes through BLAS gemv where the solve's rows go
+    through gemm, so the two agree to rounding, not bit for bit."""
+    x, v, zw, y0, power = _rk4_coordinates(path, x0, steps)
+    y, bits = y0, steps
+    while True:
+        if bits & 1:
+            y = y @ power.T
+        bits >>= 1
+        if not bits:
+            break
+        power = power @ power
+    state = (x - v @ y0) + (np.exp(zw) * y) @ v.T
     return state.reshape(path.n, path.n)
 
 

@@ -6,7 +6,10 @@ entry point ends in a verified result or in the typed error that the
 ranks predict, and so does every pair that make_projection accepts after
 Hermitian noise of norm 1e-13 to 1e-7. Near-threshold pairs, with
 a seeded witness on half the non-unique ones, check the geodesic points
-against the dense e^{tz} p e^{-tz} and their certified Gram residuals."""
+against the dense e^{tz} p e^{-tz} and their certified Gram residuals.
+The transport ODE, on paths between small subalgebras of M_n (n <= 4),
+agrees with a dense RK4, converges at fourth order to the propagator and
+ends where its endpoint does."""
 
 import logging
 import math
@@ -19,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import projgeo as pg
-from projgeo import geo, numkit, projlat, sampling
+from projgeo import geo, jones, numkit, projlat, sampling
 from projgeo.errors import NoGeodesic, NotProjection, RankMismatch
 from projgeo.numkit import MAX_ATOL_SPECTRAL
 
@@ -181,3 +184,77 @@ def test_near_threshold_points_lie_within_their_certified_bounds(case):
     with unittest.TestCase().assertNoLogs("projgeo", logging.DEBUG):
         h = pg.minimal_exponent(pg.geodesic_point(g, 0.25), pg.geodesic_point(g, 0.75))
     assert pg.verify_geodesic(h).max() <= geo.ENDPOINT_ATOL
+
+
+@st.composite
+def transport_cases(draw):
+    """(path, x0, steps): the diagonal against rotated:theta, or a block
+    partition or tensor factor against its conjugate by a unitary e^h with
+    ||h|| <= 0.5 (so the gap stays below sin 1), n <= 4, and steps in
+    [100, 3000]."""
+    kind = draw(st.sampled_from(["rotated", "blocks", "tensor"]))
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "rotated":
+        spec0 = jones.diagonal_spec(n)
+        spec1 = jones.rotated_diagonal_spec(n, draw(st.floats(0.0, 0.6)))
+    else:
+        if kind == "blocks":
+            cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+            perm = rng.permutation(n)
+            spec0 = jones.BlockPartition(
+                groups=tuple(tuple(perm[a:b]) for a, b in zip([0, *cuts], [*cuts, n])))
+        else:
+            k = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+            spec0 = jones.TensorFactor(k, n // k)
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = (g - adj(g)) / pg.operator_norm(g - adj(g))
+        u = scipy.linalg.expm(draw(st.floats(0.0, 0.5)) * h)
+        spec1 = jones.MatrixSpan(mats=tuple(
+            u @ a @ adj(u) for a in jones.spanning_matrices(spec0, n)))
+    x0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return jones.expectation_path(spec0, spec1, n), x0, draw(st.integers(100, 3000))
+
+
+def dense_rk4(path, x0, steps):
+    """States of RK4 with the dense n^2 x n^2 generator
+    Z E_t + E_t Z - 2 E_t Z E_t, E_t = e^{tZ} E_0 e^{-tZ} from an eigh of
+    i Z: the step matrices of 256 steps at a time (about 1 MB each at
+    n = 4) are formed at once and applied one step at a time."""
+    z, e0 = path.z.z, path.end0.big.m
+    lam, w = np.linalg.eigh(1j * z)
+    eye, h = np.eye(lam.size), 1.0 / steps
+
+    def generator(ts):
+        u = (w * np.exp(-1j * np.multiply.outer(ts, lam))[:, None, :]) @ adj(w)
+        e = u @ e0 @ u.conj().swapaxes(1, 2)
+        return z @ e + e @ z - 2.0 * e @ z @ e
+
+    y = x0.reshape(-1).astype(complex)
+    states = [y]
+    for start in range(0, steps, 256):
+        ts = h * np.arange(start, min(start + 256, steps))
+        a0, a_mid = generator(ts), generator(ts + h / 2)
+        k2 = a_mid @ (eye + (h / 2) * a0)
+        k3 = a_mid @ (eye + (h / 2) * k2)
+        k4 = generator(ts + h) @ (eye + h * k3)
+        for r in eye + (h / 6) * (a0 + 2 * k2 + 2 * k3 + k4):
+            y = r @ y
+            states.append(y)
+    return np.array(states).reshape(steps + 1, *x0.shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=transport_cases())
+def test_the_transport_ode_is_the_dense_rk4_and_converges_at_fourth_order(case):
+    path, x0, steps = case
+    size, eps = pg.operator_norm(x0), np.finfo(float).eps
+    _, states = jones.transport_ode_solve(path, x0, steps)
+    # both solvers round each of their steps
+    assert np.abs(states - dense_rk4(path, x0, steps)).max() <= 4 * steps * eps * size
+    # fourth-order truncation, plus the rounding of the step matrix, which
+    # its steps-th power carries steps times
+    err = pg.operator_norm(states[-1] - path.transport(1.0, x0))
+    assert err <= (0.05 * steps ** -4.0 + 2 * steps * eps) * size
+    end = jones.transport_ode_endpoint(path, x0, steps)
+    assert pg.operator_norm(end - states[-1]) <= 1e-14 * pg.operator_norm(states[-1])
