@@ -181,7 +181,7 @@ def orthogonal_pair(a: FiniteAlgebra, r, seed: int | None = None
     pm[np.arange(k), np.arange(k)] = 1.0
     qm[np.arange(k, 2 * k), np.arange(k, 2 * k)] = 1.0
     if seed is not None:
-        u = numkit.haar_unitary(n, np.random.default_rng(seed))
+        u = numkit.seeded_unitary(n, seed)
         pm = u @ pm @ adjoint(u)
         qm = u @ qm @ adjoint(u)
     return projlat.make_projection(pm), projlat.make_projection(qm)

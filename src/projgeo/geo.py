@@ -243,6 +243,9 @@ def partial_isometry(source: Projection, target: Projection,
     index order; a seed right-multiplies the source basis by a Haar
     unitary, giving distinct witnesses of the same equivalence. Each basis
     is p.basis Q for a unitary Q, so its range is exact; w is not formed.
+    The bases are :func:`projlat.range_basis`, one per projection however
+    many witnesses use it, and the unitary is
+    :func:`numkit.seeded_unitary`, one per rank and seed.
     """
     if source.rank != target.rank:
         raise RankMismatch(
@@ -250,8 +253,7 @@ def partial_isometry(source: Projection, target: Projection,
     bs = projlat.range_basis(source)
     bt = projlat.range_basis(target)
     if seed is not None and source.rank > 0:
-        u = numkit.haar_unitary(source.rank, np.random.default_rng(seed))
-        bs = bs @ u
+        bs = bs @ numkit.seeded_unitary(source.rank, seed)
     return PartialIsometry(bs=bs, bt=bt, source=source, target=target)
 
 

@@ -527,8 +527,9 @@ def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
     """The minimal geodesic between two expectation projections.
 
     Requires the gap ||e0 - e1|| to be below 1 (raising TooFar at the
-    boundary), which guarantees a unique normalized geodesic whose
-    points stay conditional expectations. Passing check_distance=False
+    boundary), which guarantees a unique normalized geodesic. Its inner
+    points need not be conditional expectations: their ranges can fail to
+    be closed under products (README). Passing check_distance=False
     skips the guard; the resulting path is the experiment for the open
     boundary regime and comes with no guarantees.
 
@@ -552,9 +553,12 @@ def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
 
 def _rk4_coordinates(path: ExpectationPath, x0, steps: int):
     """Set up the fixed-step RK4 of :func:`transport_ode_solve` and return
-    (x, V, zw, y0, S): x = vec x0, i Z = V diag(w) V* with zw = -i w,
-    y0 = V* x, and the one m x m step matrix S = D_h* R_0 by which the
-    rotated coordinates y_j = D_{t_j}* V* x_j advance, so y_j = S^j y0."""
+    (x, V, zw, y0, K): x = vec x0, i Z = V diag(w) V* with zw = -i w,
+    y0 = V* x, and K = S - 1 for the one m x m step matrix S = D_h* R_0 by
+    which the rotated coordinates y_j = D_{t_j}* V* x_j advance, so
+    y_j = S^j y0. K, of size O(h), is formed directly, its diagonal from
+    expm1: S itself would round its small part to eps, an error that its
+    powers carry once per step."""
     if steps < 100:
         raise ValueError("need at least 100 steps")
     x = vec(_square(x0, path.n, "x0"))
@@ -576,8 +580,9 @@ def _rk4_coordinates(path: ExpectationPath, x0, steps: int):
     k2 = a_mid @ (eye + (h / 2) * k1)
     k3 = a_mid @ (eye + (h / 2) * k2)
     k4 = generator(h) @ (eye + h * k3)
-    step = np.exp(h * zw).conj()[:, None] * (eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
-    return x, v, zw, adjoint(v) @ x, step
+    d1 = np.expm1(np.conj(h * zw))  # D_h* - 1
+    k = (1.0 + d1)[:, None] * ((h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)) + np.diag(d1)
+    return x, v, zw, adjoint(v) @ x, k
 
 
 def transport_ode_solve(path: ExpectationPath, x0, steps: int):
@@ -599,21 +604,25 @@ def transport_ode_solve(path: ExpectationPath, x0, steps: int):
     The iterates come by doubling: rows j + 2^i are S^{2^i} times rows
     j < 2^i, with S^{2^i} by repeated squaring, so all steps + 1 take
     ceil(log2(steps + 1)) block products and each is a product of at most
-    log2(steps) + 1 powers. Returns the times and the transported matrices
-    at steps + 1 uniform points. Raises DimensionMismatch unless x0 is
-    n x n.
+    log2(steps) + 1 powers. Each power is held as K = S^{2^i} - 1, which
+    acts as y + K y and squares as K (K + 2), so no rounding of the
+    identity's size enters the small part. Returns the times and the
+    transported matrices at steps + 1 uniform points. Raises
+    DimensionMismatch unless x0 is n x n.
     """
     x, v, zw, y0, power = _rk4_coordinates(path, x0, steps)
+    two = 2.0 * np.eye(zw.size)
     rotated = np.empty((steps + 1, zw.size), dtype=np.complex128)
     rotated[0] = y0
     done = 1
     while True:
         more = min(done, steps + 1 - done)
-        rotated[done:done + more] = rotated[:more] @ power.T
+        head = rotated[:more]
+        np.add(head, head @ power.T, out=rotated[done:done + more])
         done += more
         if done > steps:
             break
-        power = power @ power
+        power = power @ (power + two)
     times = np.linspace(0.0, 1.0, steps + 1)
     coords = np.exp(np.outer(times, zw)) * rotated
     states = (x - v @ y0) + coords @ v.T
@@ -623,19 +632,21 @@ def transport_ode_solve(path: ExpectationPath, x0, steps: int):
 def transport_ode_endpoint(path: ExpectationPath, x0, steps: int) -> np.ndarray:
     """The state at t = 1 of :func:`transport_ode_solve`: y_steps =
     S^steps y_0 by binary powering, applying S^{2^i} for the set bits of
-    steps from the lowest up, the nesting of the solve's last row. It
-    holds the power and one state, so memory does not grow with steps;
-    a single vector goes through BLAS gemv where the solve's rows go
-    through gemm, so the two agree to rounding, not bit for bit."""
+    steps from the lowest up, the nesting of the solve's last row, each
+    as y + K y with K = S^{2^i} - 1 squared as K (K + 2). It holds the
+    power and one state, so memory does not grow with steps; a single
+    vector goes through BLAS gemv where the solve's rows go through gemm,
+    so the two agree to rounding, not bit for bit."""
     x, v, zw, y0, power = _rk4_coordinates(path, x0, steps)
+    two = 2.0 * np.eye(zw.size)
     y, bits = y0, steps
     while True:
         if bits & 1:
-            y = y @ power.T
+            y = y + y @ power.T
         bits >>= 1
         if not bits:
             break
-        power = power @ power
+        power = power @ (power + two)
     state = (x - v @ y0) + (np.exp(zw) * y) @ v.T
     return state.reshape(path.n, path.n)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -320,3 +321,12 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     d = np.diag(r)
     phases = np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
     return q * phases.conjugate()
+
+
+@lru_cache(maxsize=16)
+def seeded_unitary(n: int, seed: int) -> np.ndarray:
+    """``haar_unitary(n, default_rng(seed))``, drawn once per (n, seed) and
+    kept read-only in a cache of 16 entries."""
+    u = haar_unitary(n, np.random.default_rng(seed))
+    u.flags.writeable = False
+    return u

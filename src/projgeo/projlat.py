@@ -43,7 +43,8 @@ class Projection:
     ||basis* basis - 1|| from above: the residual measured when the basis
     was certified or validated, a proven bound that settled the validation
     (``geo.geodesic_point`` of a position-built exponent), or else
-    measured when first read.
+    measured when first read. The read-only :func:`range_basis` is formed
+    when first asked for and kept.
     """
 
     basis: np.ndarray
@@ -65,6 +66,14 @@ class Projection:
     @cached_property
     def basis_residual(self) -> float:
         return numkit.orthonormality_residual(self.basis, np.inf)
+
+    @cached_property
+    def _range_basis(self) -> np.ndarray:  # range_basis(self)
+        b = self.basis
+        if b.shape[1] == 0:
+            return _frozen(np.zeros(b.shape, dtype=np.complex128))
+        qmat, _, _ = scipy.linalg.qr(adjoint(b), pivoting=True)
+        return _frozen(numkit.fix_phases(b @ qmat))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -400,12 +409,10 @@ def range_basis(p: Projection) -> np.ndarray:
     b = ``p.basis``, a pivoted QR b* P = Q R of the k x n matrix b* gives
     b b* P = (b Q) R with the same pivots, since b keeps the norms that
     choose them: b Q, phases fixed to be reproducible, at O(n k^2) cost.
+    It is formed once per projection and kept on it read-only, so one
+    basis per part serves every witness of it (``geo.partial_isometry``).
     """
-    b = p.basis
-    if b.shape[1] == 0:
-        return np.zeros(b.shape, dtype=np.complex128)
-    qmat, _, _ = scipy.linalg.qr(adjoint(b), pivoting=True)
-    return numkit.fix_phases(b @ qmat)
+    return p._range_basis
 
 
 def davis_symmetry(p: Projection, q: Projection) -> np.ndarray:

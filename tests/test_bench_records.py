@@ -1,0 +1,46 @@
+"""The BENCH_<n>.json records of the speed claims, from BENCH_17.json on,
+read against BENCHMARK.json: the record's keys, one result per untraced
+run with exactly the declared end-to-end metrics, only declared
+workloads, and a parent and a change run for every pair."""
+
+import json
+import re
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
+END_TO_END = {m["name"] for m in BENCHMARK["end_to_end"]}
+KEYS = {"change", "claim", "command", "machine", "pairs", "result", "runs", "summary"}
+FIRST = 17  # the first record in this schema
+
+RECORDS = sorted((path for path in ROOT.glob("BENCH_*.json")
+                  if int(re.fullmatch(r"BENCH_(\d+)\.json", path.name)[1]) >= FIRST),
+                 key=lambda path: int(path.stem.split("_")[1]))
+
+
+def test_the_records_from_the_first_in_this_schema_are_found():
+    assert RECORDS and RECORDS[0].name == f"BENCH_{FIRST}.json"
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
+def test_a_record_holds_paired_results_of_the_declared_benchmark(path):
+    record = json.loads(path.read_text())
+    assert KEYS <= record.keys()
+    runs = record["runs"]
+    assert runs
+    sides = defaultdict(set)
+    for run in runs:
+        assert run["workload"] in WORKLOADS
+        sides[run["workload"], run["seed"], run.get("trace", 0), run["pair"]].add(run["side"])
+        if run.get("trace", 0):
+            continue
+        result = run["result"]
+        assert result["correct"] is True
+        assert all(type(result[k]) is int for k in ("attempted", "failed"))
+        assert set(result["metrics"]) == END_TO_END
+    unpaired = {key: found for key, found in sides.items() if found != {"parent", "change"}}
+    assert not unpaired

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import projgeo as pg
-from projgeo import factor, geo, jones, sampling
+from projgeo import factor, geo, jones, numkit, projlat, sampling
 from projgeo.errors import (
     BadRho,
     InvariantViolation,
@@ -101,6 +101,52 @@ class TestPartialIsometry:
         q = pg.make_projection(np.diag([1.0, 0.0]))
         with pytest.raises(RankMismatch):
             pg.partial_isometry(p, q)
+
+
+def count_pivoted_qr(monkeypatch):
+    """Patch scipy's QR to count its pivoted calls, the range bases."""
+    calls, real = [], scipy.linalg.qr
+    monkeypatch.setattr(scipy.linalg, "qr", lambda *args, **kwargs: (
+        calls.append(args[0].shape) if kwargs.get("pivoting") else None) or real(*args, **kwargs))
+    return calls
+
+
+class TestOneWitnessBasis:
+    def test_the_diagnostics_take_one_basis_per_wedge_part(self, monkeypatch):
+        p, q, _ = sampling.random_pair(8, np.random.default_rng(29), force_wedge=True)
+        built, real = [], geo.position_exponent
+        monkeypatch.setattr(geo, "position_exponent",
+                            lambda *args: built.append(args) or real(*args))
+        bases = count_pivoted_qr(monkeypatch)
+        report = sampling.pair_diagnostics(p, q)
+        assert report["unique"] is False and report["seeded_exponent_gap"] > 1e-6
+        # the default and both seeded exponents, each built and verified
+        assert len(built) == 3
+        assert len(bases) == 2
+
+    def test_a_family_of_geodesics_takes_one_basis_per_end(self, monkeypatch):
+        alg = factor.FiniteAlgebra.full(8)
+        p, q = factor.orthogonal_pair(alg, 0.25, seed=4)
+        bases = count_pivoted_qr(monkeypatch)
+        fam = factor.multi_geodesics(p, q, count=3, rho=2.0, t=factor.NormalizedTrace(alg))
+        assert len(fam) == 3 and len(bases) == 2
+
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_a_kept_basis_is_read_only_and_the_fresh_one(self, rank):
+        u = sampling.random_projection(6, rank, np.random.default_rng(31)).m
+        p, twin = pg.make_projection(u), pg.make_projection(u)
+        kept = projlat.range_basis(p)
+        assert projlat.range_basis(p) is kept and not kept.flags.writeable
+        assert kept.shape == (6, rank)
+        assert np.array_equal(kept, projlat.range_basis(twin))
+
+    def test_the_seeded_unitary_is_the_haar_draw(self):
+        u = numkit.seeded_unitary(3, 7)
+        assert numkit.seeded_unitary(3, 7) is u and not u.flags.writeable
+        assert np.array_equal(u, numkit.haar_unitary(3, np.random.default_rng(7)))
+        w = pg.partial_isometry(*(sampling.random_projection(5, 3, np.random.default_rng(s))
+                                  for s in (32, 33)), seed=7)
+        assert np.array_equal(w.bs, projlat.range_basis(w.source) @ u)
 
 
 class TestMinimalExponent:

@@ -66,13 +66,15 @@ def dense_rk4(path, x0, steps):
 
 
 def stepwise_rk4(path, x0, steps):
-    """Reference for the doubling: the solver's RK4 step matrix S applied
-    one step at a time, y_{j+1} = S y_j, then rotated back and lifted as
-    the solver does. The loop runs in long double: its rounding grows
-    with the steps, and in double it reaches 3.7e-13 of max |y_0| at 10,000
-    steps of the eighth turn, where the doubling stays within 3.3e-16."""
-    x, v, zw, y0, step = jones._rk4_coordinates(path, x0, steps)
-    y, step = y0.astype(np.clongdouble), step.astype(np.clongdouble)
+    """Reference for the doubling: the solver's RK4 step matrix S = 1 + K
+    applied one step at a time, y_{j+1} = S y_j, then rotated back and
+    lifted as the solver does. S and the loop are in long double: the
+    loop's rounding grows with the steps, and in double it reaches 3.7e-13
+    of max |y_0| at 10,000 steps of the eighth turn, where the doubling
+    stays within 3.3e-16."""
+    x, v, zw, y0, k = jones._rk4_coordinates(path, x0, steps)
+    y = y0.astype(np.clongdouble)
+    step = np.eye(k.shape[0], dtype=np.clongdouble) + k.astype(np.clongdouble)
     rotated = [y]
     for _ in range(steps):
         y = step @ y
