@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 import scipy.linalg
+from hypothesis import strategies as st
 
 import projgeo as pg
-from projgeo import geo, sampling
+from projgeo import geo, jones, sampling
 
 KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
            (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
@@ -148,3 +149,22 @@ def force_exact(monkeypatch):
     """Patch the exponent certificate to nan, so that every exponent built
     from a position gets the exact report, and its points a measured Gram."""
     monkeypatch.setattr(geo, "_exponent_bound", lambda *args: (math.nan,) * 3)
+
+
+@st.composite
+def conjugated_subalgebras(draw, kind, n, rng, reach):
+    """(spec0, spec1): a block partition ("blocks") or tensor factor
+    ("tensor") of M_n and its conjugate by a unitary e^h with ||h|| <= reach."""
+    if kind == "blocks":
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+        perm = rng.permutation(n)
+        spec0 = jones.BlockPartition(
+            groups=tuple(tuple(perm[a:b]) for a, b in zip([0, *cuts], [*cuts, n])))
+    else:
+        k = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+        spec0 = jones.TensorFactor(k, n // k)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = (g - adj(g)) / pg.operator_norm(g - adj(g))
+    u = scipy.linalg.expm(draw(st.floats(0.0, reach)) * h)
+    return spec0, jones.MatrixSpan(mats=tuple(
+        u @ a @ adj(u) for a in jones.spanning_matrices(spec0, n)))

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from projgeo import cli, factor, jones, numkit, projlat
 from projgeo.errors import (DimensionMismatch, InternalConsistencyError,
                              InvariantViolation, NotSubalgebra, TooFar)
 
-from _helpers import adj
+from _helpers import adj, conjugated_subalgebras
 
 
 class TestJonesPair:
@@ -282,12 +283,15 @@ class TestBuildTimeAxiomCheck:
         axioms = record(monkeypatch, jones, "_axioms")
         spec = jones.rotated_diagonal_spec(6, 0.3)
         jones.expectation_projection(spec, 6)
-        assert len(axioms) == 1
+        assert axioms == []  # the build's certificate settles every field
         # every Frobenius norm now reads 1e9 times its value, above
-        # atol_structure unless the stack is exactly zero; the bimodule
+        # atol_structure unless the stack is exactly zero; the sample norm X,
+        # taken afresh, lifts the certificate's star, trace and bimodule
+        # bounds over it, so the one _axioms pass runs, and its bimodule
         # bound, built from Frobenius norms, exceeds it too
         real = numkit.frobenius
         monkeypatch.setattr(numkit, "frobenius", lambda a: 1e9 * real(a))
+        monkeypatch.setattr(jones, "_sample_norm", jones._sample_norm.__wrapped__)
         checks = record(monkeypatch, numkit, "bounded_norm")
         svds = record(monkeypatch, np.linalg, "svd")
         measured = []  # each stack that ran an SVD
@@ -451,18 +455,10 @@ class TestExpectationPath:
 
 
 @st.composite
-def unital_subalgebras(draw):
-    """(big, n): the expectation projection of a unital *-subalgebra of M_n,
-    drawn as a block partition with random group sizes, a tensor factor
-    M_k (x) I_m, one of those rotated by a Haar unitary, or a point of an
-    expectation path."""
-    kind = draw(st.sampled_from(["blocks", "tensor", "rotated", "path"]))
-    if kind == "path":
-        n = draw(st.integers(2, 5))
-        theta = draw(st.floats(0.05, 0.7))
-        path = jones.expectation_path(
-            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, theta), n)
-        return path.projection_at(draw(st.floats(0.0, 1.0))), n
+def subalgebra_specs(draw, kinds=("blocks", "tensor", "rotated")):
+    """(spec, n): a block partition with random group sizes, a tensor factor
+    M_k (x) I_m, or one of those rotated by a Haar unitary."""
+    kind = draw(st.sampled_from(kinds))
     base = draw(st.sampled_from(["blocks", "tensor"])) if kind == "rotated" else kind
     if base == "tensor":
         k, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
@@ -478,6 +474,21 @@ def unital_subalgebras(draw):
         u = numkit.haar_unitary(n, np.random.default_rng(draw(st.integers(0, 2**32))))
         spec = jones.MatrixSpan(mats=tuple(
             u @ m @ adj(u) for m in jones.spanning_matrices(spec, n)))
+    return spec, n
+
+
+@st.composite
+def unital_subalgebras(draw):
+    """(big, n): the expectation projection of a unital *-subalgebra of M_n,
+    drawn by :func:`subalgebra_specs`, or a point of an expectation path."""
+    kind = draw(st.sampled_from(["blocks", "tensor", "rotated", "path"]))
+    if kind == "path":
+        n = draw(st.integers(2, 5))
+        theta = draw(st.floats(0.05, 0.7))
+        path = jones.expectation_path(
+            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, theta), n)
+        return path.projection_at(draw(st.floats(0.0, 1.0))), n
+    spec, n = draw(subalgebra_specs((kind,)))
     return jones.expectation_projection(spec, n).big, n
 
 
@@ -526,3 +537,124 @@ class TestBimoduleBound:
             jones.expectation_path(
                 jones.diagonal_spec(3), jones.rotated_diagonal_spec(3, 0.4), 3)
         assert caplog.records == []
+
+
+FIELDS = ("idempotent", "unital", "star", "trace", "bimodule", "closure")
+HAAR_4 = numkit.haar_unitary(4, np.random.default_rng(46))
+
+
+def build_certificate(spec, n):
+    """The build of spec, and the bounds its certificate took, by field."""
+    seen = []
+    real = jones._axiom_bounds
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with unittest.mock.patch.object(jones, "_axiom_bounds", spy):
+        ep = jones.expectation_projection(spec, n)
+    [bounds] = seen
+    return ep, dict(zip(FIELDS, bounds))
+
+
+@st.composite
+def certified_specs(draw):
+    """(spec, n): a spec of :func:`subalgebra_specs`, a rotated diagonal, or
+    a block partition or tensor factor conjugated by e^h, ||h|| <= 2."""
+    source = draw(st.sampled_from(["drawn", "rotated diagonal", "conjugated"]))
+    if source == "drawn":
+        return draw(subalgebra_specs())
+    n = draw(st.integers(2, 6))
+    if source == "rotated diagonal":
+        return jones.rotated_diagonal_spec(n, draw(st.floats(0.0, 1.6))), n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["blocks", "tensor"]))
+    return draw(conjugated_subalgebras(kind, n, rng, 2.0))[1], n
+
+
+def reference_rounding(basis, members):
+    """The two rounding terms of the bimodule bound, g(nu) and
+    2 beta (g(N_col) + g(N_row)), with each count by its own count_nonzero."""
+    g = numkit.complex_dot_error
+    nu = max(np.count_nonzero(members, axis=1).max(initial=0),
+             np.count_nonzero(members, axis=2).max(initial=0))
+    n_col = np.count_nonzero(basis, axis=0).max(initial=0)
+    n_row = np.count_nonzero(basis, axis=1).max(initial=0)
+    mags = np.abs(basis)
+    beta = math.sqrt(mags.sum(axis=0).max(initial=0.0) * mags.sum(axis=1).max(initial=0.0))
+    return g(nu), 2.0 * beta * (g(n_col) + g(n_row))
+
+
+class TestAxiomCertificate:
+    """The build settles its axiom check from _axiom_bounds, which bound
+    every field that _axioms measures, and measures only where they cannot."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(certified_specs())
+    def test_each_bound_dominates_the_measured_and_the_dense_field(self, drawn):
+        spec, n = drawn
+        ep, bounds = build_certificate(spec, n)
+        exact = jones.expectation_axioms(ep.big, n)  # _axioms(..., 0.0)
+        dense = dense_axioms(ep.big, n, ep.basis)
+        for field, bound in bounds.items():
+            assert getattr(exact, field) <= bound <= ep.big.tol.atol_structure, field
+            assert dense.get(field, 0.0) <= bound, field
+        assert bounds["closure"] == exact.closure
+
+    @pytest.mark.parametrize("spec,n", [
+        (jones.diagonal_spec(8), 8),
+        (jones.rotated_diagonal_spec(8, 0.4), 8),
+        (jones.TensorFactor(k=2, m=3), 6),
+        (jones.MatrixSpan(mats=tuple(
+            HAAR_4 @ m @ adj(HAAR_4) for m in jones.spanning_matrices(jones.TensorFactor(2, 2), 4))), 4),
+    ])
+    def test_a_normal_build_measures_and_logs_nothing(self, spec, n, monkeypatch, caplog):
+        axioms = record(monkeypatch, jones, "_axioms")
+        with caplog.at_level(logging.DEBUG, logger="projgeo"):
+            jones.expectation_projection(spec, n)
+        assert axioms == [] and caplog.records == []
+
+    @pytest.mark.parametrize("value", [math.nan, 2 * pg.DEFAULT_TOL.atol_structure])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_bound_that_cannot_settle_measures_once(self, field, value, monkeypatch, caplog):
+        # each field in its place, so a nan that a max() would drop is caught
+        real = jones._axiom_bounds
+
+        def unsettled(*args):
+            return tuple(value if f == field else b for f, b in zip(FIELDS, real(*args)))
+
+        monkeypatch.setattr(jones, "_axiom_bounds", unsettled)
+        axioms = record(monkeypatch, jones, "_axioms")
+        atol = pg.DEFAULT_TOL.atol_structure
+        with caplog.at_level(logging.DEBUG, logger="projgeo"):
+            ep = jones.expectation_projection(jones.rotated_diagonal_spec(6, 0.3), 6)
+        [(args, found)] = axioms
+        assert args[0] is ep.basis and args[1:] == (6, jones._product_residual(
+            ep.basis, jones._members(ep.basis, 6)), atol, atol)
+        assert found.max() <= atol
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert caplog.records[0].getMessage().startswith("expectation axioms bound: ")
+
+    @settings(max_examples=40, deadline=None)
+    @given(unital_subalgebras())
+    def test_one_pass_counts_keep_the_bimodule_bound_bit_for_bit(self, drawn):
+        big, n = drawn
+        basis = big.basis
+        members = jones._members(basis, n)
+        g_nu, apply = jones._rounding_terms(basis, n)
+        ref_nu, ref_twice = reference_rounding(basis, members)
+        assert g_nu == ref_nu and 2.0 * apply == ref_twice
+        # the public field, settled, is the bound with the former counts
+        gram = adj(basis) @ basis
+        eps = numkit.frobenius(gram - np.eye(basis.shape[1]))
+        mu = math.sqrt(np.abs(np.diagonal(gram)).max(initial=0.0))
+        sigma = jones._span_residuals(basis, jones._adjoints(members)).max(initial=0.0)
+        x_norm = numkit.frobenius(jones._axiom_samples(n)).max(initial=0.0)
+        phi = np.abs(adj(basis) @ jones._adjoints(members).reshape(len(members), -1).T).sum(
+            axis=0).max(initial=0.0)
+        closure = jones._product_residual(basis, members)
+        exact = 2.0 * (1.0 + eps) ** 3 * mu * x_norm * (
+            sigma + math.sqrt(len(members)) * (1.0 + phi) * closure)
+        ref = float(exact + (1.0 + eps) * mu * mu * x_norm * (4.0 * ref_nu + ref_twice))
+        assert jones.expectation_axioms(big, n).bimodule == ref
