@@ -250,8 +250,8 @@ def cmd_transport(args) -> dict:
     for _ in range(args.trials):
         x0 = rng.normal(size=(args.n, args.n)) + 1j * rng.normal(size=(args.n, args.n))
         end = jones.transport_ode_endpoint(path, x0, args.steps)
-        ode_residual = max(ode_residual, numkit.operator_norm(
-            end - path.transport(1.0, x0)))
+        ode_residual = numkit.worst((ode_residual, numkit.operator_norm(
+            end - path.transport(1.0, x0))))
     probe = rng.normal(size=(args.n, args.n)) + 1j * rng.normal(size=(args.n, args.n))
     coarse, fine = (numkit.operator_norm(jones.transport_ode_endpoint(path, probe, steps)
                                          - path.transport(1.0, probe))
@@ -308,7 +308,7 @@ def cmd_random(args) -> dict:
         diag = sampling.pair_diagnostics(p, q)
         for k in residual_keys:
             if k in diag:
-                aggregate[k] = max(aggregate[k], diag[k])
+                aggregate[k] = numkit.worst((aggregate[k], diag[k]))
         n_exists += diag["exists"]
         n_unique += diag.get("unique", False)
         if diag.get("seeded_exponent_gap", 0.0) > 1e-6:

@@ -44,7 +44,7 @@ class FiniteAlgebra:
             raise ValueError("blocks and weights must be equal-length, nonempty")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if numkit.exceeds(abs(sum(self.weights) - 1.0), 1e-12):
             raise ValueError("weights must sum to 1")
 
     @classmethod
@@ -69,9 +69,7 @@ def member_check(a: FiniteAlgebra, x, tol: ToleranceProfile = DEFAULT_TOL) -> bo
     mask = np.ones(x.shape, dtype=bool)
     for sl in a.slices():
         mask[sl, sl] = False
-    if not mask.any():
-        return True
-    return float(np.abs(x[mask]).max()) <= tol.atol_structure
+    return not numkit.exceeds(float(np.abs(x[mask]).max(initial=0.0)), tol.atol_structure)
 
 
 def trace(t: "NormalizedTrace", x) -> complex:
@@ -112,8 +110,7 @@ class NormalizedTrace:
             for sj in slices[i + 1:]:
                 off = ((v[..., si, :] * d[..., None, :])
                        @ v[..., sj, :].conj().swapaxes(-1, -2))
-                # written "not <=" so that a nan fails, as in member_check
-                if not float(np.abs(off).max()) <= DEFAULT_TOL.atol_structure:
+                if numkit.exceeds(float(np.abs(off).max()), DEFAULT_TOL.atol_structure):
                     raise NotMember("matrix has off-block mass; not in the algebra")
         weight = ((v.real ** 2 + v.imag ** 2) @ d[..., None])[..., 0]
         vals = sum(w * weight[..., sl].sum(axis=-1) / dim
@@ -196,7 +193,7 @@ def multi_geodesics(p: Projection, q: Projection, count: int, rho: float,
     """
     if p.rank != q.rank:
         raise RankMismatch(f"ranks differ: {p.rank} vs {q.rank}")
-    if numkit.bounded_norm(p.m @ q.m, p.tol.atol_structure) > p.tol.atol_structure:
+    if numkit.exceeds(numkit.bounded_norm(p.m @ q.m, p.tol.atol_structure), p.tol.atol_structure):
         raise InvariantViolation("projections must be orthogonal (pq = 0)")
     pos = projlat.position(p, q)
     out = []
@@ -225,6 +222,6 @@ def blockwise_minimal_exponent(a: FiniteAlgebra, p: Projection,
         ws.append(w)
         vs.append(embedded)
     g = GeodesicExponent.from_spectrum(np.concatenate(ws), np.hstack(vs), p, q)
-    if geo.verify_geodesic(g).max() > geo.ENDPOINT_ATOL:
+    if numkit.exceeds(geo.verify_geodesic(g).max(), geo.ENDPOINT_ATOL):
         raise InternalConsistencyError("blockwise exponent fails verification")
     return g

@@ -46,8 +46,8 @@ class PartialIsometry:
         src, tgt, tol = self.source, self.target, self.source.tol.atol_structure
         if not self.bs.shape == (src.n, src.rank) == self.bt.shape == (tgt.n, tgt.rank):
             raise InvariantViolation(f"witness bases {self.bs.shape} do not fit the ranks")
-        eps = max(numkit.orthonormality_residual(b, tol) for b in (self.bs, self.bt))
-        if eps > tol:
+        eps = numkit.worst(numkit.orthonormality_residual(b, tol) for b in (self.bs, self.bt))
+        if numkit.exceeds(eps, tol):
             raise InvariantViolation(f"orthonormality residual {eps:.3e} of a witness basis")
 
     @cached_property
@@ -69,7 +69,7 @@ class GeodesicResiduals:
     endpoint: float
 
     def max(self) -> float:
-        return max(vars(self).values())
+        return numkit.worst(vars(self).values())
 
 
 class GeodesicExponent:
@@ -105,7 +105,7 @@ class GeodesicExponent:
         exactly skew: its skewness is 0 without forming z."""
         w, v = np.array(w, dtype=np.float64), np.array(v, dtype=np.complex128)
         eps = numkit.orthonormality_residual(v, p.tol.atol_structure)
-        if eps > p.tol.atol_structure:
+        if numkit.exceeds(eps, p.tol.atol_structure):
             raise InternalConsistencyError(
                 f"orthonormality residual {eps:.3e} of the exponent's "
                 "eigenvectors > atol_structure")
@@ -155,24 +155,24 @@ class GeodesicExponent:
         Each norm is the largest |eigenvalue| of a Hermitian matrix of order
         rank or m, so a thin spectrum (m < n) factors no n x n matrix. Any
         other z is reported through a general matrix exponential."""
-        if self.skewness > self.p.tol.atol_structure:
+        if numkit.exceeds(self.skewness, self.p.tol.atol_structure):
             z, p, q = self.z, self.p.m, self.q.m
             sym = 2 * p - np.eye(self.p.n)
             return GeodesicResiduals(
                 skewness=self.skewness,
                 codiagonality=operator_norm(z @ sym + sym @ z),
-                norm_bound=max(0.0, operator_norm(z) - HALF_PI),
+                norm_bound=numkit.worst((0.0, operator_norm(z) - HALF_PI)),
                 endpoint=operator_norm(
                     scipy.linalg.expm(z) @ p @ scipy.linalg.expm(-z) - q))
         w, v = self.spectrum
         bp, bq = self.p.basis, self.q.basis
         endpoint = _norm_off(bq, self.apply(1.0, bp))
         if self.p.rank != self.q.rank:
-            endpoint = max(endpoint, _norm_off(bp, self.apply(-1.0, bq)))
+            endpoint = numkit.worst((endpoint, _norm_off(bp, self.apply(-1.0, bq))))
         c = adjoint(v) @ bp
         r = np.linalg.qr(v - bp @ adjoint(c), mode="r")
-        codiag = 2 * max(_hermitian_norm((adjoint(c) * w) @ c),
-                         _hermitian_norm((r * w) @ adjoint(r)))
+        codiag = 2 * numkit.worst((_hermitian_norm((adjoint(c) * w) @ c),
+                                   _hermitian_norm((r * w) @ adjoint(r))))
         return GeodesicResiduals(skewness=self.skewness, codiagonality=codiag,
                                  norm_bound=_norm_excess(w), endpoint=endpoint)
 
@@ -184,7 +184,7 @@ class GeodesicExponent:
         V is the thin n x m basis :meth:`from_spectrum` was given, which
         spans the support of z (m = 2k for k rotated planes), or else the
         n x n eigenvectors of one eigh of i z."""
-        if self.skewness > self.p.tol.atol_structure:
+        if numkit.exceeds(self.skewness, self.p.tol.atol_structure):
             raise NotSkewHermitian("skewness residual exceeds atol_structure")
         if self._thin is not None:
             return self._thin
@@ -196,14 +196,10 @@ class GeodesicExponent:
         w, v = self.spectrum
         return b + v @ (np.expm1(-1j * t * w)[:, None] * (adjoint(v) @ b))
 
-    def unitary(self, t: float) -> np.ndarray:
-        """e^{tz} = 1 + V (e^{-itw} - 1) V*, which is the identity off span V."""
-        return self.apply(t, np.eye(self.p.n))
-
 
 def _norm_excess(w: np.ndarray) -> float:
     """max(0, ||z|| - pi/2) of a z with eigenvalues -i w."""
-    return max(0.0, float(np.abs(w).max(initial=0.0)) - HALF_PI)
+    return numkit.worst((0.0, float(np.abs(w).max(initial=0.0)) - HALF_PI))
 
 
 def _hermitian_norm(h: np.ndarray) -> float:
@@ -296,8 +292,8 @@ def position_exponent(pos: Position,
     if not pos.unique():
         if w is None:
             w = partial_isometry(pos.e10, pos.e01)
-        elif (w.bs.shape[1] != pos.b10.shape[1]
-              or max(_norm_off(pos.b10, w.bs), _norm_off(pos.b01, w.bt)) > ENDPOINT_ATOL):
+        elif w.bs.shape[1] != pos.b10.shape[1] or numkit.exceeds(numkit.worst(
+                (_norm_off(pos.b10, w.bs), _norm_off(pos.b01, w.bt))), ENDPOINT_ATOL):
             raise InvariantViolation("supplied isometry does not witness p^q' ~ p'^q")
         a, va = w.bs, w.bt
         if s10.shape[1] < a.shape[1]:  # the polar part of s01* v s10
@@ -316,7 +312,7 @@ def position_exponent(pos: Position,
             skewness=0.0, codiagonality=codiag, norm_bound=_norm_excess(g.spectrum[0]),
             endpoint=endpoint)
     res = verify_geodesic(g)
-    if res.max() > ENDPOINT_ATOL:
+    if numkit.exceeds(res.max(), ENDPOINT_ATOL):
         raise InternalConsistencyError(f"constructed exponent fails verification ({res})")
     return g
 
@@ -366,19 +362,20 @@ def _exponent_bound(pos: Position, turned: tuple, a: np.ndarray, va: np.ndarray,
         frobenius(a - bp @ on_p[:, :k]), frobenius(on_p[:, k:]),
         frobenius(va - bq @ (adjoint(bq) @ va)),
         math.hypot(frobenius(xh - yh), frobenius(rotated - y))))
-    eta = max(eps_11, eps_v) + beta
+    eta = numkit.worst((eps_11, eps_v)) + beta
     gram = eta + 2.0 * tau
-    if not all(e < 0.5 for e in (eps_p, eps_q, eta)):
-        return math.inf, math.inf, gram
-    nu = math.sqrt(1.0 + eta)
-    xi = eps_p * nu * math.sqrt((1.0 + eps_p) / (1.0 - eps_p)) + tau
-    psi = eps_q * (nu + delta) * math.sqrt((1.0 + eps_q) / (1.0 - eps_q)) + tau
-    endpoint = math.sqrt((1.0 + eps_p) / (1.0 - eta)) * (
-        off_q + delta + psi + 2.0 * nu * (beta + eps_v)
-        + (1.0 + 2.0 * nu * nu * eps_v) * (off_p + xi)) + tau
-    omega = float(np.abs(w).max(initial=0.0))
-    codiag = 4.0 * omega * nu * max(math.sqrt(1.0 + eps_p) * sigma, off_p + xi) + tau
-    return endpoint, codiag, gram
+    if numkit.worst((eps_p, eps_q, eta)) < 0.5:  # else, a nan included, no bound
+        nu = math.sqrt(1.0 + eta)
+        xi = eps_p * nu * math.sqrt((1.0 + eps_p) / (1.0 - eps_p)) + tau
+        psi = eps_q * (nu + delta) * math.sqrt((1.0 + eps_q) / (1.0 - eps_q)) + tau
+        endpoint = math.sqrt((1.0 + eps_p) / (1.0 - eta)) * (
+            off_q + delta + psi + 2.0 * nu * (beta + eps_v)
+            + (1.0 + 2.0 * nu * nu * eps_v) * (off_p + xi)) + tau
+        omega = float(np.abs(w).max(initial=0.0))
+        codiag = 4.0 * omega * nu * numkit.worst((math.sqrt(1.0 + eps_p) * sigma,
+                                                  off_p + xi)) + tau
+        return endpoint, codiag, gram
+    return math.inf, math.inf, gram
 
 
 def geodesic_point(g: GeodesicExponent, t: float) -> Projection:
@@ -427,7 +424,7 @@ def rho_length(g: GeodesicExponent, rho: float, trace=None) -> float:
     other z goes through :func:`numkit.rho_norm`.
     """
     numkit.check_rho(rho)
-    if g.skewness > g.p.tol.atol_structure:
+    if numkit.exceeds(g.skewness, g.p.tol.atol_structure):
         return numkit.rho_norm(g.z, rho, trace)
     w, v = g.spectrum
     if trace is None:
@@ -437,7 +434,10 @@ def rho_length(g: GeodesicExponent, rho: float, trace=None) -> float:
 
 def _stack_points(points) -> np.ndarray:
     if isinstance(points, np.ndarray) and points.ndim == 3:
-        mats = np.asarray(points, dtype=np.complex128)
+        mats = np.ascontiguousarray(points, dtype=np.complex128)
+        # the float view takes half the time of isfinite on complex entries
+        if not np.isfinite(mats.view(np.float64)).all():
+            raise ValueError("matrix entries must be finite")
     else:
         mats = np.stack([pt.m if isinstance(pt, Projection) else
                          numkit.as_complex(pt) for pt in points])

@@ -189,8 +189,8 @@ def _product_residual(basis: np.ndarray, members: np.ndarray) -> float:
     """Largest distance of a product a @ b of members from the span, one
     :func:`_span_residuals` per block of :func:`_product_blocks`: memory
     stays at one block, where all r^2 products at once take O(r^2 n^2)."""
-    return float(max((_span_residuals(basis, block).max()
-                      for block in _product_blocks(members, members)), default=0.0))
+    return float(numkit.worst(_span_residuals(basis, block).max()
+                              for block in _product_blocks(members, members)))
 
 
 def _expect(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -224,9 +224,7 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
     residuals and the closure residual). Where :func:`numkit.settles`
     accepts all six at ``atol_structure`` (site "expectation axioms
     bound") nothing more is measured; otherwise one :func:`_axioms` pass
-    runs at bound ``atol_structure``, in which only a field whose Frobenius
-    or bimodule bound exceeds it (or is nan) is measured, so the largest
-    field, which the InternalConsistencyError carries, is exact.
+    measures the fields, and the InternalConsistencyError carries the largest.
     """
     mats = spanning_matrices(spec, n)
     basis = _orthonormal_range(mats, n, tol)
@@ -234,20 +232,18 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
     unit_star = np.concatenate([np.eye(n)[None], _adjoints(members)])
     closure = _product_residual(basis, members)
     spans = _span_residuals(basis, unit_star)
-    worst = max(spans.max(), closure)
-    if worst > tol.atol_structure:
-        raise NotSubalgebra(
-            f"span is not a unital *-subalgebra (residual {worst:.3e})")
+    res = numkit.worst((spans.max(), closure))
+    if numkit.exceeds(res, tol.atol_structure):
+        raise NotSubalgebra(f"span is not a unital *-subalgebra (residual {res:.3e})")
     big = projlat._from_orthonormal(basis, tol)
-    ep = ExpectationProjection(big=big, spec=spec, n=n, basis=basis)
     atol = tol.atol_structure
     bounds = _axiom_bounds(basis, n, big.basis_residual, spans, closure)
     if not numkit.settles("expectation axioms bound", atol, *bounds):
-        res = _axioms(basis, n, closure, atol, atol).max()
-        if res > atol:
+        res = _axioms(basis, n, closure, atol).max()
+        if numkit.exceeds(res, atol):
             raise InternalConsistencyError(
                 f"expectation axioms fail on a validated subalgebra ({res:.3e})")
-    return ep
+    return ExpectationProjection(big=big, spec=spec, n=n, basis=basis)
 
 
 @dataclass(frozen=True)
@@ -270,7 +266,7 @@ class ExpectationAxioms:
     closure: float
 
     def max(self) -> float:
-        return max(vars(self).values())
+        return numkit.worst(vars(self).values())
 
 
 def _members(basis: np.ndarray, n: int) -> np.ndarray:
@@ -303,7 +299,7 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
             f"projection acts on dimension {big.n}, not n^2 = {n * n} for n = {n}")
     basis = big.basis
     return _axioms(basis, n, _product_residual(basis, _members(basis, n)),
-                   big.tol.atol_structure, 0.0)
+                   big.tol.atol_structure)
 
 
 def _rounding_terms(basis: np.ndarray, n: int) -> tuple[float, float]:
@@ -363,11 +359,8 @@ def _axiom_bounds(basis: np.ndarray, n: int, eps: float, spans: np.ndarray,
     eps sqrt(1 + eps)) / sqrt(1 - eps)), J(x) = x*; bimodule by
     :func:`_bimodule_bound`; closure = kappa. Each adds the rounding of the
     measurement it replaces and of the residuals it reads, in the model of
-    :func:`_bimodule_bound` (README.md, "The expectation axiom
-    certificate"). For eps not below 1/2, a nan included, every bound is
-    inf."""
-    if not eps < 0.5:
-        return (math.inf,) * 6
+    :func:`_bimodule_bound` (README.md, "The expectation axiom certificate"),
+    with eps <= 1/4 as :func:`projlat._from_orthonormal` accepted it."""
     r = basis.shape[1]
     g = numkit.complex_dot_error
     x_norm = _sample_norm(n)
@@ -416,14 +409,13 @@ def _sample_norm(n: int) -> float:
     return float(numkit.frobenius(_axiom_samples(n)).max(initial=0.0))
 
 
-def _axioms(basis: np.ndarray, n: int, closure: float, atol: float,
-            bound: float) -> ExpectationAxioms:
+def _axioms(basis: np.ndarray, n: int, closure: float, atol: float) -> ExpectationAxioms:
     """The axioms of E = B B*, B = ``basis`` (n^2 x r, orthonormal), onto
     the range algebra B spans, applied as :func:`_expect`, each norm field
-    by :func:`numkit.bounded_norm` at ``bound`` (at 0, every field is exact).
-    The idempotency E E - E = B M B* with M = G - 1, G = B* B, has the norm
-    of the r x r matrix M G (both are max |s^2 (s^2 - 1)| over the singular
-    values s of B); the product residual ``closure`` comes measured by the caller.
+    an exact :func:`numkit.operator_norm`. The idempotency E E - E = B M B*
+    with M = G - 1, G = B* B, has the norm of the r x r matrix M G (both are
+    max |s^2 (s^2 - 1)| over the singular values s of B); the product
+    residual ``closure`` comes measured by the caller.
 
     The bimodule field is :func:`_bimodule_bound` where :func:`numkit.settles`
     accepts it at ``atol``; only otherwise are the r^2 sandwich products
@@ -431,13 +423,13 @@ def _axioms(basis: np.ndarray, n: int, closure: float, atol: float,
     members = _members(basis, n)
     r = basis.shape[1]
     gram = adjoint(basis) @ basis
-    idempotent = numkit.bounded_norm((gram - np.eye(r)) @ gram, bound)
+    idempotent = operator_norm((gram - np.eye(r)) @ gram)
     xs = _axiom_samples(n)
     exs = _expect(basis, xs)
     eye = np.eye(n, dtype=np.complex128)
 
-    unital = numkit.bounded_norm(_expect(basis, eye[None]) - eye, bound)
-    star = numkit.bounded_norm(_expect(basis, _adjoints(xs)) - _adjoints(exs), bound)
+    unital = operator_norm(_expect(basis, eye[None]) - eye)
+    star = operator_norm(_expect(basis, _adjoints(xs)) - _adjoints(exs))
     dtr = np.trace(exs, axis1=1, axis2=2) - np.trace(xs, axis1=1, axis2=2)
     # hypot is abs() of each complex scalar bit for bit; np.abs of a complex
     # array can differ from it in the last bit
@@ -454,9 +446,9 @@ def _axioms(basis: np.ndarray, n: int, closure: float, atol: float,
 
         def bimodule(a) -> float:
             prods = _sandwich(a, both, members).reshape(2, -1, n, n)
-            return numkit.bounded_norm(_expect(basis, prods[0]) - prods[1], bound)
+            return operator_norm(_expect(basis, prods[0]) - prods[1])
 
-        bimod = max(map(bimodule, members), default=0.0)
+        bimod = numkit.worst(map(bimodule, members))
     return ExpectationAxioms(idempotent=idempotent, unital=unital, star=star,
                              trace=float(tr), bimodule=bimod, closure=closure)
 
@@ -505,7 +497,7 @@ def jones_pair(m: int, k: int, tol: ToleranceProfile = DEFAULT_TOL) -> JonesPair
         qm += np.outer(v, v.conj())
     p = projlat.make_projection(pm, tol)
     q = projlat.make_projection(qm, tol)
-    if numkit.bounded_norm(pm @ qm @ pm - tau * pm, 1e-10) > 1e-10:
+    if numkit.exceeds(numkit.bounded_norm(pm @ qm @ pm - tau * pm, 1e-10), 1e-10):
         raise InternalConsistencyError("angle relation p q p = tau p fails")
     ranks = projlat.position(p, q).ranks()
     if ranks != (0, n - 2 * k, 0, 0, 2 * k):
@@ -538,7 +530,7 @@ def index_distance(jp: JonesPair):
     pos = projlat.position(jp.p, jp.q)
     d = pos.distance()
     closed = math.acos(math.sqrt(jp.tau))
-    if not abs(d - closed) <= IDX_ATOL:
+    if numkit.exceeds(abs(d - closed), IDX_ATOL):
         raise InvariantViolation(
             f"distance {d!r} != arccos(sqrt(tau)) = {closed!r}",
             computed=d, expected=closed)
@@ -548,7 +540,7 @@ def index_distance(jp: JonesPair):
     def d_rho(rho: float) -> float:
         val = geo.rho_length(g, rho, tr)
         expected = rho_distance_closed_form(jp.tau, rho)
-        if not abs(val - expected) <= IDX_ATOL:
+        if numkit.exceeds(abs(val - expected), IDX_ATOL):
             raise InvariantViolation(
                 f"rho-distance {val!r} != (2 tau)^(1/rho) arccos(sqrt(tau)) = "
                 f"{expected!r} at rho = {rho}", computed=val, expected=expected)
@@ -737,24 +729,19 @@ class PropagatorReport:
     codiagonal: float
 
     def max(self) -> float:
-        return max(vars(self).values())
+        return numkit.worst(vars(self).values())
 
 
 def _multiplicative(z: GeodesicExponent, t: float, members: np.ndarray,
                     gammas: np.ndarray) -> float:
     """max ||Gamma_t(a b) - Gamma_t(a) Gamma_t(b)|| over the members a, b,
     given ``gammas`` = Gamma_t(members): one stacked :func:`operator_norm`
-    per block of :func:`_product_blocks`. The block of Gamma_t(a) Gamma_t(b)
-    is formed after Gamma_t(a b) and the difference is written over it, a
-    contiguous block that the norm reads without a copy; the blocks are
-    freed on return, so the caller's loop over times holds none of them."""
-    mult = 0.0
-    gprods = _product_blocks(gammas, gammas)
-    for prods in _product_blocks(members, members):
-        gab = _gamma(z, t, prods)
-        res = next(gprods)
-        mult = max(mult, operator_norm(np.subtract(gab, res, out=res)))
-    return mult
+    per block of :func:`_product_blocks`, of the difference written over the
+    contiguous block of Gamma_t(a) Gamma_t(b), read without a copy; the
+    blocks are freed on return, so the caller's loop over times holds none."""
+    return numkit.worst(operator_norm(np.subtract(_gamma(z, t, prods), res, out=res))
+                        for prods, res in zip(_product_blocks(members, members),
+                                              _product_blocks(gammas, gammas)))
 
 
 def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
@@ -786,10 +773,10 @@ def propagator_checks(path: ExpectationPath, ts, xs) -> PropagatorReport:
     for t in ts:
         lhs = _gamma(z, t, _expect(b0, _gamma(z, -t, xs)))
         bt = path.projection_at(t).basis
-        intertwine = max(intertwine, operator_norm(lhs - _expect(bt, xs)))
+        intertwine = numkit.worst((intertwine, operator_norm(lhs - _expect(bt, xs))))
         gammas = _gamma(z, t, members)
-        star = max(star, operator_norm(
-            _gamma(z, t, _adjoints(members)) - _adjoints(gammas)))
-        mult = max(mult, _multiplicative(z, t, members, gammas))
+        star = numkit.worst((star, operator_norm(
+            _gamma(z, t, _adjoints(members)) - _adjoints(gammas))))
+        mult = numkit.worst((mult, _multiplicative(z, t, members, gammas)))
     return PropagatorReport(intertwine=intertwine, multiplicative=mult, star=star,
                             codiagonal=z.residuals.codiagonality / 2)

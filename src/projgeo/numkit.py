@@ -1,13 +1,14 @@
 """Dense complex linear-algebra kernel with explicit tolerance contracts.
 
 Every residual of the library is a norm taken here, of a matrix or of a
-stack of matrices, decided against a tolerance by :func:`bounded_norm`
-and reported exactly; a certified field's proven bound by :func:`settles`;
-every trace rho-norm takes its trace and root through :func:`rho_mean`,
-finite at every order. The unitary exponential of a skew matrix is
-evaluated through an eigendecomposition, never a truncated series, so it
-is unitary to eigensolver accuracy.
-:func:`hermitian_eig`, :func:`polar_unitary` and
+stack of matrices, checked through :func:`bounded_norm` and reported
+exactly; a certified field's proven bound is decided by :func:`settles`.
+A value fails a check when it :func:`exceeds` the bound, as a nan does, and
+a reported maximum is :func:`worst`, which keeps a nan; every trace rho-norm
+takes its trace and root through :func:`rho_mean`, finite at every order.
+The unitary exponential of a skew matrix is evaluated through an
+eigendecomposition, never a truncated series, so it is unitary to
+eigensolver accuracy. :func:`hermitian_eig`, :func:`polar_unitary` and
 :func:`log_unitary_principal` have no caller in the library; they stay
 only because the benchmark traces them.
 """
@@ -105,6 +106,18 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def exceeds(value, bound) -> bool:
+    """Whether ``value`` fails the check ``value <= bound``: a nan exceeds any."""
+    return not value <= bound
+
+
+def worst(values, default=0.0):
+    """The largest of ``values`` (``default`` for none), nan if one is nan; without a
+    nan exactly builtin ``max``, the first of ties (``max`` keeps its first over a nan)."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=default)
+
+
 def frobenius(a):
     """Frobenius norm of a matrix, or the array of norms of a stack of any
     leading shape: the root of the sum of squares of real and imaginary parts."""
@@ -142,7 +155,7 @@ def operator_norm(a) -> float:
     rest = frob * _FROBENIUS_SLACK > best
     rest[top] = False
     if rest.any():
-        best = max(best, float(np.linalg.svd(mats[rest], compute_uv=False)[:, 0].max()))
+        best = worst((best, float(np.linalg.svd(mats[rest], compute_uv=False)[:, 0].max())))
     return best
 
 
@@ -155,10 +168,10 @@ def bounded_norm(a, bound: float) -> float:
 
 
 def settles(site: str, tol: float, *bounds: float) -> bool:
-    """Whether every proven bound is at most ``tol`` (a nan never is); if not,
-    one DEBUG record on the ``projgeo`` logger names the site, the bounds and
+    """Whether no proven bound :func:`exceeds` ``tol``; if one does, one
+    DEBUG record on the ``projgeo`` logger names the site, the bounds and
     tol, and the caller measures."""
-    if all(b <= tol for b in bounds):
+    if not any(exceeds(b, tol) for b in bounds):
         return True
     _log.debug("%s: %s not within %.3e; measuring", site,
                ", ".join(f"{b:.3e}" for b in bounds), tol)
@@ -200,7 +213,7 @@ def hermitian_eig(h, tol: ToleranceProfile = DEFAULT_TOL):
     real positive.
     """
     h = as_complex(h)
-    if bounded_norm(h - adjoint(h), tol.atol_structure) > tol.atol_structure:
+    if exceeds(bounded_norm(h - adjoint(h), tol.atol_structure), tol.atol_structure):
         raise NotHermitian("Hermiticity residual exceeds atol_structure")
     w, u = np.linalg.eigh((h + adjoint(h)) / 2)
     return w, fix_phases(u)
@@ -213,7 +226,7 @@ def polar_unitary(a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """
     a = as_complex(a)
     u, s, vh = np.linalg.svd(a)
-    if s[-1] <= tol.rank_cutoff(a.shape[0], s[0]):
+    if (s > tol.rank_cutoff(a.shape[0], s[0])).sum() < s.size:
         raise SingularInput("smallest singular value at the rank cutoff")
     return u @ vh
 
@@ -221,7 +234,7 @@ def polar_unitary(a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 def exp_skew(z, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Unitary exponential of a skew-Hermitian matrix."""
     z = as_complex(z)
-    if bounded_norm(z + adjoint(z), tol.atol_structure) > tol.atol_structure:
+    if exceeds(bounded_norm(z + adjoint(z), tol.atol_structure), tol.atol_structure):
         raise NotSkewHermitian("skewness residual exceeds atol_structure")
     skew = (z - adjoint(z)) / 2
     w, u = np.linalg.eigh(1j * skew)  # 1j*z is Hermitian for skew z
@@ -236,7 +249,7 @@ def log_unitary_principal(w, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """
     w = as_complex(w)
     n = w.shape[0]
-    if bounded_norm(adjoint(w) @ w - np.eye(n), tol.atol_structure) > tol.atol_structure:
+    if exceeds(bounded_norm(adjoint(w) @ w - np.eye(n), tol.atol_structure), tol.atol_structure):
         raise ValueError("input is not unitary within atol_structure")
     t, q = scipy.linalg.schur(w, output="complex")
     lam = np.diag(t)

@@ -100,7 +100,7 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
     m = numkit.as_complex(m)
     mh = adjoint(m)
     herm = numkit.bounded_norm(m - mh, tol.atol_structure)
-    if herm > tol.atol_structure:
+    if numkit.exceeds(herm, tol.atol_structure):
         raise NotProjection(f"Hermiticity residual {herm:.3e} > atol_structure")
     sym = (m + mh) / 2
     basis, eps = _certified_basis(sym, tol)
@@ -109,10 +109,10 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
                    "its eigh", sym.shape[0])
         eigs, vecs = np.linalg.eigh(sym)
         idem = float(np.abs(eigs * eigs - eigs).max())
-        if idem > tol.atol_structure:
+        if numkit.exceeds(idem, tol.atol_structure):
             raise NotProjection(f"idempotency residual {idem:.3e} > atol_structure")
         off = np.minimum(np.abs(eigs), np.abs(eigs - 1.0))
-        if off.max() > tol.atol_spectral:
+        if numkit.exceeds(off.max(), tol.atol_spectral):
             raise NotProjection("spectrum not within atol_spectral of {0, 1}")
         rank = int((eigs > 0.5).sum())
         # eigenvalues ascend: the last rank columns span the range
@@ -139,7 +139,7 @@ def _certified_basis(sym: np.ndarray, tol: ToleranceProfile):
     Cholesky factorization of (sym L)* (sym L), replace it.
 
     B is accepted when d = ||B* B - 1||_F + ||sym - B B*||_F satisfies
-    d <= atol_spectral, d (1 + d) <= atol_structure and d < 1/2. B B* has
+    d <= atol_spectral (so d < 1/2) and d (1 + d) <= atol_structure. B B* has
     the spectrum {0} with that of B* B, which lies within d of 1, and
     by Weyl's inequality each eigenvalue of sym lies within d of one of
     B B*: the spectrum is within atol_spectral of {0, 1}, the idempotency
@@ -164,8 +164,8 @@ def _certified_basis(sym: np.ndarray, tol: ToleranceProfile):
             return None, None
         b[piv - 1] = np.triu(c[:k]).T
     eps, d = _certificate(b, sym)
-    if k and d > min(8 * numkit.complex_dot_error(n), tol.atol_spectral,
-                     tol.atol_structure / 2):
+    if k and numkit.exceeds(d, min(8 * numkit.complex_dot_error(n), tol.atol_spectral,
+                                   tol.atol_structure / 2)):
         y = sym @ b
         r, info = scipy.linalg.lapack.zpotrf(adjoint(y) @ y)
         if info:
@@ -173,9 +173,9 @@ def _certified_basis(sym: np.ndarray, tol: ToleranceProfile):
         # B^T = R^-T Y^T, with Y^T in Fortran order, is B = Y R^-1
         b = scipy.linalg.blas.ztrsm(1.0, r, y.T, trans_a=1, overwrite_b=1).T
         eps, d = _certificate(b, sym)
-    if d <= tol.atol_spectral and d * (1.0 + d) <= tol.atol_structure and d < 0.5:
-        return b, eps
-    return None, None
+    if numkit.exceeds(d, tol.atol_spectral) or numkit.exceeds(d * (1.0 + d), tol.atol_structure):
+        return None, None
+    return b, eps
 
 
 def _certificate(b: np.ndarray, sym: np.ndarray) -> tuple[float, float]:
@@ -210,7 +210,7 @@ def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile,
         eps = certified
     else:
         eps = numkit.orthonormality_residual(b, bound)
-        if eps > bound:
+        if numkit.exceeds(eps, bound):
             raise NotProjection(
                 f"orthonormality residual {eps:.3e} of the range basis > {bound:.3e}")
     p = Projection(basis=_frozen(b), tol=tol)
@@ -225,9 +225,11 @@ def from_span(columns, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
         cols = cols[:, None]
     if cols.ndim != 2:
         raise ValueError("expected a vector or an n x k matrix of columns")
+    if not np.isfinite(cols).all():
+        raise ValueError("column entries must be finite")
     n, k = cols.shape
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    if k == 0 or s[-1] <= tol.rank_cutoff(max(n, k), s[0]):
+    if k == 0 or (s > tol.rank_cutoff(max(n, k), s[0])).sum() < s.size:
         raise RankDeficient(f"columns do not have numerical rank {k}")
     return _from_orthonormal(u, tol)
 
@@ -378,7 +380,7 @@ def position(p: Projection, q: Projection) -> Position:
     # the classes come in this order as the cosines descend; sines by class, bit for bit
     sin = np.hstack([np.linalg.norm(d[:, kind == c], axis=0) for c in (MEET, GENERIC, WEDGE)])
     u = d / np.where(sin > 0.0, sin, 1.0)
-    if frobenius(d[:, near]) > _SKIP:
+    if numkit.exceeds(frobenius(d[:, near]), _SKIP):
         h = adjoint(bp) @ y[:, near]
         rest = np.hstack([bp, u[:, ~near], ys[:, k:]])
         off = y[:, near] - bp @ h

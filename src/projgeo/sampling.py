@@ -130,10 +130,10 @@ def position_report(pos: projlat.Position) -> dict:
         "n": p.n,
         "ranks": list(pos.ranks()),
         "halmos_sum_residual": operator_norm(gram - np.eye(p.n)),
-        "halmos_commutator_residual": max(operator_norm(inner[:, part == i][..., part != i])
-                                          for i in range(5)),
-        "halmos_pairwise_residual": max(operator_norm(gram[part == i][:, part == j])
-                                        for i in range(5) for j in range(i + 1, 5)),
+        "halmos_commutator_residual": numkit.worst(
+            operator_norm(inner[:, part == i][..., part != i]) for i in range(5)),
+        "halmos_pairwise_residual": numkit.worst(operator_norm(gram[part == i][:, part == j])
+                                                 for i in range(5) for j in range(i + 1, 5)),
         "spectral_symmetry_residual": spectral_symmetry_residual(p, q, pos),
         "exists": pos.exists(),
         "angles": [float(a) for a in pos.angles],

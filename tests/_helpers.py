@@ -7,13 +7,14 @@ evidence, not tautology.
 """
 
 import math
+import sys
 
 import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
 import projgeo as pg
-from projgeo import geo, jones, sampling
+from projgeo import geo, jones, numkit, sampling
 
 KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
            (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
@@ -36,6 +37,12 @@ def rotation_pair(theta, tol=pg.DEFAULT_TOL):
     r = rotation(theta)
     q = pg.make_projection(r @ p.m @ adj(r), tol)
     return p, q
+
+
+def unitary(g, t):
+    """e^{tz} = 1 + V (e^{-itw} - 1) V* of an exponent g as an n x n matrix,
+    from its spectrum: the tests' reference for e^{tz}."""
+    return g.apply(t, np.eye(g.p.n))
 
 
 def compress(m, basis):
@@ -149,6 +156,25 @@ def force_exact(monkeypatch):
     """Patch the exponent certificate to nan, so that every exponent built
     from a position gets the exact report, and its points a measured Gram."""
     monkeypatch.setattr(geo, "_exponent_bound", lambda *args: (math.nan,) * 3)
+
+
+def nan_frobenius(a):
+    """numkit.frobenius with every norm nan: a float, or an array over a stack."""
+    shape = np.shape(a)[:-2]
+    return np.full(shape, math.nan) if shape else math.nan
+
+
+def patch_nan_norms(set_attr):
+    """Replace numkit.operator_norm and numkit.frobenius by functions that
+    return nan in every loaded projgeo module that binds them, through
+    ``set_attr(module, name, value)`` (monkeypatch.setattr, or setattr)."""
+    fakes = {"operator_norm": lambda a: math.nan, "frobenius": nan_frobenius}
+    real = {name: getattr(numkit, name) for name in fakes}
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "projgeo":
+            for name, fake in fakes.items():
+                if getattr(module, name, None) is real[name]:
+                    set_attr(module, name, fake)
 
 
 @st.composite

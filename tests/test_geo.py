@@ -14,7 +14,7 @@ from projgeo.errors import (
 )
 
 from _helpers import (adj, perturbed_curves, random_joinable_pair, record_kernels,
-                      rotation_pair)
+                      rotation_pair, unitary)
 
 
 def orthogonal_rank1_pair():
@@ -385,6 +385,17 @@ class TestCurveLength:
         with pytest.raises(TooFewPoints):
             pg.curve_length([p])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_points_are_rejected_in_both_forms(self, bad):
+        # a stack with one nan entry read 0.0, and one inf entry nan
+        p, q = rotation_pair(0.2)
+        stack = np.stack([p.m, q.m, p.m])
+        stack[1, 0, 1] = bad
+        for points in (stack, list(stack)):
+            for rho in (None, 2.0, 3.0):
+                with pytest.raises(ValueError, match="must be finite"):
+                    pg.curve_length(points, rho=rho)
+
     def test_sampled_geodesic_operator_length(self):
         theta = np.pi / 3
         p, q = rotation_pair(theta)
@@ -541,7 +552,7 @@ class TestGeodesicPoint:
             assert pt.rank == p.rank == b.shape[1]
             assert pg.operator_norm(adj(b) @ b - np.eye(b.shape[1])) <= 1e-12
             assert pg.operator_norm(b @ adj(b) - pt.m) <= 1e-12
-            u = g.unitary(t)
+            u = unitary(g, t)
             assert pg.operator_norm(pt.m - u @ p.m @ adj(u)) <= 1e-12
         assert pg.operator_norm(pg.geodesic_point(g, 1.0).m - q.m) <= 1e-12
 

@@ -13,7 +13,7 @@ from projgeo import cli, factor, jones, numkit, projlat
 from projgeo.errors import (DimensionMismatch, InternalConsistencyError,
                              InvariantViolation, NotSubalgebra, TooFar)
 
-from _helpers import adj, conjugated_subalgebras
+from _helpers import adj, conjugated_subalgebras, unitary
 
 
 class TestJonesPair:
@@ -284,36 +284,32 @@ class TestBuildTimeAxiomCheck:
         spec = jones.rotated_diagonal_spec(6, 0.3)
         jones.expectation_projection(spec, 6)
         assert axioms == []  # the build's certificate settles every field
-        # every Frobenius norm now reads 1e9 times its value, above
-        # atol_structure unless the stack is exactly zero; the sample norm X,
-        # taken afresh, lifts the certificate's star, trace and bimodule
-        # bounds over it, so the one _axioms pass runs, and its bimodule
-        # bound, built from Frobenius norms, exceeds it too
+        # every Frobenius norm now reads 1e9 times its value; the sample norm
+        # X, taken afresh, lifts the certificate's star, trace and bimodule
+        # bounds over atol_structure, so the one _axioms pass runs, and its
+        # bimodule bound, built from Frobenius norms, exceeds it too
         real = numkit.frobenius
         monkeypatch.setattr(numkit, "frobenius", lambda a: 1e9 * real(a))
         monkeypatch.setattr(jones, "_sample_norm", jones._sample_norm.__wrapped__)
         checks = record(monkeypatch, numkit, "bounded_norm")
-        svds = record(monkeypatch, np.linalg, "svd")
-        measured = []  # each stack that ran an SVD
-        real_norm = numkit.operator_norm
-
-        def norm(a):
-            before = len(svds)
-            value = real_norm(a)
-            if len(svds) > before:
-                measured.append(a)
-            return value
-
-        monkeypatch.setattr(numkit, "operator_norm", norm)
+        norms = record(monkeypatch, jones, "operator_norm")
         axioms.clear()
         ep = jones.expectation_projection(spec, 6)
         assert len(axioms) == 1 and ep.big.rank == 6
-        above = [a for (a, bound), _ in checks if 1e9 * np.max(real(a), initial=0.0) > bound]
-        # some sandwich stacks are exactly zero and run no SVD
-        assert 0 < len(above) < len(checks)
-        assert len(measured) == len(above)
-        assert all(m is a for m, a in zip(measured, above))
-        assert axioms[0][1].max() < 1e-13
+        # the Gram check of the range basis is the build's one bounded_norm;
+        # the pass measures every field exactly: the idempotency, unit and
+        # star stacks, then one sandwich stack per member
+        assert [np.shape(args[0]) for args, _ in checks] == [(6, 6)]
+        found = axioms[0][1]
+        values = [value for _, value in norms]
+        assert len(values) == 3 + 6
+        assert [found.idempotent, found.unital, found.star] == values[:3]
+        assert found.bimodule == max(values[3:])
+        monkeypatch.undo()
+        exact = jones.expectation_axioms(ep.big, 6)
+        for field in ("idempotent", "unital", "star", "trace", "closure"):
+            assert getattr(found, field) == getattr(exact, field), field
+        assert found.max() < 1e-13
 
     def test_axiom_failure_carries_the_exact_value(self, monkeypatch):
         # span{1, e12, e21} is unital and *-closed but not product-closed
@@ -395,7 +391,7 @@ class TestExpectationPath:
             return pg.operator_norm(got - ref) <= 1e-14 * max(1.0, pg.operator_norm(ref))
 
         for t in (0.0, 0.25, 0.5, 1.0):
-            gamma = (path.z.unitary(t) @ x.reshape(-1)).reshape(n, n)
+            gamma = (unitary(path.z, t) @ x.reshape(-1)).reshape(n, n)
             e_t = (path.projection_at(t).m @ x.reshape(-1)).reshape(n, n)
             assert close(path.transport(t, x), gamma)
             assert close(path.expect(t, x), e_t)
@@ -413,7 +409,7 @@ class TestExpectationPath:
         assert norms == []
         big = path.projection_at(0.5)
         svds = record(monkeypatch, np.linalg, "svd")
-        unitaries = record(monkeypatch, jones.geo.GeodesicExponent, "unitary")
+        applies = record(monkeypatch, jones.geo.GeodesicExponent, "apply")
         bases = record(monkeypatch, projlat, "range_basis")
         x = np.random.default_rng(43).normal(size=(n, n))
         jones.expectation_axioms(big, n)
@@ -422,7 +418,9 @@ class TestExpectationPath:
         path.expect(0.5, x)
         assert svds and all(np.shape(args[0])[-2:] != (n * n, n * n)
                             for args, _ in svds)
-        assert unitaries == [] and bases == []
+        assert applies and bases == []
+        # Gamma_t is never applied to the identity, which would form the unitary
+        assert not any(np.array_equal(args[2], np.eye(n * n)) for args, _ in applies)
 
     def test_gap_is_the_distance_of_the_ends(self):
         path = jones.expectation_path(
@@ -631,7 +629,7 @@ class TestAxiomCertificate:
             ep = jones.expectation_projection(jones.rotated_diagonal_spec(6, 0.3), 6)
         [(args, found)] = axioms
         assert args[0] is ep.basis and args[1:] == (6, jones._product_residual(
-            ep.basis, jones._members(ep.basis, 6)), atol, atol)
+            ep.basis, jones._members(ep.basis, 6)), atol)
         assert found.max() <= atol
         assert [r.levelno for r in caplog.records] == [logging.DEBUG]
         assert caplog.records[0].getMessage().startswith("expectation axioms bound: ")

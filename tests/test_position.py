@@ -117,11 +117,15 @@ def test_the_pairwise_residual_reads_every_pair_of_parts(i, j):
 
 def test_the_battery_forms_no_part_matrix_and_no_unitary(monkeypatch):
     # the report reads the parts' bases, and the wedge check applies e^z to b10:
-    # no part forms its n x n matrix, and no n x n unitary is formed
-    def unitary(self, t):
-        raise AssertionError("pair_diagnostics formed the n x n unitary")
+    # no part forms its n x n matrix, and e^z is never applied to the identity
+    real_apply = geo.GeodesicExponent.apply
 
-    monkeypatch.setattr(geo.GeodesicExponent, "unitary", unitary)
+    def apply(self, t, b):
+        if np.array_equal(b, np.eye(self.p.n)):
+            raise AssertionError("pair_diagnostics formed the n x n unitary")
+        return real_apply(self, t, b)
+
+    monkeypatch.setattr(geo.GeodesicExponent, "apply", apply)
     rng = np.random.default_rng(36)
     for force_wedge, built in ((False, {"e00"}), (True, {"e00", "e10", "e01"})):
         p, q, _ = random_joinable_pair(9, rng, force_wedge=force_wedge)

@@ -245,6 +245,12 @@ class TestFromSpan:
         with pytest.raises(RankDeficient):
             pg.from_span(np.stack([e1, e1], axis=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_columns_are_named(self, bad):
+        for cols in (np.array([1.0, bad, 0.0]), np.array([[1.0, 0.0], [0.0, 1.0], [bad, 0.0]])):
+            with pytest.raises(ValueError, match="column entries must be finite"):
+                pg.from_span(cols)
+
     def test_rank_one_formula(self):
         xi = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
         p = pg.from_span(xi)

