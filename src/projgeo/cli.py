@@ -122,7 +122,11 @@ def parse_subalgebra(text: str, n: int):
     if text.startswith("rotated:"):
         return jones.rotated_diagonal_spec(n, float(text.split(":", 1)[1]))
     if text.startswith("tensor:"):
-        k, m = (int(v) for v in text.split(":", 1)[1].lower().split("x"))
+        dims = text.split(":", 1)[1].lower().split("x")
+        try:
+            k, m = map(int, dims)
+        except ValueError:
+            raise ValueError(f"K and M must be two integers, got {dims}") from None
         return jones.TensorFactor(k=k, m=m)
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
@@ -139,7 +143,7 @@ def parse_subalgebra(text: str, n: int):
             return jones.MatrixSpan(mats=tuple(
                 document_to_matrix(d) for d in _field(doc, "matrices", list)))
         raise ValueError(f"unknown subalgebra kind {kind!r}")
-    raise ValueError(f"cannot parse subalgebra spec {text!r}")
+    raise ValueError("expected diagonal, rotated:THETA, tensor:KxM or @spec.json")
 
 
 def _report(args, command: str, inputs: dict, results: dict) -> dict:
@@ -175,12 +179,16 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_geodesic(args) -> dict:
+    ts = _float_list(args.t)
+    files = [f"point_{t:.6f}.json" for t in ts] if args.out else []
+    for i, name in enumerate(files):
+        if (j := files.index(name)) < i:
+            raise ValueError(f"--t values {ts[j]!r} and {ts[i]!r} both write {name} in --out")
     tol = _tolerance(args)
     p = _load_projection(args.p_file, tol)
     q = _load_projection(args.q_file, tol)
     pos = projlat.position(p, q)
     g = geo.position_exponent(pos)
-    ts = _float_list(args.t)
     rhos = _float_list(args.rho)
     tr = factor.NormalizedTrace(factor.FiniteAlgebra.full(p.n))
     points = {t: geo.geodesic_point(g, t) for t in ts}
@@ -194,8 +202,8 @@ def cmd_geodesic(args) -> dict:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         write_matrix(outdir / "exponent.json", g.z)
-        for t, pt in points.items():
-            write_matrix(outdir / f"point_{t:.6f}.json", pt.m)
+        for t, name in zip(ts, files):
+            write_matrix(outdir / name, points[t].m)
         results["out_dir"] = str(outdir)
     inputs = {"p": _digest_file(args.p_file), "q": _digest_file(args.q_file)}
     return _report(args, "geodesic", inputs, results)
@@ -242,9 +250,13 @@ def cmd_transport(args) -> dict:
         if not low <= value <= high:
             raise ValueError(f"{flag} must lie in [{low}, {high}]")
     tol = _tolerance(args)
-    spec0 = parse_subalgebra(args.spec0, args.n)
-    spec1 = parse_subalgebra(args.spec1, args.n)
-    path = jones.expectation_path(spec0, spec1, args.n, tol)
+    specs = []
+    for flag, text in (("--spec0", args.spec0), ("--spec1", args.spec1)):
+        try:
+            specs.append(parse_subalgebra(text, args.n))
+        except ValueError as exc:
+            raise ValueError(f"{flag} {text!r}: {exc}") from None
+    path = jones.expectation_path(*specs, args.n, tol)
     rng = np.random.default_rng(args.seed)
     ode_residual = 0.0
     for _ in range(args.trials):

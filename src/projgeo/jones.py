@@ -64,10 +64,14 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class TensorFactor:
-    """The subalgebra M_k tensor I_m inside M_{k m}."""
+    """The subalgebra M_k tensor I_m inside M_{k m}; k and m at least 1."""
 
     k: int
     m: int
+
+    def __post_init__(self):
+        if self.k < 1 or self.m < 1:
+            raise ValueError(f"a tensor factor needs k, m >= 1, got k = {self.k}, m = {self.m}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +96,11 @@ def diagonal_spec(n: int) -> BlockPartition:
 
 def rotated_diagonal_spec(n: int, theta: float) -> MatrixSpan:
     """The diagonal subalgebra conjugated by a rotation of angle theta in
-    the first two coordinates; n must be at least 2."""
+    the first two coordinates; n must be at least 2 and theta finite."""
     if n < 2:
         raise ValueError(f"a rotation in the first two coordinates needs n >= 2, got {n}")
+    if not math.isfinite(theta):
+        raise ValueError(f"a rotation angle must be finite, got {theta}")
     u = np.eye(n, dtype=np.complex128)
     c, s = math.cos(theta), math.sin(theta)
     u[0, 0] = c

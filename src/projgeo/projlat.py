@@ -34,16 +34,15 @@ class Projection:
     columns by :func:`from_span`, the parts of a :class:`Position`,
     ``geo.geodesic_point`` and ``jones.expectation_projection``. ``basis``
     (n x rank, orthonormal, read-only), fixed at birth, is the pivoted-Cholesky
-    factor that certified the matrix in :func:`make_projection` (refined only
-    above the rounding allowance; the eigenvalue-1 eigenvectors when its eigh
-    fallback decided), or the orthonormal columns the projection was built
-    from; ``n`` and ``rank`` are its shape. The read-only matrix ``m`` is
-    the sym that make_projection validated, or else the symmetrized
-    basis basis*, formed when first read. ``basis_residual`` bounds
-    ||basis* basis - 1|| from above: the residual measured when the basis
-    was certified or validated, a proven bound that settled the validation
-    (``geo.geodesic_point`` of a position-built exponent), or else
-    measured when first read. The read-only :func:`range_basis` is formed
+    factor that certified the matrix in :func:`make_projection` (the
+    eigenvalue-1 eigenvectors when its eigh fallback decided), or the
+    orthonormal columns the projection was built from; ``n`` and ``rank``
+    are its shape. The read-only matrix ``m`` is the sym that
+    make_projection validated, or else the symmetrized basis basis*, formed
+    when first read. ``basis_residual`` bounds ||basis* basis - 1|| from
+    above: the residual measured when the basis was certified or validated,
+    a proven bound that settled the validation (``geo.geodesic_point`` of a
+    position-built exponent), or else measured when first read. The read-only :func:`range_basis` is formed
     when first asked for and kept.
     """
 
@@ -89,13 +88,13 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
     above atol_structure (:func:`numkit.bounded_norm`, reported exactly) in
     the original input is already grounds for rejection.
 
-    A projection is then accepted from a range basis that certifies it
-    (see :func:`_certified_basis`), with no eigendecomposition. Any sym
-    the certificate cannot settle (noise near a threshold, a negative
-    eigenvalue, a trace far from an integer) goes to one eigh of sym, which
-    decides: it gives the idempotency residual max |lam^2 - lam|, the
-    spectrum, the rank and the range basis, and every rejection comes from
-    it.
+    A projection is then accepted from its pivoted-Cholesky factor when
+    that factor reproduces sym within rounding (see :func:`_certified_basis`),
+    with no eigendecomposition. Any other sym (noise above rounding, a
+    negative eigenvalue, a trace far from an integer) goes to one eigh of
+    sym, which decides: it gives the idempotency residual max |lam^2 - lam|,
+    the spectrum, the rank and the range basis, and every rejection comes
+    from it.
     """
     m = numkit.as_complex(m)
     mh = adjoint(m)
@@ -126,28 +125,22 @@ def make_projection(m, tol: ToleranceProfile = DEFAULT_TOL) -> Projection:
 
 def _certified_basis(sym: np.ndarray, tol: ToleranceProfile):
     """(B, ||B* B - 1||_F) for an n x k orthonormal basis B that proves the
-    Hermitian sym a projection of rank k, or (None, None) when this cannot
-    be shown cheaply.
+    Hermitian sym a projection of rank k, or (None, None) for the eigh of
+    :func:`make_projection` to decide.
 
-    k is the trace of sym rounded. A pivoted Cholesky (LAPACK ?pstrf)
-    truncated at k gives sym ~ L L*; for a projection L = B M with M
-    unitary, so L spans the range. L itself is certified: it reproduces sym
-    to O(n u) (Higham 2002, section 10.3), and d below measured at most
-    4.1 n u on Haar projections up to n = 512. Only above the rounding
-    allowance 8 g(n) ~ 11.4 n u (g = :func:`numkit.complex_dot_error`) or
-    the tolerances does one subspace step B = (sym L) R^-1, with R* R the
-    Cholesky factorization of (sym L)* (sym L), replace it.
-
-    B is accepted when d = ||B* B - 1||_F + ||sym - B B*||_F satisfies
-    d <= atol_spectral (so d < 1/2) and d (1 + d) <= atol_structure. B B* has
-    the spectrum {0} with that of B* B, which lies within d of 1, and
-    by Weyl's inequality each eigenvalue of sym lies within d of one of
-    B B*: the spectrum is within atol_spectral of {0, 1}, the idempotency
-    residual max |lam (lam - 1)| is at most atol_structure and exactly k
-    eigenvalues exceed 1/2, which is every check of the eigh in
-    :func:`make_projection` (the argument of :func:`_from_orthonormal`).
-    The pivots of a block-diagonal sym stay in one block each and L keeps
-    its exact zeros, so each column of B lies in one block. Cost O(n^2 k).
+    k is the trace of sym rounded, and B = L the factor of a pivoted
+    Cholesky (LAPACK ?pstrf) truncated at k, sym ~ L L*: for a projection
+    L = B M with M unitary, and L reproduces sym to O(n u) (Higham 2002,
+    section 10.3). B is accepted when d = ||B* B - 1||_F + ||sym - B B*||_F
+    is at most min(8 g(n), atol_spectral, atol_structure / 2), with 8 g(n)
+    ~ 11.4 n u the rounding allowance (g = :func:`numkit.complex_dot_error`;
+    d measured at most 4.1 n u on Haar projections up to n = 512). B B* has
+    the spectrum {0} with that of B* B, within d of 1, and by Weyl's
+    inequality each eigenvalue of sym lies within d of one of B B*. As
+    d < 1/2 and d (1 + d) <= atol_structure, that settles every check of the
+    eigh (the argument of :func:`_from_orthonormal`). The pivots of a
+    block-diagonal sym stay in one block each and L keeps its exact zeros,
+    so each column of B lies in one block. Cost O(n^2 k).
     """
     n = sym.shape[0]
     trace = sym.trace().real
@@ -163,27 +156,13 @@ def _certified_basis(sym: np.ndarray, tol: ToleranceProfile):
         if info < 0 or rank < k:
             return None, None
         b[piv - 1] = np.triu(c[:k]).T
-    eps, d = _certificate(b, sym)
-    if k and numkit.exceeds(d, min(8 * numkit.complex_dot_error(n), tol.atol_spectral,
-                                   tol.atol_structure / 2)):
-        y = sym @ b
-        r, info = scipy.linalg.lapack.zpotrf(adjoint(y) @ y)
-        if info:
-            return None, None
-        # B^T = R^-T Y^T, with Y^T in Fortran order, is B = Y R^-1
-        b = scipy.linalg.blas.ztrsm(1.0, r, y.T, trans_a=1, overwrite_b=1).T
-        eps, d = _certificate(b, sym)
-    if numkit.exceeds(d, tol.atol_spectral) or numkit.exceeds(d * (1.0 + d), tol.atol_structure):
-        return None, None
-    return b, eps
-
-
-def _certificate(b: np.ndarray, sym: np.ndarray) -> tuple[float, float]:
-    """(eps, d) = (||b* b - 1||_F, eps + ||sym - b b*||_F) of n x k columns b."""
     resid = b @ adjoint(b)
     resid -= sym
     eps = numkit.orthonormality_residual(b, np.inf)
-    return eps, eps + frobenius(resid)
+    if numkit.exceeds(eps + frobenius(resid), min(8 * numkit.complex_dot_error(n),
+                                                  tol.atol_spectral, tol.atol_structure / 2)):
+        return None, None
+    return b, eps
 
 
 def _from_orthonormal(b: np.ndarray, tol: ToleranceProfile,

@@ -19,7 +19,7 @@ from projgeo import geo, jones, numkit, sampling
 KERNELS = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
            (np.linalg, "qr"), (scipy.linalg, "schur"), (scipy.linalg, "expm"),
            (scipy.linalg, "qr"), (scipy.linalg.lapack, "zpstrf"),
-           (scipy.linalg.lapack, "zpotrf")]
+           (scipy.linalg.lapack, "zpotrf"), (scipy.linalg.blas, "ztrsm")]
 
 
 def adj(a):

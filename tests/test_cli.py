@@ -169,6 +169,22 @@ class TestGeodesic:
         with pytest.raises(ValueError, match="t must be finite"):
             pg.geodesic_point(pg.minimal_exponent(p, q), float("nan"))
 
+    def test_times_that_would_share_a_point_file_exit_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys):
+        p, q = rotation_pair(np.pi / 3)
+        pf, qf = write_pair(tmp_path, p, q)
+        out = tmp_path / "out"
+        with monkeypatch.context() as mp:
+            mp.setattr(cli.projlat, "make_projection", None)
+            for t, named in (("0.1234561,0.1234564", "0.1234561 and 0.1234564"),
+                             ("0.5,0,0.5", "0.5 and 0.5")):
+                assert cli.main(["geodesic", pf, qf, "--t", t, "--out", str(out)]) == 2
+                assert f"--t values {named} both write" in capsys.readouterr().err
+        assert not out.exists()
+        # without --out no file is written, and the times stand
+        code, rep = run_json(capsys, ["geodesic", pf, qf, "--t", "0.1234561,0.1234564"])
+        assert code == 0 and rep["results"]["t_samples"] == [0.1234561, 0.1234564]
+
     def test_human_report_labels_the_certified_fields(self, tmp_path, capsys):
         p, q = rotation_pair(np.pi / 3)
         pf, qf = write_pair(tmp_path, p, q)
@@ -252,6 +268,16 @@ class TestTransport:
         assert cli.main(["transport", "--n", "1", "--spec0", "diagonal",
                          "--spec1", "rotated:0.3"]) == 2
         assert "needs n >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, cause", [
+        ("tensor:-2x-2", "k = -2, m = -2"), ("tensor:0x4", "k = 0, m = 4"),
+        ("tensor:2x", "two integers, got ['2', '']"), ("rotated:inf", "must be finite, got inf"),
+        ("rotated:-inf", "must be finite, got -inf")])
+    def test_a_bad_spec_exits_2_naming_the_flag_and_its_value(self, spec, cause, capsys):
+        code = cli.main(["transport", "--n", "4", "--spec0", "diagonal", "--spec1", spec])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith(f"error: --spec1 {spec!r}: ") and cause in err, err
 
     def test_counts_past_their_caps_exit_2(self, monkeypatch, capsys):
         # rejected before the expectation path or any ODE state is built
@@ -385,6 +411,7 @@ class TestParser:
 HUGE = str(10 ** 12)
 COUNT_PAST = ("0", "-1", HUGE, "nan", "1e3")
 RHO = ("", "1", "2,4", "1e308"), ("0", "-1", "0.5", "nan", "inf")
+COLLIDING = "0.1234561,0.1234564"
 COMMON = [
     ("--tol-structure", ("1e-8", "1e300"), ("0", "-1", "nan", "inf", "-inf"), False),
     # 0.3 and up lie past the cap 1 - 1/sqrt(2), where the windows overlap,
@@ -405,13 +432,16 @@ def command_grammar(docs):
     pair = [(None, (pf, qf), (junk, junk + ".missing", *bad_docs), True)] * 2
     spec = (("diagonal", "rotated:0.3", "rotated:-1", "rotated:1e308", "tensor:1x2",
              *("@" + f for f in good_specs)),
-            ("rotated:nan", "rotated:inf", "tensor:0x0", "tensor:-1x-2",
+            ("rotated:nan", "rotated:inf", "rotated:-inf", "tensor:0x0", "tensor:-1x-2",
+             "tensor:-2x-2", "tensor:0x4", "tensor:2x",
              "tensor:100000x100000", "bogus", "@" + junk + ".missing",
              *("@" + f for f in bad_specs)))
     commands = {
         "decompose": pair,
         "geodesic": pair + [
-            ("--t", ("0,0.5,1", "0.25", "-1", "1e308"), ("x", "nan", "inf", "0,-inf"), False),
+            # two times that name one point file stand without --out only
+            ("--t", ("0,0.5,1", "0.25", "-1", "1e308", COLLIDING),
+             ("x", "nan", "inf", "0,-inf"), False),
             ("--rho", *RHO, False),
             ("--out", (pf + ".out",), (junk + "/sub",), False)],
         "jones": [("--m", ("2", "3", "4"), ("1",) + COUNT_PAST, True),
@@ -451,6 +481,7 @@ def command_grammar(docs):
             (before if i >= len(commands[name]) and draw(st.booleans()) else after).extend(tokens)
         # fixed ranks and a forced wedge are two ways to draw the pair
         past_range |= "--ranks" in after and "--force-wedge" in after
+        past_range |= COLLIDING in after and "--out" in after
         return before + after, past_range
 
     return draw()
@@ -480,6 +511,7 @@ def test_every_invocation_ends_in_a_documented_exit(docs):
     @example((["jones", "--m", "4", "--rho", "1e308"], False))
     @example((["random", "--n", "6", "--ranks", "1,2,3"], True))
     @example((["random", "--n", "6", "--ranks", "3", "--force-wedge"], True))
+    @example((["geodesic", docs[0], docs[1], "--t", COLLIDING, "--out", docs[0] + ".out"], True))
     @given(command_grammar(docs))
     def run(drawn):
         argv, past_range = drawn

@@ -271,6 +271,16 @@ def test_rotated_spec_needs_two_coordinates():
             jones.rotated_diagonal_spec(n, 0.3)
 
 
+def test_specs_reject_their_degenerate_parameters():
+    # each is rejected before numpy sees it: no np.eye(-2), no cos(inf)
+    for k, m in ((-2, -2), (0, 4), (2, 0)):
+        with pytest.raises(ValueError, match=f"k, m >= 1, got k = {k}, m = {m}$"):
+            jones.TensorFactor(k, m)
+    for theta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="rotation angle must be finite"):
+            jones.rotated_diagonal_spec(2, theta)
+
+
 class TestBuildTimeAxiomCheck:
     def test_build_runs_one_svd(self, monkeypatch):
         # the range SVD of _orthonormal_range (n^2 x 6 spanning columns);

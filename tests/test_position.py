@@ -179,7 +179,7 @@ def test_geodesic_reuses_the_factorizations_in_hand(monkeypatch):
     assert pg.geodesic_distance(p, q) == pytest.approx(np.pi / 2)
     square = [call for call in calls if min(call[1]) >= p.n]
     assert square == [("zpstrf", (32, 32))] * 2
-    assert "zpotrf" not in [name for name, _ in calls]
+    assert not {"zpotrf", "ztrsm"} & {name for name, _ in calls}
     assert "eigh" not in [name for name, _ in calls]
     assert "expm" not in [name for name, _ in calls]
     assert [shape for name, shape in calls if name == "qr"] == [(4, 32), (4, 32)]

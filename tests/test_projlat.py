@@ -192,21 +192,50 @@ def test_a_clean_projection_is_certified_by_its_unrefined_factor(monkeypatch):
         monkeypatch.undo()
 
 
-def test_noisy_projections_keep_the_rounding_bound():
-    # noise of 1e-12 to 1e-11 leaves the pivoted Cholesky factor above the
-    # rounding allowance; the refined basis reproduces sym as well as sym is
-    # idempotent. An allowance of 4 g(n) k passes an unrefined factor of
-    # n = 197, k = 189 that misses this bound by 2.6e-12.
+def noisy_projections():
+    """Twelve Haar projections at n in 150-200, with Hermitian noise of norm
+    1e-12 to 1e-11, whose pivoted-Cholesky factors miss the rounding allowance."""
     rng = np.random.default_rng(40)
     for _ in range(12):
         n = int(rng.integers(150, 201))
         proj = projection_matrix("haar", n, n - int(rng.integers(0, 9)), rng)[0]
         h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h = (h + adj(h)) / 2
-        m = proj + 10.0 ** rng.uniform(-12.0, -11.0) * h / np.linalg.norm(h, 2)
+        yield proj + 10.0 ** rng.uniform(-12.0, -11.0) * h / np.linalg.norm(h, 2)
+
+
+def test_noisy_projections_keep_the_rounding_bound():
+    # noise of 1e-12 to 1e-11 leaves the pivoted Cholesky factor above the
+    # rounding allowance, so the eigh decides, and its eigenvectors reproduce
+    # sym as well as sym is idempotent. An allowance of 4 g(n) k would accept
+    # the factor of n = 197, k = 189, which misses this bound by 2.6e-12.
+    for m in noisy_projections():
         p = pg.make_projection(m)
         idem = pg.operator_norm(p.m @ p.m - p.m)
         assert pg.operator_norm(p.basis @ adj(p.basis) - p.m) <= 2 * idem + 1e-12
+
+
+def test_a_noisy_projection_goes_from_its_factor_to_the_eigh(monkeypatch, caplog):
+    # valid, but noisy above rounding: the factor of the one zpstrf is not
+    # certified and nothing refines it; one eigh decides and logs once
+    rng = np.random.default_rng(41)
+    mats = list(noisy_projections())
+    for n in (64, 192):
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = (h + adj(h)) / 2
+        mats.append(projection_matrix("haar", n, n // 2, rng)[0]
+                    + 1e-11 * h / np.linalg.norm(h, 2))
+    for m in mats:
+        want = eigh_verdict(m)
+        calls = record_kernels(monkeypatch)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="projgeo"):
+            p = pg.make_projection(m)
+        monkeypatch.undo()
+        assert [name for name, _ in calls] == ["zpstrf", "eigh"]
+        [rec] = caplog.records
+        assert rec.levelno == logging.DEBUG and "eigh" in rec.getMessage()
+        assert isinstance(want, int) and p.rank == want
 
 
 class TestFromOrthonormal:
