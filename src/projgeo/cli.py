@@ -253,9 +253,11 @@ def cmd_transport(args) -> dict:
     specs = []
     for flag, text in (("--spec0", args.spec0), ("--spec1", args.spec1)):
         try:
-            specs.append(parse_subalgebra(text, args.n))
+            spec = parse_subalgebra(text, args.n)
+            jones.check_size(spec, args.n)
         except ValueError as exc:
             raise ValueError(f"{flag} {text!r}: {exc}") from None
+        specs.append(spec)
     path = jones.expectation_path(*specs, args.n, tol)
     rng = np.random.default_rng(args.seed)
     ode_residual = 0.0

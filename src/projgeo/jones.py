@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,23 +54,29 @@ def _square(x, n: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Matrices block-diagonal over groups of coordinates (0-based)."""
+    """Matrices block-diagonal over groups of coordinates (0-based
+    integers; a float is refused, so that equal partitions name one
+    algebra)."""
 
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(
-            self, "groups", tuple(tuple(int(i) for i in g) for g in self.groups))
+            self, "groups", tuple(tuple(operator.index(i) for i in g) for g in self.groups))
 
 
 @dataclass(frozen=True)
 class TensorFactor:
-    """The subalgebra M_k tensor I_m inside M_{k m}; k and m at least 1."""
+    """The subalgebra M_k tensor I_m inside M_{k m}; k and m are integers
+    of at least 1 (a float is refused, so that equal factors name one
+    algebra)."""
 
     k: int
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "m", operator.index(self.m))
         if self.k < 1 or self.m < 1:
             raise ValueError(f"a tensor factor needs k, m >= 1, got k = {self.k}, m = {self.m}")
 
@@ -111,12 +118,29 @@ def rotated_diagonal_spec(n: int, theta: float) -> MatrixSpan:
     return MatrixSpan(mats=tuple(np.einsum("ai,bi->iab", u, u.conj())))
 
 
-def spanning_matrices(spec: SubalgebraSpec, n: int) -> list[np.ndarray]:
-    """A linear spanning set of the specified subset of M_n."""
+def check_size(spec: SubalgebraSpec, n: int) -> None:
+    """Raise ValueError unless ``spec`` names a subset of M_n: a block
+    partition of the coordinates 0..n-1, a tensor factor with k m = n, or a
+    span of n x n matrices. Nothing is built."""
     if isinstance(spec, BlockPartition):
-        seen = sorted(i for g in spec.groups for i in g)
-        if seen != list(range(n)):
-            raise ValueError("groups must partition the coordinates 0..n-1")
+        if sorted(i for g in spec.groups for i in g) != list(range(n)):
+            raise ValueError(f"groups must partition the coordinates 0..{n - 1}")
+    elif isinstance(spec, TensorFactor):
+        if spec.k * spec.m != n:
+            raise ValueError(f"k*m = {spec.k * spec.m} does not match n = {n}")
+    elif isinstance(spec, MatrixSpan):
+        for i, m in enumerate(spec.mats):
+            if m.shape != (n, n):
+                raise ValueError(f"spanning matrix {i} has shape {m.shape}, not ({n}, {n})")
+    else:
+        raise TypeError(f"unknown subalgebra specification: {type(spec)!r}")
+
+
+def spanning_matrices(spec: SubalgebraSpec, n: int) -> list[np.ndarray]:
+    """A linear spanning set of the specified subset of M_n
+    (:func:`check_size` first)."""
+    check_size(spec, n)
+    if isinstance(spec, BlockPartition):
         mats = []
         for g in spec.groups:
             for i in g:
@@ -126,8 +150,6 @@ def spanning_matrices(spec: SubalgebraSpec, n: int) -> list[np.ndarray]:
                     mats.append(e)
         return mats
     if isinstance(spec, TensorFactor):
-        if spec.k * spec.m != n:
-            raise ValueError(f"k*m = {spec.k * spec.m} does not match n = {n}")
         eye = np.eye(spec.m)
         mats = []
         for i in range(spec.k):
@@ -136,12 +158,7 @@ def spanning_matrices(spec: SubalgebraSpec, n: int) -> list[np.ndarray]:
                 e[i, j] = 1.0
                 mats.append(np.kron(e, eye))
         return mats
-    if isinstance(spec, MatrixSpan):
-        for m in spec.mats:
-            if m.shape[0] != n:
-                raise ValueError("spanning matrices have the wrong dimension")
-        return list(spec.mats)
-    raise TypeError(f"unknown subalgebra specification: {type(spec)!r}")
+    return list(spec.mats)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +192,12 @@ def _orthonormal_range(mats: list[np.ndarray], n: int,
 
 
 def _span_residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Distance of each matrix of a stack from the span of the basis."""
-    v = mats.reshape(len(mats), basis.shape[0]).T
-    return np.linalg.norm(v - basis @ (adjoint(basis) @ v), axis=0)
+    """Distance of each matrix of a stack from the span of the basis, read
+    row-major as :func:`_expect` reads it: rows vec(x) less (rows conj(B))
+    B^T, the norms of the rows from one :func:`numkit.frobenius`."""
+    rows = mats.reshape(len(mats), basis.shape[0])
+    res = rows - (rows @ basis.conj()) @ basis.T
+    return numkit.frobenius(res.reshape(len(mats), 1, basis.shape[0]))
 
 
 def _product_blocks(left: np.ndarray, right: np.ndarray):
@@ -592,6 +612,15 @@ class ExpectationPath:
         return _gamma(self.z, t, _square(x, self.n, "x")[None])[0]
 
 
+@functools.lru_cache(maxsize=4)
+def _shared_end(spec: BlockPartition | TensorFactor, n: int,
+                tol: ToleranceProfile) -> ExpectationProjection:
+    """:func:`expectation_projection` of an end that compares by value,
+    built once per (spec, n, tol) and shared by the paths that ask again
+    (:func:`expectation_path`)."""
+    return expectation_projection(spec, n, tol)
+
+
 def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
                      tol: ToleranceProfile = DEFAULT_TOL,
                      check_distance: bool = True) -> ExpectationPath:
@@ -610,9 +639,26 @@ def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
     of the largest generic angle otherwise, ||e0 - e1|| with the planes
     absorbed into a meet counted as angle 0: a verdict, as the exponent
     turns them. TooFar is raised exactly when a wedge part is classified.
+
+    An end given by a spec that compares by value, a BlockPartition (so
+    :func:`diagonal_spec`) or a TensorFactor, comes from a process cache
+    of the last four (spec, n, tol) builds, ``_shared_end``, whose
+    ``cache_info()`` counts builds and reuses. The trace-preserving
+    conditional expectation onto a subalgebra is unique, so every later
+    path from an equal spec shares the first build's immutable
+    ExpectationProjection, its basis read-only, with every check of that
+    build (and its one ``settles`` DEBUG record, if any) made once. A
+    MatrixSpan end, compared by identity over arrays the caller owns, is
+    built on every call; a build that raises is not kept; and
+    :func:`expectation_projection` itself caches nothing. The transport
+    benchmark's paths need three entries. An entry grows with n^4 and is
+    held until it is evicted or ``_shared_end.cache_clear()`` is called:
+    the n^2 x n^2 basis of a single-group BlockPartition (or of
+    TensorFactor(n, 1)), 16 MiB at the CLI cap n = 32 and 256 MiB at
+    n = 64, and as much again for ``big.m`` once a caller reads it.
     """
-    end0 = expectation_projection(spec0, n, tol)
-    end1 = expectation_projection(spec1, n, tol)
+    end0, end1 = (_shared_end(spec, n, tol) if isinstance(spec, (BlockPartition, TensorFactor))
+                  else expectation_projection(spec, n, tol) for spec in (spec0, spec1))
     pos = projlat.position(end0.big, end1.big)
     wedge = not pos.exists() or not pos.unique()
     gap = 1.0 if wedge else math.sin(pos.angles.max(initial=0.0))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -279,6 +280,21 @@ class TestTransport:
         assert code == 2 and "Traceback" not in err
         assert err.startswith(f"error: --spec1 {spec!r}: ") and cause in err, err
 
+    def test_a_spec_of_another_size_exits_2_naming_the_flag(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # each spec is checked against --n before the expectation path is built
+        monkeypatch.setattr(cli.jones, "expectation_path", None)
+        block = "@" + write_json(tmp_path / "b.json",
+                                 {"kind": "block_partition", "groups": [[0, 1], [2]]})
+        span = "@" + write_json(tmp_path / "s.json", GOOD_SPECS[2])
+        for flag, spec, cause in (
+                ("--spec1", "tensor:1x2", "k*m = 2 does not match n = 4"),
+                ("--spec0", block, "groups must partition the coordinates 0..3"),
+                ("--spec1", span, "spanning matrix 0 has shape (2, 2), not (4, 4)")):
+            other = "--spec0" if flag == "--spec1" else "--spec1"
+            assert cli.main(["transport", "--n", "4", other, "diagonal", flag, spec]) == 2
+            assert capsys.readouterr().err == f"error: {flag} {spec!r}: {cause}\n"
+
     def test_counts_past_their_caps_exit_2(self, monkeypatch, capsys):
         # rejected before the expectation path or any ODE state is built
         monkeypatch.setattr(cli.jones, "expectation_path", None)
@@ -412,6 +428,7 @@ HUGE = str(10 ** 12)
 COUNT_PAST = ("0", "-1", HUGE, "nan", "1e3")
 RHO = ("", "1", "2,4", "1e308"), ("0", "-1", "0.5", "nan", "inf")
 COLLIDING = "0.1234561,0.1234564"
+SIZE_CAUSES = ("does not match n =", "must partition the coordinates", "spanning matrix")
 COMMON = [
     ("--tol-structure", ("1e-8", "1e300"), ("0", "-1", "nan", "inf", "-inf"), False),
     # 0.3 and up lie past the cap 1 - 1/sqrt(2), where the windows overlap,
@@ -512,6 +529,7 @@ def test_every_invocation_ends_in_a_documented_exit(docs):
     @example((["random", "--n", "6", "--ranks", "1,2,3"], True))
     @example((["random", "--n", "6", "--ranks", "3", "--force-wedge"], True))
     @example((["geodesic", docs[0], docs[1], "--t", COLLIDING, "--out", docs[0] + ".out"], True))
+    @example((["transport", "--n", "4", "--spec0", "diagonal", "--spec1", "tensor:1x2"], False))
     @given(command_grammar(docs))
     def run(drawn):
         argv, past_range = drawn
@@ -520,5 +538,8 @@ def test_every_invocation_ends_in_a_documented_exit(docs):
             code = cli.main(argv)
         assert "Traceback" not in err.getvalue()
         assert code == 2 if past_range else code in (0, 2, 3), (code, err.getvalue())
+        # a spec of another size than --n (a good spec file at --n 3) names its flag
+        if any(cause in err.getvalue() for cause in SIZE_CAUSES):
+            assert re.match(r"error: --spec[01] '", err.getvalue()), err.getvalue()
 
     run()

@@ -294,13 +294,13 @@ class TestBuildTimeAxiomCheck:
         spec = jones.rotated_diagonal_spec(6, 0.3)
         jones.expectation_projection(spec, 6)
         assert axioms == []  # the build's certificate settles every field
-        # every Frobenius norm now reads 1e9 times its value; the sample norm
-        # X, taken afresh, lifts the certificate's star, trace and bimodule
-        # bounds over atol_structure, so the one _axioms pass runs, and its
-        # bimodule bound, built from Frobenius norms, exceeds it too
-        real = numkit.frobenius
-        monkeypatch.setattr(numkit, "frobenius", lambda a: 1e9 * real(a))
-        monkeypatch.setattr(jones, "_sample_norm", jones._sample_norm.__wrapped__)
+        # the sample norm X now reads 1e9 times its value: it lifts the
+        # certificate's star, trace and bimodule bounds over atol_structure,
+        # so the one _axioms pass runs, and its bimodule bound, built from X,
+        # exceeds it too. The span residuals, Frobenius norms of rows that
+        # the subalgebra check reads, are left as measured
+        real = jones._sample_norm.__wrapped__
+        monkeypatch.setattr(jones, "_sample_norm", lambda n: 1e9 * real(n))
         checks = record(monkeypatch, numkit, "bounded_norm")
         norms = record(monkeypatch, jones, "operator_norm")
         axioms.clear()
@@ -460,6 +460,103 @@ class TestExpectationPath:
         for t in (0.25, 0.5, 0.75):
             ax = jones.expectation_axioms(path.projection_at(t), 2)
             assert np.isfinite(ax.max())
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The specs of every expectation_projection call, each counted as it
+    starts (the path-end cache starts empty, see conftest)."""
+    calls = []
+    real = jones.expectation_projection
+
+    def counting(spec, n, tol=pg.DEFAULT_TOL):
+        calls.append(spec)
+        return real(spec, n, tol)
+
+    monkeypatch.setattr(jones, "expectation_projection", counting)
+    return calls
+
+
+class TestSharedEnds:
+    """expectation_path takes an end that compares by value from the path-end
+    cache and builds every MatrixSpan end anew."""
+
+    def test_a_fixed_reference_is_built_once(self, builds):
+        n = 5
+        a, b = (jones.expectation_path(
+            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, theta), n)
+                for theta in (0.3, 0.4))
+        assert len(builds) == 3 and a.end0 is b.end0 and a.end1 is not b.end1
+        info = jones._shared_end.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_equal_specs_share_one_entry(self, builds):
+        rotated = jones.rotated_diagonal_spec(4, 0.3)
+        a = jones.expectation_path(jones.diagonal_spec(4), rotated, 4)
+        b = jones.expectation_path(jones.BlockPartition(((0,), (1,), (2,), (3,))), rotated, 4)
+        assert a.end0 is b.end0 and builds == [jones.diagonal_spec(4), rotated, rotated]
+        builds.clear()
+        path = jones.expectation_path(jones.TensorFactor(2, 2), jones.TensorFactor(2, 2), 4)
+        assert path.end0 is path.end1 and builds == [jones.TensorFactor(2, 2)]
+        assert jones._shared_end.cache_info().currsize == 2
+
+    def test_equal_specs_name_one_algebra(self, builds):
+        # TensorFactor(2.0, 2) would equal TensorFactor(2, 2) and share its
+        # entry, though a fresh build of it fails, and a coordinate 0.5 was
+        # read as 0; both are refused at birth
+        with pytest.raises(TypeError):
+            jones.TensorFactor(2.0, 2)
+        with pytest.raises(TypeError):
+            jones.BlockPartition(((0.5,), (1,)))
+        spec = jones.TensorFactor(np.int64(2), 2)
+        assert type(spec.k) is int and spec == jones.TensorFactor(2, 2)
+        block = jones.BlockPartition(((np.int64(1),), (0,)))
+        assert block == jones.BlockPartition(((1,), (0,)))
+        assert type(block.groups[0][0]) is int
+
+    def test_a_matrix_span_end_is_built_on_every_call(self, builds):
+        rotated = jones.rotated_diagonal_spec(4, 0.3)
+        a, b = (jones.expectation_path(jones.diagonal_spec(4), rotated, 4) for _ in range(2))
+        assert a.end1 is not b.end1 and builds.count(rotated) == 2
+        assert jones._shared_end.cache_info().currsize == 1
+
+    def test_another_tolerance_builds_anew(self, builds):
+        tight = pg.ToleranceProfile(atol_structure=1e-9)
+        rotated = jones.rotated_diagonal_spec(4, 0.3)
+        a = jones.expectation_path(jones.diagonal_spec(4), rotated, 4)
+        b = jones.expectation_path(jones.diagonal_spec(4), rotated, 4, tight)
+        assert len(builds) == 4 and a.end0 is not b.end0 and b.end0.big.tol == tight
+
+    def test_a_failed_build_raises_every_time_and_is_not_kept(self, builds):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"k\*m = 2 does not match n = 4"):
+                jones.expectation_path(jones.TensorFactor(1, 2), jones.diagonal_spec(4), 4)
+        assert builds == [jones.TensorFactor(1, 2)] * 2
+        assert jones._shared_end.cache_info().currsize == 0
+
+    def test_the_shared_basis_is_read_only(self, builds):
+        path = jones.expectation_path(
+            jones.diagonal_spec(4), jones.rotated_diagonal_spec(4, 0.3), 4)
+        assert path.end0.basis is path.end0.big.basis
+        with pytest.raises(ValueError, match="read-only"):
+            path.end0.basis[0, 0] = 2.0
+
+    def test_a_shared_end_equals_a_fresh_build_bit_for_bit(self, builds):
+        n = 6
+        spec0, spec1 = jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4)
+        jones.expectation_path(spec0, spec1, n)
+        shared = jones.expectation_path(spec0, spec1, n)
+        jones._shared_end.cache_clear()
+        fresh = jones.expectation_path(spec0, spec1, n)
+        assert len(builds) == 5 and shared.end0 is not fresh.end0
+        assert np.array_equal(shared.end0.basis, fresh.end0.basis)
+        assert shared.end0.big.basis_residual == fresh.end0.big.basis_residual
+        rng = np.random.default_rng(44)
+        x0, x1 = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+        (_, a), (_, b) = (jones.transport_ode_solve(path, x0, 100) for path in (shared, fresh))
+        assert np.array_equal(a, b)
+        assert (jones.propagator_checks(shared, (0.5,), [x1])
+                == jones.propagator_checks(fresh, (0.5,), [x1]))
 
 
 @st.composite
