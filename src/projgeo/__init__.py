@@ -51,6 +51,7 @@ from .geo import (
 )
 from .jones import (
     BlockPartition,
+    Conjugated,
     ExpectationPath,
     ExpectationProjection,
     JonesPair,

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     InternalConsistencyError,
     InvariantViolation,
+    NotProjection,
     NotSubalgebra,
     TooFar,
 )
@@ -93,7 +94,31 @@ class MatrixSpan:
             self, "mats", tuple(numkit.as_complex(m) for m in self.mats))
 
 
-SubalgebraSpec = BlockPartition | TensorFactor | MatrixSpan
+@dataclass(frozen=True, eq=False)
+class Conjugated:
+    """The subalgebra u A u* for A = ``base``, a BlockPartition or a
+    TensorFactor (anything else raises TypeError, so the base end is always
+    one that compares by value), and u an n x n unitary, stored as a finite,
+    read-only complex copy. Its spanning set is u m u* over the base's. For a
+    unitary u the trace-preserving conditional expectation onto u A u* is
+    Ad(u) E_A Ad(u)* (it is unique, Tomiyama 1957), so
+    :func:`expectation_path` builds it by conjugating the shared end of the
+    base (:func:`_conjugated_end`). Unitarity is not checked here: a u off
+    unitary ends in the measured build of its spanning set."""
+
+    base: BlockPartition | TensorFactor
+    u: np.ndarray
+
+    def __post_init__(self):
+        if not isinstance(self.base, (BlockPartition, TensorFactor)):
+            raise TypeError("a conjugated subalgebra needs a BlockPartition or a TensorFactor "
+                            f"base, got {type(self.base)!r}")
+        u = np.array(numkit.as_complex(self.u))
+        u.flags.writeable = False
+        object.__setattr__(self, "u", u)
+
+
+SubalgebraSpec = BlockPartition | TensorFactor | MatrixSpan | Conjugated
 
 
 def diagonal_spec(n: int) -> BlockPartition:
@@ -101,9 +126,11 @@ def diagonal_spec(n: int) -> BlockPartition:
     return BlockPartition(groups=tuple((i,) for i in range(n)))
 
 
-def rotated_diagonal_spec(n: int, theta: float) -> MatrixSpan:
-    """The diagonal subalgebra conjugated by a rotation of angle theta in
-    the first two coordinates; n must be at least 2 and theta finite."""
+def rotated_diagonal_spec(n: int, theta: float) -> Conjugated:
+    """The diagonal subalgebra conjugated by the rotation of angle theta in
+    the first two coordinates, ``Conjugated(diagonal_spec(n), u)``, so a
+    path builds it from the shared diagonal end; n must be at least 2 and
+    theta finite."""
     if n < 2:
         raise ValueError(f"a rotation in the first two coordinates needs n >= 2, got {n}")
     if not math.isfinite(theta):
@@ -114,14 +141,14 @@ def rotated_diagonal_spec(n: int, theta: float) -> MatrixSpan:
     u[0, 1] = -s
     u[1, 0] = s
     u[1, 1] = c
-    # member i is u_i u_i* for the column u_i of the rotation
-    return MatrixSpan(mats=tuple(np.einsum("ai,bi->iab", u, u.conj())))
+    return Conjugated(diagonal_spec(n), u)
 
 
 def check_size(spec: SubalgebraSpec, n: int) -> None:
     """Raise ValueError unless ``spec`` names a subset of M_n: a block
-    partition of the coordinates 0..n-1, a tensor factor with k m = n, or a
-    span of n x n matrices. Nothing is built."""
+    partition of the coordinates 0..n-1, a tensor factor with k m = n, a
+    span of at least one n x n matrix, or the conjugate of such a partition
+    or factor by an n x n matrix. Nothing is built."""
     if isinstance(spec, BlockPartition):
         if sorted(i for g in spec.groups for i in g) != list(range(n)):
             raise ValueError(f"groups must partition the coordinates 0..{n - 1}")
@@ -129,9 +156,15 @@ def check_size(spec: SubalgebraSpec, n: int) -> None:
         if spec.k * spec.m != n:
             raise ValueError(f"k*m = {spec.k * spec.m} does not match n = {n}")
     elif isinstance(spec, MatrixSpan):
+        if not spec.mats:
+            raise ValueError("a matrix span needs at least one matrix")
         for i, m in enumerate(spec.mats):
             if m.shape != (n, n):
                 raise ValueError(f"spanning matrix {i} has shape {m.shape}, not ({n}, {n})")
+    elif isinstance(spec, Conjugated):
+        check_size(spec.base, n)
+        if spec.u.shape != (n, n):
+            raise ValueError(f"the conjugating matrix has shape {spec.u.shape}, not ({n}, {n})")
     else:
         raise TypeError(f"unknown subalgebra specification: {type(spec)!r}")
 
@@ -158,6 +191,8 @@ def spanning_matrices(spec: SubalgebraSpec, n: int) -> list[np.ndarray]:
                 e[i, j] = 1.0
                 mats.append(np.kron(e, eye))
         return mats
+    if isinstance(spec, Conjugated):
+        return list(spec.u @ np.stack(spanning_matrices(spec.base, n)) @ adjoint(spec.u))
     return list(spec.mats)
 
 
@@ -172,12 +207,18 @@ class ExpectationProjection:
     The induced map E(x) = B (B* vec x), B the orthonormal ``basis`` (so
     ``big.m``, formed only when read, is the symmetrized B B*), is the
     trace-preserving conditional expectation onto the subalgebra.
+
+    ``closure`` is the product residual kappa, the largest distance of a
+    product of two members from the span: as measured, for an end that
+    :func:`expectation_projection` built, and the certified upper bound
+    that settled it, for a conjugated end of :func:`expectation_path`.
     """
 
     big: Projection
     spec: SubalgebraSpec
     n: int
     basis: np.ndarray  # n^2 x r, orthonormal columns spanning the range
+    closure: float
 
     def expect(self, x) -> np.ndarray:
         return _expect(self.basis, _square(x, self.n, "x")[None])[0]
@@ -255,9 +296,8 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
     mats = spanning_matrices(spec, n)
     basis = _orthonormal_range(mats, n, tol)
     members = _members(basis, n)
-    unit_star = np.concatenate([np.eye(n)[None], _adjoints(members)])
     closure = _product_residual(basis, members)
-    spans = _span_residuals(basis, unit_star)
+    spans = _unit_star_residuals(basis, members, n)
     res = numkit.worst((spans.max(), closure))
     if numkit.exceeds(res, tol.atol_structure):
         raise NotSubalgebra(f"span is not a unital *-subalgebra (residual {res:.3e})")
@@ -269,7 +309,13 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
         if numkit.exceeds(res, atol):
             raise InternalConsistencyError(
                 f"expectation axioms fail on a validated subalgebra ({res:.3e})")
-    return ExpectationProjection(big=big, spec=spec, n=n, basis=basis)
+    return ExpectationProjection(big=big, spec=spec, n=n, basis=basis, closure=closure)
+
+
+def _unit_star_residuals(basis: np.ndarray, members: np.ndarray, n: int) -> np.ndarray:
+    """The span residuals of the unit and of the member adjoints, in that
+    order, one :func:`_span_residuals` over r + 1 rows."""
+    return _span_residuals(basis, np.concatenate([np.eye(n)[None], _adjoints(members)]))
 
 
 @dataclass(frozen=True)
@@ -362,8 +408,8 @@ def _bimodule_bound(basis: np.ndarray, members: np.ndarray, eps: float, mu: floa
     derives it). The rounding of the measurement adds (1 + eps) mu^2 X
     (4 g(nu) + 2 beta (g(N_col) + g(N_row))), from the counts of
     :func:`_rounding_terms`."""
-    r = basis.shape[1]
-    phi = np.abs(adjoint(basis) @ _adjoints(members).reshape(r, -1).T).sum(
+    r, rows, cols = members.shape
+    phi = np.abs(adjoint(basis) @ _adjoints(members).reshape(r, rows * cols).T).sum(
         axis=0).max(initial=0.0)
     exact = 2.0 * (1.0 + eps) ** 3 * mu * x_norm * (
         sigma + math.sqrt(r) * (1.0 + phi) * closure)
@@ -621,6 +667,91 @@ def _shared_end(spec: BlockPartition | TensorFactor, n: int,
     return expectation_projection(spec, n, tol)
 
 
+def _gram_bound(measured: float, k: int, cols: int) -> float:
+    """An upper bound of ||A* A - 1|| for a matrix A of ``cols`` columns,
+    from ``measured``, the norm of its computed Gram residual, whose dots
+    take at most k terms: the computed Gram lies within g(k) ||A||_F^2 <=
+    g(k) cols (1 + ||A* A - 1||) of the exact one, g =
+    :func:`numkit.complex_dot_error`."""
+    slack = numkit.complex_dot_error(k) * cols
+    return (measured + slack) / (1.0 - slack) if slack < 1.0 else math.inf
+
+
+def _conjugated_closure(kappa: float, eps0: float, eps1: float, eta: float,
+                        n: int, r: int) -> float:
+    """An upper bound of the closure residual of the r members N_k =
+    fl(fl(u M_k) u*) of a conjugated end, exact or as :func:`_product_residual`
+    would measure it, from numbers in hand: the base members' measured
+    closure residual ``kappa`` and Gram bound ``eps0``, the conjugated
+    members' Gram bound ``eps1``, and ``eta`` >= ||u* u - 1||. With mu =
+    sqrt(1 + eps0) >= ||M_k||_F, f >= ||N_k - u M_k u*||_F from the rounding
+    of the two n x n products, and c = B_0* vec(M_j M_k):
+    N_j N_k = sum_l c_l N_l + u D u* - sum_l c_l F_l + u M_j (u* u - 1) M_k u*
+    + (terms in F), D the base's closure defect; README.md, "The conjugated
+    end", derives each term. Infinite unless eps0, eps1 and eta are below 1/2."""
+    if not numkit.worst((eps0, eps1, eta)) < 0.5:
+        return math.inf
+    g = numkit.complex_dot_error
+
+    def apply(eps: float) -> float:  # one E v = B (B* v) rounds by this times ||v||
+        return (1.0 + eps) * math.sqrt(r * (1.0 + eps)) * (g(n * n) + g(r))
+
+    mu = math.sqrt(1.0 + eps0)
+    lift = 1.0 + eta  # >= ||u||^2
+    nu = math.sqrt(n * lift)  # >= ||u||_F
+    f = g(n) * nu * mu * (2.0 * math.sqrt(lift) + g(n) * nu)
+    defect = kappa + mu * mu * (g(n) + (1.0 + g(n)) * apply(eps0))  # >= ||D||_F
+    exact = (lift * (defect + eta * mu * mu) + math.sqrt(r) * mu ** 3 * f
+             + 2.0 * lift * mu * f + f * f + math.sqrt(1.0 + eps1) * eps1 * mu ** 3)
+    return exact + (1.0 + eps1) * (g(n) + (1.0 + g(n)) * apply(eps1))
+
+
+def _conjugated_end(spec: Conjugated, n: int, tol: ToleranceProfile) -> ExpectationProjection:
+    """The end of ``spec`` = u A u* as Ad(u) of the shared end of A: the
+    members u M_k u* from one batched product, their Gram (by
+    :func:`projlat._from_orthonormal`), unit and adjoint span residuals
+    measured, and the closure residual the certified bound of
+    :func:`_conjugated_closure`. That bound goes through
+    :func:`numkit.settles` at ``atol_structure`` (site "conjugated end
+    closure bound"), the span residuals must lie within it as the
+    ``NotSubalgebra`` test asks, and the axiom bounds of :func:`_axiom_bounds`
+    settle as in :func:`expectation_projection`. Where any of them does not
+    (a Gram that ``_from_orthonormal`` rejects gives an infinite bound), the
+    end is :func:`expectation_projection`'s measured build of the spanning
+    set, which raises as the equal MatrixSpan does."""
+    check_size(spec, n)
+    base = _shared_end(spec.base, n, tol)
+    u, r = spec.u, base.basis.shape[1]
+    members = u @ _members(base.basis, n) @ adjoint(u)
+    basis = members.reshape(r, n * n).T
+    spans = _unit_star_residuals(basis, members, n)
+    atol = tol.atol_structure
+    try:
+        big = projlat._from_orthonormal(basis, tol)
+    except NotProjection:
+        closure = math.inf
+    else:
+        eta = numkit.frobenius(adjoint(u) @ u - np.eye(n))
+        closure = _conjugated_closure(
+            base.closure, _gram_bound(base.big.basis_residual, n * n, r),
+            _gram_bound(big.basis_residual, n * n, r), _gram_bound(eta, n, n), n, r)
+    if (numkit.settles("conjugated end closure bound", atol, closure)
+            and not numkit.exceeds(spans.max(), atol)
+            and numkit.settles("expectation axioms bound", atol, *_axiom_bounds(
+                basis, n, big.basis_residual, spans, closure))):
+        return ExpectationProjection(big=big, spec=spec, n=n, basis=basis, closure=closure)
+    return expectation_projection(spec, n, tol)
+
+
+def _path_end(spec: SubalgebraSpec, n: int, tol: ToleranceProfile) -> ExpectationProjection:
+    """An end of :func:`expectation_path`: shared, conjugated or built."""
+    if isinstance(spec, (BlockPartition, TensorFactor)):
+        return _shared_end(spec, n, tol)
+    if isinstance(spec, Conjugated):
+        return _conjugated_end(spec, n, tol)
+    return expectation_projection(spec, n, tol)
+
+
 def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
                      tol: ToleranceProfile = DEFAULT_TOL,
                      check_distance: bool = True) -> ExpectationPath:
@@ -648,17 +779,21 @@ def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
     path from an equal spec shares the first build's immutable
     ExpectationProjection, its basis read-only, with every check of that
     build (and its one ``settles`` DEBUG record, if any) made once. A
-    MatrixSpan end, compared by identity over arrays the caller owns, is
-    built on every call; a build that raises is not kept; and
-    :func:`expectation_projection` itself caches nothing. The transport
-    benchmark's paths need three entries. An entry grows with n^4 and is
+    Conjugated end u A u* (so :func:`rotated_diagonal_spec`) is Ad(u) of the
+    shared end of A, built on every call with its closure residual
+    certified from the base's build, and the measured build of its
+    spanning set wherever that certificate cannot settle
+    (:func:`_conjugated_end`). A MatrixSpan end, compared by identity over
+    arrays the caller owns, is built on every call; a build that raises is
+    not kept; and :func:`expectation_projection` itself caches nothing, a
+    Conjugated spec included. The transport benchmark's paths need three
+    entries. An entry grows with n^4 and is
     held until it is evicted or ``_shared_end.cache_clear()`` is called:
     the n^2 x n^2 basis of a single-group BlockPartition (or of
     TensorFactor(n, 1)), 16 MiB at the CLI cap n = 32 and 256 MiB at
     n = 64, and as much again for ``big.m`` once a caller reads it.
     """
-    end0, end1 = (_shared_end(spec, n, tol) if isinstance(spec, (BlockPartition, TensorFactor))
-                  else expectation_projection(spec, n, tol) for spec in (spec0, spec1))
+    end0, end1 = (_path_end(spec, n, tol) for spec in (spec0, spec1))
     pos = projlat.position(end0.big, end1.big)
     wedge = not pos.exists() or not pos.unique()
     gap = 1.0 if wedge else math.sin(pos.angles.max(initial=0.0))

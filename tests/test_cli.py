@@ -29,8 +29,8 @@ def run_json(capsys, argv):
 
 
 # valid JSON that is not a matrix document (BAD_DOCS) or not a subalgebra
-# spec (BAD_SPECS): a list, a number, a string, a missing field or a field
-# of the wrong type
+# spec (BAD_SPECS): a list, a number, a string, a missing field, a field of
+# the wrong type, or a span of no matrices
 DOC = {"n": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 BAD_DOCS = [[1, 2], 3, "p", {"re": DOC["re"], "im": DOC["im"]}, {**DOC, "n": [1]},
             {**DOC, "n": "2"}, {**DOC, "n": True}, {**DOC, "re": 5},
@@ -40,11 +40,30 @@ BAD_SPECS = [[1, 2], 3, {"kind": 3}, {"kind": "bogus"}, {"kind": "block_partitio
              {"kind": "block_partition", "groups": [[0.5], [1]]},
              {"kind": "tensor_factor", "k": "2", "m": 1},
              {"kind": "matrix_span", "matrices": 7},
-             {"kind": "matrix_span", "matrices": [{**DOC, "n": [1]}]}]
+             {"kind": "matrix_span", "matrices": [{**DOC, "n": [1]}]},
+             {"kind": "matrix_span", "matrices": []}]
 GOOD_SPECS = [{"kind": "block_partition", "groups": [[0], [1]]},
               {"kind": "tensor_factor", "k": 1, "m": 2},
               {"kind": "matrix_span", "matrices": [
                   DOC, {**DOC, "re": [[0.0, 0.0], [0.0, 1.0]]}]}]
+
+
+def assert_within(got, want, where="results"):
+    """The same keys and the same non-numbers; every number within 1e-12, and
+    ``convergence_order``, a ratio of two small errors, within 0.01."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            assert_within(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_within(a, b, f"{where}[{i}]")
+    elif isinstance(want, float):
+        bound = 0.01 if where.endswith("convergence_order") else 1e-12
+        assert abs(got - want) <= bound, (where, got, want)
+    else:
+        assert got == want, where
 
 
 def write_json(path, doc) -> str:
@@ -80,8 +99,9 @@ class TestMatrixDocuments:
     @pytest.mark.parametrize("doc, named, other, n", [
         (GOOD_SPECS[0], "diagonal", "rotated:0.3", "2"),
         ({"kind": "tensor_factor", "k": 2, "m": 2}, "tensor:2x2", "tensor:2x2", "4"),
-        ({"kind": "matrix_span", "matrices": [cli.matrix_to_document(m) for m in
-                                              jones.rotated_diagonal_spec(2, 0.3).mats]},
+        ({"kind": "matrix_span", "matrices": [
+            cli.matrix_to_document(m)
+            for m in jones.spanning_matrices(jones.rotated_diagonal_spec(2, 0.3), 2)]},
          "rotated:0.3", "diagonal", "2")])
     def test_a_spec_file_reads_as_its_named_spec(self, doc, named, other, n, tmp_path, capsys):
         f = write_json(tmp_path / "s.json", doc)
@@ -89,7 +109,13 @@ class TestMatrixDocuments:
                                      "--spec0", spec, "--spec1", other])
                    for spec in ("@" + f, named)]
         assert reports[0][0] == reports[1][0] == 0
-        assert reports[0][1]["results"] == reports[1][1]["results"]
+        if named.startswith("rotated:"):
+            # rotated:0.3 conjugates the shared diagonal end and the file's
+            # span is orthonormalized: two bases of one range, so the report
+            # moves at rounding
+            assert_within(reports[0][1]["results"], reports[1][1]["results"])
+        else:
+            assert reports[0][1]["results"] == reports[1][1]["results"]
 
 
 class TestDecompose:
@@ -294,6 +320,13 @@ class TestTransport:
             other = "--spec0" if flag == "--spec1" else "--spec1"
             assert cli.main(["transport", "--n", "4", other, "diagonal", flag, spec]) == 2
             assert capsys.readouterr().err == f"error: {flag} {spec!r}: {cause}\n"
+
+    def test_an_empty_span_exits_2_naming_the_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.jones, "expectation_path", None)
+        spec = "@" + write_json(tmp_path / "empty.json", {"kind": "matrix_span", "matrices": []})
+        assert cli.main(["transport", "--n", "2", "--spec0", "diagonal", "--spec1", spec]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --spec1 {spec!r}: a matrix span needs at least one matrix\n")
 
     def test_counts_past_their_caps_exit_2(self, monkeypatch, capsys):
         # rejected before the expectation path or any ODE state is built

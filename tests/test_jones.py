@@ -477,21 +477,34 @@ def builds(monkeypatch):
     return calls
 
 
+def rotated_span(n, theta):
+    """The spanning set of the rotated diagonal as a MatrixSpan, an end
+    that is built on every call."""
+    return jones.MatrixSpan(mats=tuple(
+        jones.spanning_matrices(jones.rotated_diagonal_spec(n, theta), n)))
+
+
 class TestSharedEnds:
     """expectation_path takes an end that compares by value from the path-end
-    cache and builds every MatrixSpan end anew."""
+    cache, conjugates the cached base of a Conjugated end, and builds every
+    MatrixSpan end anew."""
 
     def test_a_fixed_reference_is_built_once(self, builds):
         n = 5
-        a, b = (jones.expectation_path(
-            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, theta), n)
+        a, b = (jones.expectation_path(jones.diagonal_spec(n), rotated_span(n, theta), n)
                 for theta in (0.3, 0.4))
         assert len(builds) == 3 and a.end0 is b.end0 and a.end1 is not b.end1
         info = jones._shared_end.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        # a conjugated end reads the same entry as its base and builds nothing
+        builds.clear()
+        c = jones.expectation_path(jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.3), n)
+        assert builds == [] and c.end0 is a.end0
+        info = jones._shared_end.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
 
     def test_equal_specs_share_one_entry(self, builds):
-        rotated = jones.rotated_diagonal_spec(4, 0.3)
+        rotated = rotated_span(4, 0.3)
         a = jones.expectation_path(jones.diagonal_spec(4), rotated, 4)
         b = jones.expectation_path(jones.BlockPartition(((0,), (1,), (2,), (3,))), rotated, 4)
         assert a.end0 is b.end0 and builds == [jones.diagonal_spec(4), rotated, rotated]
@@ -499,6 +512,12 @@ class TestSharedEnds:
         path = jones.expectation_path(jones.TensorFactor(2, 2), jones.TensorFactor(2, 2), 4)
         assert path.end0 is path.end1 and builds == [jones.TensorFactor(2, 2)]
         assert jones._shared_end.cache_info().currsize == 2
+        # an equal base of a conjugated end shares the entry too
+        builds.clear()
+        conj = jones.Conjugated(jones.BlockPartition(((0,), (1,), (2,), (3,))),
+                                jones.rotated_diagonal_spec(4, 0.3).u)
+        jones.expectation_path(jones.diagonal_spec(4), conj, 4)
+        assert builds == [] and jones._shared_end.cache_info().currsize == 2
 
     def test_equal_specs_name_one_algebra(self, builds):
         # TensorFactor(2.0, 2) would equal TensorFactor(2, 2) and share its
@@ -515,17 +534,27 @@ class TestSharedEnds:
         assert type(block.groups[0][0]) is int
 
     def test_a_matrix_span_end_is_built_on_every_call(self, builds):
-        rotated = jones.rotated_diagonal_spec(4, 0.3)
+        rotated = rotated_span(4, 0.3)
         a, b = (jones.expectation_path(jones.diagonal_spec(4), rotated, 4) for _ in range(2))
         assert a.end1 is not b.end1 and builds.count(rotated) == 2
         assert jones._shared_end.cache_info().currsize == 1
+        # a conjugated end is conjugated anew on every call, from the cached base
+        conj = jones.rotated_diagonal_spec(4, 0.3)
+        c, d = (jones.expectation_path(jones.diagonal_spec(4), conj, 4) for _ in range(2))
+        assert c.end1 is not d.end1 and len(builds) == 3
+        info = jones._shared_end.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (5, 1, 1)
 
     def test_another_tolerance_builds_anew(self, builds):
         tight = pg.ToleranceProfile(atol_structure=1e-9)
-        rotated = jones.rotated_diagonal_spec(4, 0.3)
+        rotated = rotated_span(4, 0.3)
         a = jones.expectation_path(jones.diagonal_spec(4), rotated, 4)
         b = jones.expectation_path(jones.diagonal_spec(4), rotated, 4, tight)
         assert len(builds) == 4 and a.end0 is not b.end0 and b.end0.big.tol == tight
+        # a conjugated end takes the base built at its own tolerance
+        c = jones.expectation_path(
+            jones.diagonal_spec(4), jones.rotated_diagonal_spec(4, 0.3), 4, tight)
+        assert len(builds) == 4 and c.end0 is b.end0 and c.end1.big.tol == tight
 
     def test_a_failed_build_raises_every_time_and_is_not_kept(self, builds):
         for _ in range(2):
@@ -543,7 +572,7 @@ class TestSharedEnds:
 
     def test_a_shared_end_equals_a_fresh_build_bit_for_bit(self, builds):
         n = 6
-        spec0, spec1 = jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.4)
+        spec0, spec1 = jones.diagonal_spec(n), rotated_span(n, 0.4)
         jones.expectation_path(spec0, spec1, n)
         shared = jones.expectation_path(spec0, spec1, n)
         jones._shared_end.cache_clear()
@@ -763,3 +792,137 @@ class TestAxiomCertificate:
             sigma + math.sqrt(len(members)) * (1.0 + phi) * closure)
         ref = float(exact + (1.0 + eps) * mu * mu * x_norm * (4.0 * ref_nu + ref_twice))
         assert jones.expectation_axioms(big, n).bimodule == ref
+
+
+def test_a_rank_zero_projection_reports_its_axioms():
+    # no member: the bimodule bound's stack of member adjoints is empty
+    report = jones.expectation_axioms(pg.make_projection(np.zeros((9, 9))), 3)
+    assert report.unital == 1.0 and all(map(math.isfinite, vars(report).values()))
+
+
+@st.composite
+def conjugated_specs(draw):
+    """(Conjugated(base, u), n): a block partition or tensor factor of
+    :func:`subalgebra_specs` and a Haar unitary u."""
+    base, n = draw(subalgebra_specs(("blocks", "tensor")))
+    u = numkit.haar_unitary(n, np.random.default_rng(draw(st.integers(0, 2**32))))
+    return jones.Conjugated(base, u), n
+
+
+def dense_closure(big, n, basis) -> float:
+    """The largest ||(1 - P) vec(a b)|| over the members a, b that the
+    columns of ``basis`` give, with P = big.m, the dense n^2 x n^2 matrix."""
+    members = basis.T.reshape(-1, n, n)
+    prods = (members[:, None] @ members[None]).reshape(-1, n * n)
+    return float(np.linalg.norm(prods - prods @ big.m.T, axis=1).max(initial=0.0))
+
+
+class TestConjugatedEnd:
+    """expectation_path builds a Conjugated end as Ad(u) of its base's shared
+    end, with a certified closure bound in place of the product stack, and
+    falls back to the measured build of its spanning set wherever a bound
+    cannot settle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(conjugated_specs())
+    def test_the_end_spans_the_algebra_and_its_closure_bound_holds(self, drawn):
+        spec, n = drawn
+        jones._shared_end.cache_clear()
+        with unittest.mock.patch.object(jones, "expectation_projection",
+                                        wraps=jones.expectation_projection) as built:
+            end = jones.expectation_path(spec, spec, n).end0
+        assert [call.args[0] for call in built.call_args_list] == [spec.base]
+        ref = jones.expectation_projection(
+            jones.MatrixSpan(mats=tuple(jones.spanning_matrices(spec, n))), n)
+        assert end.spec is spec
+        assert numkit.frobenius(end.basis @ adj(end.basis) - ref.basis @ adj(ref.basis)) <= 1e-12
+        measured = jones._product_residual(end.basis, jones._members(end.basis, n))
+        dense = dense_closure(end.big, n, end.basis)
+        assert max(dense, measured) <= end.closure <= end.big.tol.atol_structure
+
+    def test_no_product_stack_is_formed(self, monkeypatch):
+        n = 6
+        jones._shared_end(jones.diagonal_spec(n), n, pg.DEFAULT_TOL)
+        products = record(monkeypatch, jones, "_product_residual")
+        path = jones.expectation_path(
+            jones.diagonal_spec(n), jones.rotated_diagonal_spec(n, 0.3), n)
+        assert products == [] and 0.0 < path.end1.closure <= 1e-12
+
+    def test_a_direct_build_stays_measured(self, monkeypatch):
+        products = record(monkeypatch, jones, "_product_residual")
+        ep = jones.expectation_projection(jones.rotated_diagonal_spec(6, 0.3), 6)
+        ref = jones.expectation_projection(rotated_span(6, 0.3), 6)
+        assert len(products) == 2 and np.array_equal(ep.basis, ref.basis)
+        assert ep.closure == ref.closure == products[0][1]
+
+    @staticmethod
+    def path_end(spec, n, caplog):
+        """The end of a path from spec's base to spec, built after the base,
+        with the DEBUG records of that end alone left in caplog."""
+        jones._shared_end(spec.base, n, pg.DEFAULT_TOL)
+        with caplog.at_level(logging.DEBUG, logger="projgeo"):
+            caplog.clear()
+            return jones.expectation_path(spec.base, spec, n).end1
+
+    @pytest.mark.parametrize("kind", ["scaled", "perturbed"])
+    def test_a_u_off_unitary_ends_as_the_equal_matrix_span(self, kind, caplog):
+        n = 4
+        rotation = jones.rotated_diagonal_spec(n, 0.3).u
+        # a scaled rotation still spans an algebra; a perturbed one does not
+        u = (1.001 * rotation if kind == "scaled"
+             else rotation + 1e-3 * np.random.default_rng(47).normal(size=(n, n)))
+        spec = jones.Conjugated(jones.diagonal_spec(n), u)
+        span = jones.MatrixSpan(mats=tuple(jones.spanning_matrices(spec, n)))
+        if kind == "scaled":
+            end, ref = self.path_end(spec, n, caplog), jones.expectation_projection(span, n)
+            assert np.array_equal(end.basis, ref.basis) and end.closure == ref.closure
+        else:
+            with pytest.raises(NotSubalgebra):
+                self.path_end(spec, n, caplog)
+            with pytest.raises(NotSubalgebra):
+                jones.expectation_projection(span, n)
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert caplog.records[0].getMessage().startswith("conjugated end closure bound: inf")
+
+    @pytest.mark.parametrize("value", [math.nan, 2 * pg.DEFAULT_TOL.atol_structure])
+    def test_a_closure_bound_that_cannot_settle_measures(self, value, monkeypatch, caplog):
+        monkeypatch.setattr(jones, "_conjugated_closure", lambda *args: value)
+        spec = jones.rotated_diagonal_spec(6, 0.3)
+        end = self.path_end(spec, 6, caplog)
+        ref = jones.expectation_projection(rotated_span(6, 0.3), 6)
+        assert np.array_equal(end.basis, ref.basis) and end.closure == ref.closure
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert caplog.records[0].getMessage().startswith("conjugated end closure bound: ")
+
+    def test_axiom_bounds_that_cannot_settle_measure(self, monkeypatch, caplog):
+        real = jones._axiom_bounds
+        monkeypatch.setattr(jones, "_axiom_bounds", lambda *args: (*real(*args)[:5], math.nan))
+        spec = jones.rotated_diagonal_spec(6, 0.3)
+        jones._shared_end(spec.base, 6, pg.DEFAULT_TOL)  # its _axioms call is not counted
+        axioms = record(monkeypatch, jones, "_axioms")
+        end = self.path_end(spec, 6, caplog)
+        # the conjugated end's bounds do not settle, then the measured
+        # build's do not, and that build measures once
+        assert len(axioms) == 1 and [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "expectation axioms bound"] * 2
+        ref = jones.expectation_projection(rotated_span(6, 0.3), 6)
+        assert np.array_equal(end.basis, ref.basis) and end.closure == ref.closure
+
+    def test_a_base_that_is_not_compared_by_value_or_a_u_of_another_size_is_refused(self):
+        with pytest.raises(TypeError, match="BlockPartition or a TensorFactor"):
+            jones.Conjugated(rotated_span(3, 0.3), np.eye(3))
+        with pytest.raises(ValueError, match="finite"):
+            jones.Conjugated(jones.diagonal_spec(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        spec = jones.Conjugated(jones.diagonal_spec(3), np.eye(4))
+        for call in (lambda: jones.check_size(spec, 3),
+                     lambda: jones.expectation_path(jones.diagonal_spec(3), spec, 3)):
+            with pytest.raises(ValueError, match=r"shape \(4, 4\), not \(3, 3\)"):
+                call()
+
+    def test_u_is_a_read_only_copy(self):
+        u = np.eye(3, dtype=np.complex128)
+        spec = jones.Conjugated(jones.diagonal_spec(3), u)
+        u[0, 0] = 2.0
+        assert spec.u[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.u[0, 0] = 2.0
