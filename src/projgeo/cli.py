@@ -10,6 +10,7 @@ geodesic / endpoints too far).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -110,8 +111,18 @@ def _load_projection(path, tol) -> projlat.Projection:
     return projlat.make_projection(read_matrix(path), tol)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+@contextlib.contextmanager
+def _naming(flag: str, text: str):
+    """Prefix a ValueError raised in the block with the flag and its value."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{flag} {text!r}: {exc}") from None
+
+
+def _float_list(flag: str, text: str) -> list[float]:
+    with _naming(flag, text):
+        return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def parse_subalgebra(text: str, n: int):
@@ -179,7 +190,7 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_geodesic(args) -> dict:
-    ts = _float_list(args.t)
+    ts = _float_list("--t", args.t)
     files = [f"point_{t:.6f}.json" for t in ts] if args.out else []
     for i, name in enumerate(files):
         if (j := files.index(name)) < i:
@@ -189,7 +200,7 @@ def cmd_geodesic(args) -> dict:
     q = _load_projection(args.q_file, tol)
     pos = projlat.position(p, q)
     g = geo.position_exponent(pos)
-    rhos = _float_list(args.rho)
+    rhos = _float_list("--rho", args.rho)
     tr = factor.NormalizedTrace(factor.FiniteAlgebra.full(p.n))
     points = {t: geo.geodesic_point(g, t) for t in ts}
     results = {
@@ -218,7 +229,7 @@ def cmd_jones(args) -> dict:
     d, d_rho = jones.index_distance(jp)
     closed = math.acos(math.sqrt(jp.tau))
     rho_entries = []
-    for rho in _float_list(args.rho):
+    for rho in _float_list("--rho", args.rho):
         try:
             value, message = d_rho(rho), None
         except InvariantViolation as exc:
@@ -252,11 +263,9 @@ def cmd_transport(args) -> dict:
     tol = _tolerance(args)
     specs = []
     for flag, text in (("--spec0", args.spec0), ("--spec1", args.spec1)):
-        try:
+        with _naming(flag, text):
             spec = parse_subalgebra(text, args.n)
             jones.check_size(spec, args.n)
-        except ValueError as exc:
-            raise ValueError(f"{flag} {text!r}: {exc}") from None
         specs.append(spec)
     path = jones.expectation_path(*specs, args.n, tol)
     rng = np.random.default_rng(args.seed)
@@ -298,7 +307,8 @@ def cmd_random(args) -> dict:
     if not 1 <= args.trials <= MAX_RANDOM_TRIALS:
         raise ValueError(f"--trials must lie in [1, {MAX_RANDOM_TRIALS}]")
     tol = _tolerance(args)
-    ranks = [int(v) for v in args.ranks.split(",")] if args.ranks else None
+    with _naming("--ranks", args.ranks):
+        ranks = [int(v) for v in args.ranks.split(",")] if args.ranks else None
     if ranks is not None and not all(0 <= r <= args.n for r in ranks):
         raise ValueError(f"--ranks must lie in [0, {args.n}]")
     if ranks is not None and (len(ranks) > 2 or args.force_wedge):

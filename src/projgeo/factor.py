@@ -8,6 +8,7 @@ counterexamples, since equivalence must be witnessed inside the algebra
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -166,6 +167,8 @@ def orthogonal_pair(a: FiniteAlgebra, r, seed: int | None = None
     """
     if len(a.blocks) != 1:
         raise ValueError("orthogonal_pair needs a single-block algebra")
+    if not math.isfinite(r):
+        raise BadTrace(f"the trace r = {r} is not finite")
     n = a.n
     rn = Fraction(r).limit_denominator(10 ** 9) * n
     if rn.denominator != 1:

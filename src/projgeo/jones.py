@@ -10,6 +10,7 @@ subalgebras then induce the trace-preserving conditional expectations.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -206,19 +207,27 @@ class ExpectationProjection:
 
     The induced map E(x) = B (B* vec x), B the orthonormal ``basis`` (so
     ``big.m``, formed only when read, is the symmetrized B B*), is the
-    trace-preserving conditional expectation onto the subalgebra.
+    trace-preserving conditional expectation onto the subalgebra; ``basis``
+    and ``n`` are read off ``big``.
 
     ``closure`` is the product residual kappa, the largest distance of a
     product of two members from the span: as measured, for an end that
-    :func:`expectation_projection` built, and the certified upper bound
-    that settled it, for a conjugated end of :func:`expectation_path`.
+    :func:`expectation_projection` built, and for a conjugated end of
+    :func:`expectation_path` the certified upper bound that settled it, or
+    where none settled, as measured on the conjugated basis.
     """
 
     big: Projection
     spec: SubalgebraSpec
-    n: int
-    basis: np.ndarray  # n^2 x r, orthonormal columns spanning the range
     closure: float
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.big.basis
+
+    @property
+    def n(self) -> int:
+        return math.isqrt(self.big.n)
 
     def expect(self, x) -> np.ndarray:
         return _expect(self.basis, _square(x, self.n, "x")[None])[0]
@@ -280,42 +289,45 @@ def expectation_projection(spec: SubalgebraSpec, n: int,
                            ) -> ExpectationProjection:
     """Build the expectation projection for a unital *-subalgebra of M_n.
 
-    The spanning set is orthonormalized on the Hilbert-Schmidt space;
-    closure under adjoints and products and the presence of the identity
-    are validated, raising NotSubalgebra on failure.
-
-    The conditional-expectation axioms of E = B B*, B the orthonormal
-    ``basis``, are then guarded by :func:`_axiom_bounds`: upper bounds of
-    every field of :func:`_axioms`, read off what the build measured (the
-    Gram residual ``big.basis_residual``, the unit and adjoint span
-    residuals and the closure residual). Where :func:`numkit.settles`
-    accepts all six at ``atol_structure`` (site "expectation axioms
-    bound") nothing more is measured; otherwise one :func:`_axioms` pass
-    measures the fields, and the InternalConsistencyError carries the largest.
+    The spanning set is orthonormalized on the Hilbert-Schmidt space by one
+    SVD, the closure residual of the basis is measured over its r^2 member
+    products, and :func:`_validated_end` accepts the end (NotSubalgebra
+    unless the span is closed under adjoints and products and holds the
+    identity). Nothing is cached, a Conjugated spec included: this is the
+    fully measured reference build.
     """
-    mats = spanning_matrices(spec, n)
-    basis = _orthonormal_range(mats, n, tol)
+    basis = _orthonormal_range(spanning_matrices(spec, n), n, tol)
     members = _members(basis, n)
-    closure = _product_residual(basis, members)
-    spans = _unit_star_residuals(basis, members, n)
-    res = numkit.worst((spans.max(), closure))
-    if numkit.exceeds(res, tol.atol_structure):
-        raise NotSubalgebra(f"span is not a unital *-subalgebra (residual {res:.3e})")
-    big = projlat._from_orthonormal(basis, tol)
+    return _validated_end(spec, n, tol, basis, members, _product_residual(basis, members))
+
+
+def _validated_end(spec: SubalgebraSpec, n: int, tol: ToleranceProfile, basis: np.ndarray,
+                   members: np.ndarray, closure: float,
+                   big: Projection | None = None) -> ExpectationProjection:
+    """The end of ``spec`` spanned by the basis B of the ``members``, by the
+    one rule of every end: the product residual ``closure`` (measured, or a
+    bound that settled) and the span residuals of the unit and the member
+    adjoints must lie within ``atol_structure``, else NotSubalgebra; then
+    the Gram of B (:func:`projlat._from_orthonormal`, unless the caller
+    passes the ``big`` it built from B); then the axioms of E = B B*, as
+    the bounds of :func:`_axiom_bounds` read off those residuals. Where one
+    cannot settle (site "expectation axioms bound"), one
+    :func:`expectation_axioms` pass measures every field, and the
+    InternalConsistencyError carries the largest."""
     atol = tol.atol_structure
+    spans = _span_residuals(basis, np.concatenate([np.eye(n)[None], _adjoints(members)]))
+    res = numkit.worst((spans.max(), closure))
+    if numkit.exceeds(res, atol):
+        raise NotSubalgebra(f"span is not a unital *-subalgebra (residual {res:.3e})")
+    if big is None:
+        big = projlat._from_orthonormal(basis, tol)
     bounds = _axiom_bounds(basis, n, big.basis_residual, spans, closure)
     if not numkit.settles("expectation axioms bound", atol, *bounds):
-        res = _axioms(basis, n, closure, atol).max()
+        res = expectation_axioms(big, n).max()
         if numkit.exceeds(res, atol):
             raise InternalConsistencyError(
                 f"expectation axioms fail on a validated subalgebra ({res:.3e})")
-    return ExpectationProjection(big=big, spec=spec, n=n, basis=basis, closure=closure)
-
-
-def _unit_star_residuals(basis: np.ndarray, members: np.ndarray, n: int) -> np.ndarray:
-    """The span residuals of the unit and of the member adjoints, in that
-    order, one :func:`_span_residuals` over r + 1 rows."""
-    return _span_residuals(basis, np.concatenate([np.eye(n)[None], _adjoints(members)]))
+    return ExpectationProjection(big=big, spec=spec, closure=closure)
 
 
 @dataclass(frozen=True)
@@ -352,14 +364,16 @@ def _adjoints(mats: np.ndarray) -> np.ndarray:
 
 def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
     """Measure the conditional-expectation axioms of E = B B* on HS(M_n),
-    B = ``big.basis``, against its own range algebra, each residual an
-    exact operator norm except the certified ``bimodule``
-    (:class:`ExpectationAxioms`). E equals ``big.m`` to rounding for every
-    projection the library builds from orthonormal columns. The closure
-    residual is taken over the member products in blocks of
-    :func:`_product_blocks`, and the test matrices are drawn once per n
-    (:func:`_axiom_samples`). Raises DimensionMismatch unless ``big`` acts
-    on the n^2-dimensional space.
+    B = ``big.basis`` (n^2 x r, orthonormal), applied as :func:`_expect`,
+    against the range algebra B spans, each norm field an exact
+    :func:`numkit.operator_norm` except the certified ``bimodule``
+    (:class:`ExpectationAxioms`); E equals ``big.m`` to rounding for every
+    projection the library builds from orthonormal columns. E E - E = B M B*
+    (M = G - 1, G = B* B) has the norm of the r x r matrix M G, both max
+    |s^2 (s^2 - 1)| over the singular values s of B. The closure residual
+    is taken over the member products in blocks of :func:`_product_blocks`,
+    and the test matrices are drawn once per n (:func:`_axiom_samples`).
+    Raises DimensionMismatch unless ``big`` acts on the n^2-dimensional space.
 
     At an interior point of an :class:`ExpectationPath` the ``closure`` and
     ``bimodule`` fields are measurements of the path, not checks: the range
@@ -370,8 +384,38 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
         raise DimensionMismatch(
             f"projection acts on dimension {big.n}, not n^2 = {n * n} for n = {n}")
     basis = big.basis
-    return _axioms(basis, n, _product_residual(basis, _members(basis, n)),
-                   big.tol.atol_structure)
+    members = _members(basis, n)
+    closure = _product_residual(basis, members)
+    r = basis.shape[1]
+    gram = adjoint(basis) @ basis
+    idempotent = operator_norm((gram - np.eye(r)) @ gram)
+    xs, x_norm = _axiom_samples(n)
+    exs = _expect(basis, xs)
+    eye = np.eye(n, dtype=np.complex128)
+
+    unital = operator_norm(_expect(basis, eye[None]) - eye)
+    star = operator_norm(_expect(basis, _adjoints(xs)) - _adjoints(exs))
+    dtr = np.trace(exs, axis1=1, axis2=2) - np.trace(xs, axis1=1, axis2=2)
+    # hypot is abs() of each complex scalar bit for bit; np.abs of a complex
+    # array can differ from it in the last bit
+    tr = (np.hypot(dtr.real, dtr.imag) / n).max()
+    sigma = _span_residuals(basis, _adjoints(members)).max(initial=0.0)
+    bimod = _bimodule_bound(
+        basis, members, numkit.frobenius(gram - np.eye(r)),
+        math.sqrt(np.abs(np.diagonal(gram)).max(initial=0.0)), sigma, closure,
+        x_norm, _rounding_terms(basis, n))
+    if not numkit.settles("bimodule bound", big.tol.atol_structure, bimod):
+        # one left factor a at a time; a x b and a E(x) b come from one
+        # call, as the two halves of its stack
+        both = np.concatenate([xs, exs])
+
+        def bimodule(a) -> float:
+            prods = _sandwich(a, both, members).reshape(2, -1, n, n)
+            return operator_norm(_expect(basis, prods[0]) - prods[1])
+
+        bimod = numkit.worst(map(bimodule, members))
+    return ExpectationAxioms(idempotent=idempotent, unital=unital, star=star,
+                             trace=float(tr), bimodule=bimod, closure=closure)
 
 
 def _rounding_terms(basis: np.ndarray, n: int) -> tuple[float, float]:
@@ -398,7 +442,7 @@ def _bimodule_bound(basis: np.ndarray, members: np.ndarray, eps: float, mu: floa
                     rounding: tuple[float, float]) -> float:
     """An upper bound of max ||E(a x b) - a E(x) b|| over the samples x and
     the members a, b, for E = B B*, B = ``basis``, as the sandwich of
-    :func:`_axioms` would measure it. It needs no product of members.
+    :func:`expectation_axioms` would measure it. It needs no product of members.
 
     The exact-arithmetic part is 2 (1 + eps)^3 mu X (sigma + sqrt(r)
     (1 + phi) kappa), with eps >= ||B* B - 1||, mu >= the largest member
@@ -419,12 +463,12 @@ def _bimodule_bound(basis: np.ndarray, members: np.ndarray, eps: float, mu: floa
 
 def _axiom_bounds(basis: np.ndarray, n: int, eps: float, spans: np.ndarray,
                   closure: float) -> tuple[float, ...]:
-    """Upper bounds of the six fields of :func:`_axioms` (idempotent,
-    unital, star, trace, bimodule, closure) at the n^2 x r ``basis`` B, from
+    """Upper bounds of the six fields of :func:`expectation_axioms`
+    (idempotent, unital, star, trace, bimodule, closure) at the n^2 x r ``basis`` B, from
     numbers its build measured: eps = ||B* B - 1||, ``spans`` = the span
     residuals rho_1 of the unit and sigma_k of the member adjoints m_k*
     (:func:`_span_residuals`, in that order), and the product residual
-    ``closure``, with X the largest sample norm (:func:`_sample_norm`).
+    ``closure``, with X the largest sample norm (:func:`_axiom_samples`).
     In exact arithmetic, for eps < 1/2 and P = B B*: idempotent <= eps (1 +
     eps); unital <= rho_1; trace <= rho_1 X / n, as tr(P x) - tr x =
     <P 1 - 1, x>; star <= X ||P - J P J|| <= X (2 eps + (||sigma||_2 +
@@ -435,7 +479,7 @@ def _axiom_bounds(basis: np.ndarray, n: int, eps: float, spans: np.ndarray,
     with eps <= 1/4 as :func:`projlat._from_orthonormal` accepted it."""
     r = basis.shape[1]
     g = numkit.complex_dot_error
-    x_norm = _sample_norm(n)
+    x_norm = _axiom_samples(n)[1]
     rounding = _rounding_terms(basis, n)
     delta = (1.0 + eps) * rounding[1]  # one E v, per ||v||_F
     # a span residual of a vector of norm at most sqrt(1 + eps) rounds by at
@@ -464,65 +508,15 @@ def _sandwich(a: np.ndarray, ys: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _axiom_samples(n: int) -> np.ndarray:
-    """The AXIOM_SAMPLES test matrices of :func:`_axioms` at size n, drawn
-    from AXIOM_SEED once per n, as a read-only (AXIOM_SAMPLES, n, n) stack."""
+def _axiom_samples(n: int) -> tuple[np.ndarray, float]:
+    """(xs, X): the AXIOM_SAMPLES test matrices of :func:`expectation_axioms`
+    at size n, drawn from AXIOM_SEED once per n, as a read-only
+    (AXIOM_SAMPLES, n, n) stack, and X, their largest Frobenius norm."""
     rng = np.random.default_rng(AXIOM_SEED)
     xs = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                    for _ in range(AXIOM_SAMPLES)])
     xs.flags.writeable = False
-    return xs
-
-
-@functools.lru_cache(maxsize=8)
-def _sample_norm(n: int) -> float:
-    """X, the largest Frobenius norm of the :func:`_axiom_samples` at size n,
-    taken once per n."""
-    return float(numkit.frobenius(_axiom_samples(n)).max(initial=0.0))
-
-
-def _axioms(basis: np.ndarray, n: int, closure: float, atol: float) -> ExpectationAxioms:
-    """The axioms of E = B B*, B = ``basis`` (n^2 x r, orthonormal), onto
-    the range algebra B spans, applied as :func:`_expect`, each norm field
-    an exact :func:`numkit.operator_norm`. The idempotency E E - E = B M B*
-    with M = G - 1, G = B* B, has the norm of the r x r matrix M G (both are
-    max |s^2 (s^2 - 1)| over the singular values s of B); the product
-    residual ``closure`` comes measured by the caller.
-
-    The bimodule field is :func:`_bimodule_bound` where :func:`numkit.settles`
-    accepts it at ``atol``; only otherwise are the r^2 sandwich products
-    formed and measured."""
-    members = _members(basis, n)
-    r = basis.shape[1]
-    gram = adjoint(basis) @ basis
-    idempotent = operator_norm((gram - np.eye(r)) @ gram)
-    xs = _axiom_samples(n)
-    exs = _expect(basis, xs)
-    eye = np.eye(n, dtype=np.complex128)
-
-    unital = operator_norm(_expect(basis, eye[None]) - eye)
-    star = operator_norm(_expect(basis, _adjoints(xs)) - _adjoints(exs))
-    dtr = np.trace(exs, axis1=1, axis2=2) - np.trace(xs, axis1=1, axis2=2)
-    # hypot is abs() of each complex scalar bit for bit; np.abs of a complex
-    # array can differ from it in the last bit
-    tr = (np.hypot(dtr.real, dtr.imag) / n).max()
-    sigma = _span_residuals(basis, _adjoints(members)).max(initial=0.0)
-    bimod = _bimodule_bound(
-        basis, members, numkit.frobenius(gram - np.eye(r)),
-        math.sqrt(np.abs(np.diagonal(gram)).max(initial=0.0)), sigma, closure,
-        _sample_norm(n), _rounding_terms(basis, n))
-    if not numkit.settles("bimodule bound", atol, bimod):
-        # one left factor a at a time; a x b and a E(x) b come from one
-        # call, as the two halves of its stack
-        both = np.concatenate([xs, exs])
-
-        def bimodule(a) -> float:
-            prods = _sandwich(a, both, members).reshape(2, -1, n, n)
-            return operator_norm(_expect(basis, prods[0]) - prods[1])
-
-        bimod = numkit.worst(map(bimodule, members))
-    return ExpectationAxioms(idempotent=idempotent, unital=unital, star=star,
-                             trace=float(tr), bimodule=bimod, closure=closure)
+    return xs, float(numkit.frobenius(xs).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -708,39 +702,39 @@ def _conjugated_closure(kappa: float, eps0: float, eps1: float, eta: float,
 
 def _conjugated_end(spec: Conjugated, n: int, tol: ToleranceProfile) -> ExpectationProjection:
     """The end of ``spec`` = u A u* as Ad(u) of the shared end of A: the
-    members u M_k u* from one batched product, their Gram (by
-    :func:`projlat._from_orthonormal`), unit and adjoint span residuals
-    measured, and the closure residual the certified bound of
-    :func:`_conjugated_closure`. That bound goes through
-    :func:`numkit.settles` at ``atol_structure`` (site "conjugated end
-    closure bound"), the span residuals must lie within it as the
-    ``NotSubalgebra`` test asks, and the axiom bounds of :func:`_axiom_bounds`
-    settle as in :func:`expectation_projection`. Where any of them does not
-    (a Gram that ``_from_orthonormal`` rejects gives an infinite bound), the
-    end is :func:`expectation_projection`'s measured build of the spanning
-    set, which raises as the equal MatrixSpan does."""
+    members u M_k u* from one batched product, their vecs the basis, whose
+    Gram :func:`projlat._from_orthonormal` validates. The closure residual
+    is the certified bound of :func:`_conjugated_closure` where
+    :func:`numkit.settles` accepts it at ``atol_structure`` (site
+    "conjugated end closure bound"), and else measured on this basis by
+    :func:`_product_residual`; :func:`_validated_end` then accepts the end
+    as it accepts every build.
+
+    Ad(u) E_A Ad(u)* is the expectation onto u A u* only for a unitary u, and
+    a basis off orthonormal by eps_1 moves each checked residual by about
+    eps_1. So unless eta = ||u* u - 1|| lies within ten times its rounding
+    n g(n) (g = :func:`numkit.complex_dot_error`) and ``_from_orthonormal``
+    accepts the basis, the bound is inf and the end is
+    :func:`expectation_projection`'s build of the spanning set, which raises
+    as the equal MatrixSpan does."""
     check_size(spec, n)
     base = _shared_end(spec.base, n, tol)
     u, r = spec.u, base.basis.shape[1]
+    eta = numkit.frobenius(adjoint(u) @ u - np.eye(n))
     members = u @ _members(base.basis, n) @ adjoint(u)
     basis = members.reshape(r, n * n).T
-    spans = _unit_star_residuals(basis, members, n)
-    atol = tol.atol_structure
-    try:
-        big = projlat._from_orthonormal(basis, tol)
-    except NotProjection:
-        closure = math.inf
-    else:
-        eta = numkit.frobenius(adjoint(u) @ u - np.eye(n))
-        closure = _conjugated_closure(
-            base.closure, _gram_bound(base.big.basis_residual, n * n, r),
-            _gram_bound(big.basis_residual, n * n, r), _gram_bound(eta, n, n), n, r)
-    if (numkit.settles("conjugated end closure bound", atol, closure)
-            and not numkit.exceeds(spans.max(), atol)
-            and numkit.settles("expectation axioms bound", atol, *_axiom_bounds(
-                basis, n, big.basis_residual, spans, closure))):
-        return ExpectationProjection(big=big, spec=spec, n=n, basis=basis, closure=closure)
-    return expectation_projection(spec, n, tol)
+    big = None
+    if not numkit.exceeds(eta, 10.0 * n * numkit.complex_dot_error(n)):
+        with contextlib.suppress(NotProjection):
+            big = projlat._from_orthonormal(basis, tol)
+    closure = math.inf if big is None else _conjugated_closure(
+        base.closure, _gram_bound(base.big.basis_residual, n * n, r),
+        _gram_bound(big.basis_residual, n * n, r), _gram_bound(eta, n, n), n, r)
+    if not numkit.settles("conjugated end closure bound", tol.atol_structure, closure):
+        if big is None:
+            return expectation_projection(spec, n, tol)
+        closure = _product_residual(basis, members)
+    return _validated_end(spec, n, tol, basis, members, closure, big)
 
 
 def _path_end(spec: SubalgebraSpec, n: int, tol: ToleranceProfile) -> ExpectationProjection:
@@ -753,23 +747,20 @@ def _path_end(spec: SubalgebraSpec, n: int, tol: ToleranceProfile) -> Expectatio
 
 
 def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
-                     tol: ToleranceProfile = DEFAULT_TOL,
-                     check_distance: bool = True) -> ExpectationPath:
+                     tol: ToleranceProfile = DEFAULT_TOL) -> ExpectationPath:
     """The minimal geodesic between two expectation projections.
 
     Requires the gap ||e0 - e1|| to be below 1 (raising TooFar at the
     boundary), which guarantees a unique normalized geodesic. Its inner
     points need not be conditional expectations: their ranges can fail to
-    be closed under products (README). Passing check_distance=False
-    skips the guard; the resulting path is the experiment for the open
-    boundary regime and comes with no guarantees.
+    be closed under products (README).
 
-    The gap is read off the position of (e0, e1), built once and handed to
-    the exponent: 1 when a wedge part is classified (a principal angle
-    with sine at least 1 - atol_spectral, or unpaired range), and the sine
-    of the largest generic angle otherwise, ||e0 - e1|| with the planes
-    absorbed into a meet counted as angle 0: a verdict, as the exponent
-    turns them. TooFar is raised exactly when a wedge part is classified.
+    The position of (e0, e1) is built once and handed to the exponent.
+    TooFar is raised exactly when it classifies a wedge part (a principal
+    angle with sine at least 1 - atol_spectral, or unpaired range); else the
+    gap is the sine of the largest generic angle, ||e0 - e1|| with the
+    planes absorbed into a meet counted as angle 0: a verdict, as the
+    exponent turns them.
 
     An end given by a spec that compares by value, a BlockPartition (so
     :func:`diagonal_spec`) or a TensorFactor, comes from a process cache
@@ -781,13 +772,10 @@ def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
     build (and its one ``settles`` DEBUG record, if any) made once. A
     Conjugated end u A u* (so :func:`rotated_diagonal_spec`) is Ad(u) of the
     shared end of A, built on every call with its closure residual
-    certified from the base's build, and the measured build of its
-    spanning set wherever that certificate cannot settle
-    (:func:`_conjugated_end`). A MatrixSpan end, compared by identity over
-    arrays the caller owns, is built on every call; a build that raises is
-    not kept; and :func:`expectation_projection` itself caches nothing, a
-    Conjugated spec included. The transport benchmark's paths need three
-    entries. An entry grows with n^4 and is
+    certified from the base's build (:func:`_conjugated_end`). A MatrixSpan
+    end, compared by identity over arrays the caller owns, is built on every
+    call, and a build that raises is not kept. The transport benchmark's
+    paths need three entries. An entry grows with n^4 and is
     held until it is evicted or ``_shared_end.cache_clear()`` is called:
     the n^2 x n^2 basis of a single-group BlockPartition (or of
     TensorFactor(n, 1)), 16 MiB at the CLI cap n = 32 and 256 MiB at
@@ -795,12 +783,10 @@ def expectation_path(spec0: SubalgebraSpec, spec1: SubalgebraSpec, n: int,
     """
     end0, end1 = (_path_end(spec, n, tol) for spec in (spec0, spec1))
     pos = projlat.position(end0.big, end1.big)
-    wedge = not pos.exists() or not pos.unique()
-    gap = 1.0 if wedge else math.sin(pos.angles.max(initial=0.0))
-    if check_distance and wedge:
-        raise TooFar(f"||e0 - e1|| = {gap:.6f} is not below 1")
-    z = geo.position_exponent(pos)
-    return ExpectationPath(z=z, end0=end0, end1=end1, n=n, gap=gap)
+    if not pos.exists() or not pos.unique():
+        raise TooFar("||e0 - e1|| = 1.000000 is not below 1")
+    return ExpectationPath(z=geo.position_exponent(pos), end0=end0, end1=end1, n=n,
+                           gap=math.sin(pos.angles.max(initial=0.0)))
 
 
 def _rk4_coordinates(path: ExpectationPath, x0, steps: int):

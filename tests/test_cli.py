@@ -459,9 +459,10 @@ class TestParser:
 # reaches an expensive run.
 HUGE = str(10 ** 12)
 COUNT_PAST = ("0", "-1", HUGE, "nan", "1e3")
-RHO = ("", "1", "2,4", "1e308"), ("0", "-1", "0.5", "nan", "inf")
+RHO = ("", "1", "2,4", "1e308"), ("0", "-1", "0.5", "nan", "inf", "abc")
 COLLIDING = "0.1234561,0.1234564"
 SIZE_CAUSES = ("does not match n =", "must partition the coordinates", "spanning matrix")
+PARSE_CAUSES = ("could not convert string to float", "invalid literal for int()")
 COMMON = [
     ("--tol-structure", ("1e-8", "1e300"), ("0", "-1", "nan", "inf", "-inf"), False),
     # 0.3 and up lie past the cap 1 - 1/sqrt(2), where the windows overlap,
@@ -563,6 +564,8 @@ def test_every_invocation_ends_in_a_documented_exit(docs):
     @example((["random", "--n", "6", "--ranks", "3", "--force-wedge"], True))
     @example((["geodesic", docs[0], docs[1], "--t", COLLIDING, "--out", docs[0] + ".out"], True))
     @example((["transport", "--n", "4", "--spec0", "diagonal", "--spec1", "tensor:1x2"], False))
+    @example((["jones", "--m", "3", "--rho", "abc"], True))
+    @example((["random", "--n", "4", "--ranks", "3,"], True))
     @given(command_grammar(docs))
     def run(drawn):
         argv, past_range = drawn
@@ -574,5 +577,8 @@ def test_every_invocation_ends_in_a_documented_exit(docs):
         # a spec of another size than --n (a good spec file at --n 3) names its flag
         if any(cause in err.getvalue() for cause in SIZE_CAUSES):
             assert re.match(r"error: --spec[01] '", err.getvalue()), err.getvalue()
+        # so does a value of a list flag that does not parse
+        if any(cause in err.getvalue() for cause in PARSE_CAUSES):
+            assert re.match(r"error: --(t|rho|ranks|spec[01]) '", err.getvalue()), err.getvalue()
 
     run()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -141,6 +143,12 @@ class TestOrthogonalPair:
     def test_non_integer_rank(self):
         with pytest.raises(BadTrace):
             factor.orthogonal_pair(factor.FiniteAlgebra.full(4), 3 / 8)
+
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_a_trace_that_is_not_finite_is_refused(self, r):
+        # Fraction(r) would raise OverflowError or ValueError, naming neither
+        with pytest.raises(BadTrace, match=f"the trace r = {r} is not finite"):
+            factor.orthogonal_pair(factor.FiniteAlgebra.full(4), r)
 
     def test_seeded_conjugation_keeps_structure(self):
         alg = factor.FiniteAlgebra.full(6)

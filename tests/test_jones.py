@@ -1,3 +1,4 @@
+import ast
 import json
 import logging
 import math
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projgeo as pg
-from projgeo import cli, factor, jones, numkit, projlat
+from projgeo import cli, factor, geo, jones, numkit, projlat
 from projgeo.errors import (DimensionMismatch, InternalConsistencyError,
                              InvariantViolation, NotSubalgebra, TooFar)
 
 from _helpers import adj, conjugated_subalgebras, unitary
+from test_norm_kernel import modules
 
 
 class TestJonesPair:
@@ -251,18 +253,19 @@ class TestProductBlocks:
         first = jones.expectation_axioms(big, 4)
         assert jones.expectation_axioms(big, 4) == first
         assert [args for args, _ in rngs] == [(jones.AXIOM_SEED,)]
-        xs = jones._axiom_samples(4)
+        xs, x_norm = jones._axiom_samples(4)
         assert not xs.flags.writeable
         rng = np.random.default_rng(jones.AXIOM_SEED)
         for x in xs:
             assert (x == rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))).all()
+        assert x_norm == max(np.linalg.norm(x) for x in xs)
 
     def test_axioms_reject_a_projection_of_another_size(self, monkeypatch):
         ep = jones.expectation_projection(jones.diagonal_spec(3), 3)
-        axioms = record(monkeypatch, jones, "_axioms")
+        products = record(monkeypatch, jones, "_product_residual")
         with pytest.raises(DimensionMismatch, match=r"dimension 9, not n\^2 = 4 for n = 2"):
             jones.expectation_axioms(ep.big, 2)
-        assert axioms == []
+        assert products == []
 
 
 def test_rotated_spec_needs_two_coordinates():
@@ -290,17 +293,22 @@ class TestBuildTimeAxiomCheck:
         assert [np.shape(args[0]) for args, _ in svds] == [(36, 6)]
 
     def test_exact_check_decides_above_the_bound_tolerance(self, monkeypatch):
-        axioms = record(monkeypatch, jones, "_axioms")
+        axioms = record(monkeypatch, jones, "expectation_axioms")
         spec = jones.rotated_diagonal_spec(6, 0.3)
         jones.expectation_projection(spec, 6)
         assert axioms == []  # the build's certificate settles every field
         # the sample norm X now reads 1e9 times its value: it lifts the
         # certificate's star, trace and bimodule bounds over atol_structure,
-        # so the one _axioms pass runs, and its bimodule bound, built from X,
-        # exceeds it too. The span residuals, Frobenius norms of rows that
-        # the subalgebra check reads, are left as measured
-        real = jones._sample_norm.__wrapped__
-        monkeypatch.setattr(jones, "_sample_norm", lambda n: 1e9 * real(n))
+        # so the one expectation_axioms pass runs, and its bimodule bound,
+        # built from X, exceeds it too. The span residuals, Frobenius norms of
+        # rows that the subalgebra check reads, are left as measured
+        real = jones._axiom_samples
+
+        def lifted(n):
+            xs, x_norm = real(n)
+            return xs, 1e9 * x_norm
+
+        monkeypatch.setattr(jones, "_axiom_samples", lifted)
         checks = record(monkeypatch, numkit, "bounded_norm")
         norms = record(monkeypatch, jones, "operator_norm")
         axioms.clear()
@@ -333,19 +341,29 @@ class TestBuildTimeAxiomCheck:
             jones.expectation_projection(spec, 2)
         monkeypatch.setattr(jones, "_product_residual", lambda basis, members: 0.0)
         monkeypatch.setattr(jones, "_bimodule_bound", lambda *args: math.nan)
-        axioms = record(monkeypatch, jones, "_axioms")
+        axioms = record(monkeypatch, jones, "expectation_axioms")
         with pytest.raises(InternalConsistencyError) as info:
             jones.expectation_projection(spec, 2)
-        [(args, found)] = axioms
-        basis = args[0]
-        big = projlat._from_orthonormal(basis, pg.DEFAULT_TOL)
+        [((big, n), found)] = axioms
+        assert n == 2
         exact = jones.expectation_axioms(big, 2)  # every field measured
-        ref = dense_axioms(big, 2, basis)["bimodule"]
+        ref = dense_axioms(big, 2, big.basis)["bimodule"]
         assert found.bimodule == exact.bimodule > 0.1
         assert abs(exact.bimodule - ref) <= 1e-14 * ref
         assert found.max() == exact.max()
         assert str(info.value) == (
             f"expectation axioms fail on a validated subalgebra ({exact.max():.3e})")
+
+
+def quarter_turn_points():
+    """(t, E_t) at t = 0.25, 0.5, 0.75 on the geodesic from the diagonal of
+    M_2 to its quarter-turn rotation, where expectation_path raises TooFar:
+    the gap is 1 and the wedge parts are equivalent, so a geodesic exists
+    but is not unique."""
+    e0, e1 = (jones.expectation_projection(spec, 2).big for spec in (
+        jones.diagonal_spec(2), jones.rotated_diagonal_spec(2, np.pi / 4)))
+    z = geo.position_exponent(projlat.position(e0, e1))
+    return [(t, geo.geodesic_point(z, t)) for t in (0.25, 0.5, 0.75)]
 
 
 class TestExpectationPath:
@@ -454,11 +472,8 @@ class TestExpectationPath:
         # at the boundary gap the geodesic still exists (wedge parts are
         # equivalent) but nothing guarantees its points stay conditional
         # expectations; this just records the measured residuals
-        path = jones.expectation_path(
-            jones.diagonal_spec(2), jones.rotated_diagonal_spec(2, np.pi / 4),
-            2, check_distance=False)
-        for t in (0.25, 0.5, 0.75):
-            ax = jones.expectation_axioms(path.projection_at(t), 2)
+        for _, point in quarter_turn_points():
+            ax = jones.expectation_axioms(point, 2)
             assert np.isfinite(ax.max())
 
 
@@ -646,11 +661,8 @@ class TestBimoduleBound:
         mats = jones.spanning_matrices(jones.rotated_diagonal_spec(3, 0.3), 3)
         noisy = [m + 1e-3 * rng.normal(size=(3, 3)) for m in mats]
         yield "perturbed", projlat.from_span(np.stack([m.reshape(-1) for m in noisy], axis=1)), 3
-        path = jones.expectation_path(
-            jones.diagonal_spec(2), jones.rotated_diagonal_spec(2, np.pi / 4),
-            2, check_distance=False)
-        for t in (0.25, 0.5, 0.75):
-            yield f"quarter turn t={t}", path.projection_at(t), 2
+        for t, point in quarter_turn_points():
+            yield f"quarter turn t={t}", point, 2
 
     def test_open_spans_measure_the_sandwich(self, monkeypatch, caplog):
         sandwiches = record(monkeypatch, jones, "_sandwich")
@@ -722,14 +734,15 @@ def reference_rounding(basis, members):
 
 class TestAxiomCertificate:
     """The build settles its axiom check from _axiom_bounds, which bound
-    every field that _axioms measures, and measures only where they cannot."""
+    every field that expectation_axioms measures, and measures only where
+    they cannot."""
 
     @settings(max_examples=60, deadline=None)
     @given(certified_specs())
     def test_each_bound_dominates_the_measured_and_the_dense_field(self, drawn):
         spec, n = drawn
         ep, bounds = build_certificate(spec, n)
-        exact = jones.expectation_axioms(ep.big, n)  # _axioms(..., 0.0)
+        exact = jones.expectation_axioms(ep.big, n)
         dense = dense_axioms(ep.big, n, ep.basis)
         for field, bound in bounds.items():
             assert getattr(exact, field) <= bound <= ep.big.tol.atol_structure, field
@@ -744,7 +757,7 @@ class TestAxiomCertificate:
             HAAR_4 @ m @ adj(HAAR_4) for m in jones.spanning_matrices(jones.TensorFactor(2, 2), 4))), 4),
     ])
     def test_a_normal_build_measures_and_logs_nothing(self, spec, n, monkeypatch, caplog):
-        axioms = record(monkeypatch, jones, "_axioms")
+        axioms = record(monkeypatch, jones, "expectation_axioms")
         with caplog.at_level(logging.DEBUG, logger="projgeo"):
             jones.expectation_projection(spec, n)
         assert axioms == [] and caplog.records == []
@@ -759,13 +772,14 @@ class TestAxiomCertificate:
             return tuple(value if f == field else b for f, b in zip(FIELDS, real(*args)))
 
         monkeypatch.setattr(jones, "_axiom_bounds", unsettled)
-        axioms = record(monkeypatch, jones, "_axioms")
+        axioms = record(monkeypatch, jones, "expectation_axioms")
         atol = pg.DEFAULT_TOL.atol_structure
         with caplog.at_level(logging.DEBUG, logger="projgeo"):
             ep = jones.expectation_projection(jones.rotated_diagonal_spec(6, 0.3), 6)
         [(args, found)] = axioms
-        assert args[0] is ep.basis and args[1:] == (6, jones._product_residual(
-            ep.basis, jones._members(ep.basis, 6)), atol)
+        assert args == (ep.big, 6)
+        assert found.closure == ep.closure == jones._product_residual(
+            ep.basis, jones._members(ep.basis, 6))
         assert found.max() <= atol
         assert [r.levelno for r in caplog.records] == [logging.DEBUG]
         assert caplog.records[0].getMessage().startswith("expectation axioms bound: ")
@@ -784,7 +798,7 @@ class TestAxiomCertificate:
         eps = numkit.frobenius(gram - np.eye(basis.shape[1]))
         mu = math.sqrt(np.abs(np.diagonal(gram)).max(initial=0.0))
         sigma = jones._span_residuals(basis, jones._adjoints(members)).max(initial=0.0)
-        x_norm = numkit.frobenius(jones._axiom_samples(n)).max(initial=0.0)
+        x_norm = numkit.frobenius(jones._axiom_samples(n)[0]).max(initial=0.0)
         phi = np.abs(adj(basis) @ jones._adjoints(members).reshape(len(members), -1).T).sum(
             axis=0).max(initial=0.0)
         closure = jones._product_residual(basis, members)
@@ -817,11 +831,29 @@ def dense_closure(big, n, basis) -> float:
     return float(np.linalg.norm(prods - prods @ big.m.T, axis=1).max(initial=0.0))
 
 
+def assert_conjugated_end(end, spec, n, ref_basis=None):
+    """end is spec's end: B B* lies within 1e-12 of the projection onto the
+    MatrixSpan range of spec's spanning set (``ref_basis``, or that build's
+    basis), B = end.basis. The measured closure of B lies within
+    end.closure, which lies within atol_structure; where end.closure is the
+    certified bound, not the measured value, the dense closure lies within
+    it too."""
+    if ref_basis is None:
+        ref_basis = jones.expectation_projection(
+            jones.MatrixSpan(mats=tuple(jones.spanning_matrices(spec, n))), n).basis
+    assert end.spec is spec
+    assert numkit.frobenius(end.basis @ adj(end.basis) - ref_basis @ adj(ref_basis)) <= 1e-12
+    measured = jones._product_residual(end.basis, jones._members(end.basis, n))
+    assert measured <= end.closure <= end.big.tol.atol_structure
+    if end.closure != measured:
+        assert dense_closure(end.big, n, end.basis) <= end.closure
+
+
 class TestConjugatedEnd:
     """expectation_path builds a Conjugated end as Ad(u) of its base's shared
     end, with a certified closure bound in place of the product stack, and
-    falls back to the measured build of its spanning set wherever a bound
-    cannot settle."""
+    accepts it by the rule of every build; only a conjugated basis that is
+    not orthonormal falls back to the measured build of the spanning set."""
 
     @settings(max_examples=40, deadline=None)
     @given(conjugated_specs())
@@ -832,13 +864,22 @@ class TestConjugatedEnd:
                                         wraps=jones.expectation_projection) as built:
             end = jones.expectation_path(spec, spec, n).end0
         assert [call.args[0] for call in built.call_args_list] == [spec.base]
-        ref = jones.expectation_projection(
-            jones.MatrixSpan(mats=tuple(jones.spanning_matrices(spec, n))), n)
-        assert end.spec is spec
-        assert numkit.frobenius(end.basis @ adj(end.basis) - ref.basis @ adj(ref.basis)) <= 1e-12
-        measured = jones._product_residual(end.basis, jones._members(end.basis, n))
-        dense = dense_closure(end.big, n, end.basis)
-        assert max(dense, measured) <= end.closure <= end.big.tol.atol_structure
+        assert_conjugated_end(end, spec, n)
+
+    def test_a_large_end_measures_its_axioms_on_its_own_basis(self, caplog):
+        # above the CLI cap the axiom bounds of the conjugated end no longer
+        # settle; expectation_axioms then measures them on the conjugated
+        # basis, and only the diagonal base is built
+        n = 34
+        spec = jones.rotated_diagonal_spec(n, 0.3)
+        with unittest.mock.patch.object(jones, "expectation_projection",
+                                        wraps=jones.expectation_projection) as built:
+            with caplog.at_level(logging.DEBUG, logger="projgeo"):
+                end = jones.expectation_path(jones.diagonal_spec(n), spec, n).end1
+        assert [call.args[0] for call in built.call_args_list] == [jones.diagonal_spec(n)]
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "expectation axioms bound"]
+        assert_conjugated_end(end, spec, n)
 
     def test_no_product_stack_is_formed(self, monkeypatch):
         n = 6
@@ -889,8 +930,8 @@ class TestConjugatedEnd:
         monkeypatch.setattr(jones, "_conjugated_closure", lambda *args: value)
         spec = jones.rotated_diagonal_spec(6, 0.3)
         end = self.path_end(spec, 6, caplog)
-        ref = jones.expectation_projection(rotated_span(6, 0.3), 6)
-        assert np.array_equal(end.basis, ref.basis) and end.closure == ref.closure
+        assert end.closure == jones._product_residual(end.basis, jones._members(end.basis, 6))
+        assert_conjugated_end(end, spec, 6)
         assert [r.levelno for r in caplog.records] == [logging.DEBUG]
         assert caplog.records[0].getMessage().startswith("conjugated end closure bound: ")
 
@@ -898,15 +939,39 @@ class TestConjugatedEnd:
         real = jones._axiom_bounds
         monkeypatch.setattr(jones, "_axiom_bounds", lambda *args: (*real(*args)[:5], math.nan))
         spec = jones.rotated_diagonal_spec(6, 0.3)
-        jones._shared_end(spec.base, 6, pg.DEFAULT_TOL)  # its _axioms call is not counted
-        axioms = record(monkeypatch, jones, "_axioms")
+        jones._shared_end(spec.base, 6, pg.DEFAULT_TOL)  # its measurement is not counted
+        axioms = record(monkeypatch, jones, "expectation_axioms")
         end = self.path_end(spec, 6, caplog)
-        # the conjugated end's bounds do not settle, then the measured
-        # build's do not, and that build measures once
-        assert len(axioms) == 1 and [r.getMessage().split(":")[0] for r in caplog.records] == [
-            "expectation axioms bound"] * 2
-        ref = jones.expectation_projection(rotated_span(6, 0.3), 6)
-        assert np.array_equal(end.basis, ref.basis) and end.closure == ref.closure
+        # the conjugated end's bounds do not settle, and it measures once
+        [((big, n), _)] = axioms
+        assert big is end.big and n == 6
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "expectation axioms bound"]
+        assert_conjugated_end(end, spec, 6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(conjugated_specs(), st.floats(-14.0, -8.0), st.integers(0, 2**32 - 1))
+    def test_a_u_off_unitary_builds_as_the_matrix_span(self, drawn, exponent, seed):
+        # u perturbed off unitary by 10^exponent in Frobenius norm: the end
+        # keeps its conjugated basis, or it is the MatrixSpan build of the
+        # same matrices, and it raises exactly where that build raises
+        spec, n = drawn
+        real, imag = np.random.default_rng(seed).normal(size=(2, n, n))
+        noise = (real + 1j * imag) / np.linalg.norm(real + 1j * imag)
+        spec = jones.Conjugated(spec.base, spec.u + 10.0 ** exponent * noise)
+        span = jones.MatrixSpan(mats=tuple(jones.spanning_matrices(spec, n)))
+
+        def built(build):
+            try:
+                return build(), None
+            except (NotSubalgebra, InternalConsistencyError) as exc:
+                return None, type(exc)
+
+        ref, ref_error = built(lambda: jones.expectation_projection(span, n))
+        end, error = built(lambda: jones.expectation_path(spec, spec, n).end0)
+        assert error is ref_error
+        if end is not None:
+            assert_conjugated_end(end, spec, n, ref.basis)
 
     def test_a_base_that_is_not_compared_by_value_or_a_u_of_another_size_is_refused(self):
         with pytest.raises(TypeError, match="BlockPartition or a TensorFactor"):
@@ -926,3 +991,26 @@ class TestConjugatedEnd:
         assert spec.u[0, 0] == 1.0
         with pytest.raises(ValueError, match="read-only"):
             spec.u[0, 0] = 2.0
+
+
+def test_one_function_accepts_an_end():
+    # jones's source, parsed: NotSubalgebra is raised in one function, and
+    # the axiom certificate settles at one site, so a second copy of the rule
+    # that accepts an end cannot grow back unnoticed
+    raisers = []
+
+    def visit(node, function=None):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and getattr(
+                node.exc.func, "id", None) == "NotSubalgebra":
+            raisers.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    tree = modules()["jones"]
+    visit(tree)
+    assert raisers == ["_validated_end"]
+    sites = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value == "expectation axioms bound"]
+    assert len(sites) == 1, sites
