@@ -37,7 +37,8 @@ class FiniteAlgebra:
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
-        if any(int(b) != b or b < 1 for b in blocks):
+        # nan and +-inf first, as int() raises on them
+        if any(b != b or b in (math.inf, -math.inf) or int(b) != b or b < 1 for b in blocks):
             raise ValueError("block dimensions must be integers >= 1")
         object.__setattr__(self, "blocks", tuple(int(b) for b in blocks))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))

@@ -253,8 +253,10 @@ def _span_residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
 def _product_blocks(left: np.ndarray, right: np.ndarray):
     """Every product a @ b of n x n matrices, a in ``left`` and b in
     ``right``, in a-major order (the rows a @ right one after another), as
-    stacks of one broadcast matmul each. A block takes as many left factors
-    as keep it within ``_PRODUCT_BLOCK`` complex entries, and at least one."""
+    stacks of one broadcast matmul each: the kernel of every r^2 product
+    pass, the closure, the measured bimodule and the multiplicativity. A
+    block takes as many left factors as keep it within ``_PRODUCT_BLOCK``
+    complex entries, and at least one, a count set by ``right`` alone."""
     n = right.shape[-1]
     k = max(1, _PRODUCT_BLOCK // max(len(right) * n * n, 1))
     for i in range(0, len(left), k):
@@ -263,8 +265,7 @@ def _product_blocks(left: np.ndarray, right: np.ndarray):
 
 def _product_residual(basis: np.ndarray, members: np.ndarray) -> float:
     """Largest distance of a product a @ b of members from the span, one
-    :func:`_span_residuals` per block of :func:`_product_blocks`: memory
-    stays at one block, where all r^2 products at once take O(r^2 n^2)."""
+    :func:`_span_residuals` per block of :func:`_product_blocks`."""
     return float(numkit.worst(_span_residuals(basis, block).max()
                               for block in _product_blocks(members, members)))
 
@@ -312,22 +313,32 @@ def _validated_end(spec: SubalgebraSpec, n: int, tol: ToleranceProfile, basis: n
     passes the ``big`` it built from B); then the axioms of E = B B*, as
     the bounds of :func:`_axiom_bounds` read off those residuals. Where one
     cannot settle (site "expectation axioms bound"), one
-    :func:`expectation_axioms` pass measures every field, and the
-    InternalConsistencyError carries the largest."""
+    :func:`expectation_axioms` pass measures every field. A finite failure
+    that the bounds of the rounding alone (span and closure residuals set to
+    zero, site "expectation axioms rounding") settle is the admitted
+    residuals': NotSubalgebra names the axiom and them. Otherwise, a nan
+    included, the InternalConsistencyError carries the largest field."""
     atol = tol.atol_structure
     spans = _span_residuals(basis, np.concatenate([np.eye(n)[None], _adjoints(members)]))
     res = numkit.worst((spans.max(), closure))
-    if numkit.exceeds(res, atol):
-        raise NotSubalgebra(f"span is not a unital *-subalgebra (residual {res:.3e})")
-    if big is None:
-        big = projlat._from_orthonormal(basis, tol)
-    bounds = _axiom_bounds(basis, n, big.basis_residual, spans, closure)
-    if not numkit.settles("expectation axioms bound", atol, *bounds):
-        res = expectation_axioms(big, n).max()
-        if numkit.exceeds(res, atol):
+    why = f"residual {res:.3e}"
+    if not numkit.exceeds(res, atol):
+        if big is None:
+            big = projlat._from_orthonormal(basis, tol)
+        bounds = _axiom_bounds(basis, n, big.basis_residual, spans, closure)
+        found = {} if numkit.settles("expectation axioms bound", atol, *bounds) else vars(
+            expectation_axioms(big, n))
+        res = numkit.worst(found.values())
+        if not numkit.exceeds(res, atol):
+            return ExpectationProjection(big=big, spec=spec, closure=closure)
+        rounding = _axiom_bounds(basis, n, big.basis_residual, np.zeros_like(spans), 0.0)
+        if not (math.isfinite(res) and numkit.settles(
+                "expectation axioms rounding", atol, *rounding)):
             raise InternalConsistencyError(
                 f"expectation axioms fail on a validated subalgebra ({res:.3e})")
-    return ExpectationProjection(big=big, spec=spec, closure=closure)
+        field = next(name for name, value in found.items() if value == res)
+        why = f"{field} axiom {res:.3e}, span residual {spans.max():.3e}, closure {closure:.3e}"
+    raise NotSubalgebra(f"span is not a unital *-subalgebra ({why})")
 
 
 @dataclass(frozen=True)
@@ -339,8 +350,8 @@ class ExpectationAxioms:
 
     ``bimodule`` is the certified upper bound of :func:`_bimodule_bound`
     where :func:`numkit.settles` accepts it at ``atol_structure``; otherwise
-    it is the measured residual of the sandwich products. Every other field
-    is measured."""
+    it is measured over the products (a x) b and (a E(x)) b. Every other
+    field is measured."""
 
     idempotent: float
     unital: float
@@ -370,8 +381,8 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
     (:class:`ExpectationAxioms`); E equals ``big.m`` to rounding for every
     projection the library builds from orthonormal columns. E E - E = B M B*
     (M = G - 1, G = B* B) has the norm of the r x r matrix M G, both max
-    |s^2 (s^2 - 1)| over the singular values s of B. The closure residual
-    is taken over the member products in blocks of :func:`_product_blocks`,
+    |s^2 (s^2 - 1)| over the singular values s of B. The closure and a
+    measured bimodule take their products in blocks of :func:`_product_blocks`,
     and the test matrices are drawn once per n (:func:`_axiom_samples`).
     Raises DimensionMismatch unless ``big`` acts on the n^2-dimensional space.
 
@@ -405,15 +416,10 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
         math.sqrt(np.abs(np.diagonal(gram)).max(initial=0.0)), sigma, closure,
         x_norm, _rounding_terms(basis, n))
     if not numkit.settles("bimodule bound", big.tol.atol_structure, bimod):
-        # one left factor a at a time; a x b and a E(x) b come from one
-        # call, as the two halves of its stack
-        both = np.concatenate([xs, exs])
-
-        def bimodule(a) -> float:
-            prods = _sandwich(a, both, members).reshape(2, -1, n, n)
-            return operator_norm(_expect(basis, prods[0]) - prods[1])
-
-        bimod = numkit.worst(map(bimodule, members))
+        # (a x) b and (a E(x)) b: two streams in one order, blocked by the right stack
+        ax, aex = ((members[:, None] @ ys).reshape(-1, n, n) for ys in (xs, exs))
+        bimod = numkit.worst(operator_norm(_expect(basis, p) - q) for p, q in zip(
+            _product_blocks(ax, members), _product_blocks(aex, members)))
     return ExpectationAxioms(idempotent=idempotent, unital=unital, star=star,
                              trace=float(tr), bimodule=bimod, closure=closure)
 
@@ -441,8 +447,8 @@ def _bimodule_bound(basis: np.ndarray, members: np.ndarray, eps: float, mu: floa
                     sigma: float, closure: float, x_norm: float,
                     rounding: tuple[float, float]) -> float:
     """An upper bound of max ||E(a x b) - a E(x) b|| over the samples x and
-    the members a, b, for E = B B*, B = ``basis``, as the sandwich of
-    :func:`expectation_axioms` would measure it. It needs no product of members.
+    the members a, b, for E = B B*, B = ``basis``, as :func:`expectation_axioms`
+    would measure it over (a x) b and (a E(x)) b. It needs no product of members.
 
     The exact-arithmetic part is 2 (1 + eps)^3 mu X (sigma + sqrt(r)
     (1 + phi) kappa), with eps >= ||B* B - 1||, mu >= the largest member
@@ -497,14 +503,6 @@ def _axiom_bounds(basis: np.ndarray, n: int, eps: float, spans: np.ndarray,
                                float(sigma.max(initial=0.0)) + 2.0 * slack, closure,
                                x_norm, rounding)
     return idempotent, unital, star, trace, bimodule, closure
-
-
-def _sandwich(a: np.ndarray, ys: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """a y b for every y of the stack and every member b, y-major, by one
-    gemm (a y_1; ...; a y_k) @ [b_1 ... b_r]."""
-    n, r = a.shape[0], len(members)
-    prod = (a @ ys).reshape(-1, n) @ members.transpose(1, 0, 2).reshape(n, r * n)
-    return prod.reshape(-1, n, r, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
 
 
 @functools.lru_cache(maxsize=8)

@@ -25,8 +25,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import projgeo as pg
-from projgeo import geo, jones, numkit, projlat, sampling
-from projgeo.errors import NoGeodesic, NotProjection, RankMismatch, TooFar
+from projgeo import factor, geo, jones, numkit, projlat, sampling
+from projgeo.errors import (BadTrace, DimensionMismatch, InvariantViolation, NoGeodesic,
+                            NotProjection, NotSubalgebra, RankMismatch, TooFar)
 from projgeo.numkit import MAX_ATOL_SPECTRAL
 
 from _helpers import adj, conjugated_subalgebras
@@ -306,3 +307,106 @@ def test_the_geodesic_to_a_generic_conjugate_leaves_the_subalgebras():
     e = [(gamma @ np.diag(row).reshape(-1)).reshape(n, n) for row in np.eye(n, dtype=complex)]
     assert max(pg.operator_norm(e[i] @ e[j] - (i == j) * e[i])
                for i in range(n) for j in range(n)) > 1e-4
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _pair_at(angle):
+    p = pg.make_projection(np.diag([1.0, 0.0]))
+    v = np.array([math.cos(angle), math.sin(angle)])
+    return p, pg.make_projection(np.outer(v, v))
+
+
+TYPED_ERRORS = {  # id: (call, the exact type it raises)
+    "fractional-block": (lambda: pg.FiniteAlgebra((1.5,), (1.0,)), ValueError),
+    "unequal-lengths": (lambda: pg.FiniteAlgebra((2, 2), (1.0,)), ValueError),
+    "negative-weight": (lambda: pg.FiniteAlgebra((2, 2), (1.5, -0.5)), ValueError),
+    "inf-block": (lambda: pg.FiniteAlgebra((math.inf,), (1.0,)), ValueError),
+    "-inf-block": (lambda: pg.FiniteAlgebra((-math.inf,), (1.0,)), ValueError),
+    "nan-block": (lambda: pg.FiniteAlgebra((math.nan,), (1.0,)), ValueError),
+    "member-size": (lambda: factor.member_check(pg.FiniteAlgebra.full(3), np.eye(2)),
+                    DimensionMismatch),
+    "factored-size": (lambda: pg.NormalizedTrace(pg.FiniteAlgebra.full(3)).of_factored(
+        np.ones((2, 1)), np.ones(1)), DimensionMismatch),
+    "orthogonal-pair-in-two-blocks": (
+        lambda: factor.orthogonal_pair(pg.FiniteAlgebra((2, 2), (0.5, 0.5)), 0.25), ValueError),
+    "orthogonal-pair-past-half": (
+        lambda: factor.orthogonal_pair(pg.FiniteAlgebra.full(4), 0.75), BadTrace),
+    "multi-geodesics-not-orthogonal": (
+        lambda: factor.multi_geodesics(*_pair_at(0.3), 2, 2.0,
+                                       pg.NormalizedTrace(pg.FiniteAlgebra.full(2))),
+        InvariantViolation),
+    "curve-of-rectangles": (lambda: geo.curve_length(np.zeros((3, 2, 3))), DimensionMismatch),
+    "unknown-spec": (lambda: jones.check_size(object(), 2), TypeError),
+    "vector": (lambda: numkit.as_complex(np.zeros(3)), ValueError),
+    "empty-matrix": (lambda: numkit.as_complex(np.zeros((0, 0))), ValueError),
+    "log-of-a-non-unitary": (lambda: numkit.log_unitary_principal(2 * np.eye(2)), ValueError),
+    "span-of-a-3-d-array": (lambda: projlat.from_span(np.zeros((2, 2, 2))), ValueError),
+    "rank-past-n": (lambda: sampling.random_projection(3, 4, _rng()), ValueError),
+    "pair-in-M_1": (lambda: sampling.random_pair(1, _rng()), ValueError),
+}
+
+
+@pytest.mark.parametrize("call, error", TYPED_ERRORS.values(), ids=TYPED_ERRORS.keys())
+def test_an_invalid_argument_raises_its_typed_error(call, error):
+    # raise sites that no other test reaches; each raises exactly its type
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is error, repr(info.value)
+
+
+@st.composite
+def near_threshold_ends(draw):
+    """(build, n): a thunk that builds an end whose residuals lie near the
+    acceptance thresholds. "unit": the span of w m w* over a block partition
+    of M_n, or of w w* (the unit alone), with w a Haar u off unitary by
+    10^U(-10, -7.5), near atol_structure in the unit, adjoint and closure
+    residuals at once; "adjoint": span{1, p + i d h}, p a projection and h
+    Hermitian of unit norm, whose adjoint and closure residuals are about
+    d = 10^U(-10, -7.5) and its unit residual zero; "closure": span{1, p +
+    d h}, closed under adjoints, with closure residual about d; "unitary":
+    the path end Conjugated(base, u + e), ||e|| = 10^U(-15, -7.5), around
+    the 10 n g(n) test of ||u* u - 1||_F and past it."""
+    kind = draw(st.sampled_from(["unit", "adjoint", "closure", "unitary"]))
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = -15.0 if kind == "unitary" else -10.0
+    scale = 10.0 ** draw(st.floats(low, -7.5))
+
+    def unit_noise():
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return z / pg.operator_norm(z)
+
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    base = jones.BlockPartition(groups=tuple(
+        tuple(range(a, b)) for a, b in zip([0, *cuts], [*cuts, n])))
+    w = numkit.haar_unitary(n, rng) + scale * unit_noise()
+    if kind == "unitary":
+        spec = jones.Conjugated(base, w)
+        return (lambda: jones.expectation_path(spec, spec, n).end0), n
+    if kind == "unit":
+        mats = ((w @ adj(w),) if draw(st.booleans()) else
+                tuple(w @ m @ adj(w) for m in jones.spanning_matrices(base, n)))
+    else:
+        v = numkit.haar_unitary(n, rng)[:, :draw(st.integers(1, n - 1))]
+        h = unit_noise()
+        h = (h + adj(h)) / pg.operator_norm(h + adj(h))
+        perturbation = 1j * scale * h if kind == "adjoint" else scale * h
+        mats = (np.eye(n), v @ adj(v) + perturbation)
+    span = jones.MatrixSpan(mats=mats)
+    return (lambda: jones.expectation_projection(span, n)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_threshold_ends())
+def test_an_admitted_span_ends_built_or_not_a_subalgebra(drawn):
+    # near each threshold of the acceptance rule a span is refused as
+    # NotSubalgebra or built; InternalConsistencyError would be a bug
+    build, n = drawn
+    try:
+        end = build()
+    except NotSubalgebra:
+        return
+    assert end.n == n and end.closure <= end.big.tol.atol_structure

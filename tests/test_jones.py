@@ -1,4 +1,5 @@
 import ast
+import collections
 import json
 import logging
 import math
@@ -311,16 +312,21 @@ class TestBuildTimeAxiomCheck:
         monkeypatch.setattr(jones, "_axiom_samples", lifted)
         checks = record(monkeypatch, numkit, "bounded_norm")
         norms = record(monkeypatch, jones, "operator_norm")
+        real_blocks = jones._product_blocks
+        blocks = record(monkeypatch, jones, "_product_blocks")
         axioms.clear()
         ep = jones.expectation_projection(spec, 6)
         assert len(axioms) == 1 and ep.big.rank == 6
         # the Gram check of the range basis is the build's one bounded_norm;
         # the pass measures every field exactly: the idempotency, unit and
-        # star stacks, then one sandwich stack per member
+        # star stacks, then one stack per block of the bimodule products,
+        # whose two streams have AXIOM_SAMPLES left factors per member
         assert [np.shape(args[0]) for args, _ in checks] == [(6, 6)]
         found = axioms[0][1]
         values = [value for _, value in norms]
-        assert len(values) == 3 + 6
+        streams = [args for args, _ in blocks if len(args[0]) == jones.AXIOM_SAMPLES * 6]
+        assert len(streams) == 2
+        assert len(values) == 3 + len(list(real_blocks(*streams[0])))
         assert [found.idempotent, found.unital, found.star] == values[:3]
         assert found.bimodule == max(values[3:])
         monkeypatch.undo()
@@ -665,14 +671,17 @@ class TestBimoduleBound:
             yield f"quarter turn t={t}", point, 2
 
     def test_open_spans_measure_the_sandwich(self, monkeypatch, caplog):
-        sandwiches = record(monkeypatch, jones, "_sandwich")
+        blocks = record(monkeypatch, jones, "_product_blocks")
         for name, big, n in self.open_spans():
-            sandwiches.clear()
+            blocks.clear()
             with caplog.at_level(logging.DEBUG, logger="projgeo"):
                 caplog.clear()
                 got = jones.expectation_axioms(big, n).bimodule
             ref = dense_axioms(big, n, big.basis)["bimodule"]
-            assert len(sandwiches) == big.basis.shape[1], name
+            # the closure, then the two streams (a x) b and (a E(x)) b
+            r = big.basis.shape[1]
+            assert [tuple(map(len, args)) for args, _ in blocks] == [
+                (r, r), (jones.AXIOM_SAMPLES * r, r), (jones.AXIOM_SAMPLES * r, r)], name
             assert abs(got - ref) <= 1e-14 * max(1.0, ref), name
             assert ref > big.tol.atol_structure, name
             assert [r.levelno for r in caplog.records] == [logging.DEBUG], name
@@ -1014,3 +1023,22 @@ def test_one_function_accepts_an_end():
     sites = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and node.value == "expectation axioms bound"]
     assert len(sites) == 1, sites
+
+
+def test_a_span_the_rule_admits_is_built_or_not_a_subalgebra():
+    # the unit C 1 of M_2 spanned by v v*, v a Haar u off unitary by
+    # 10^U(-14, -8): where the admitted span and closure residuals, about
+    # 1e-8, carry the measured bimodule axiom over atol_structure, the
+    # rounding alone settles and the span is refused, not a fault
+    rng = np.random.default_rng(0)
+    outcomes = collections.Counter()
+    for _ in range(600):
+        u = numkit.haar_unitary(2, rng)
+        e = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        v = u + 10.0 ** rng.uniform(-14, -8) / numkit.operator_norm(e) * e
+        try:
+            jones.expectation_projection(jones.MatrixSpan((v @ adj(v),)), 2)
+            outcomes["built"] += 1
+        except (NotSubalgebra, InternalConsistencyError) as exc:
+            outcomes[type(exc).__name__] += 1
+    assert outcomes == {"built": 571, "NotSubalgebra": 29}
