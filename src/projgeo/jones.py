@@ -312,12 +312,12 @@ def _validated_end(spec: SubalgebraSpec, n: int, tol: ToleranceProfile, basis: n
     the Gram of B (:func:`projlat._from_orthonormal`, unless the caller
     passes the ``big`` it built from B); then the axioms of E = B B*, as
     the bounds of :func:`_axiom_bounds` read off those residuals. Where one
-    cannot settle (site "expectation axioms bound"), one
-    :func:`expectation_axioms` pass measures every field. A finite failure
-    that the bounds of the rounding alone (span and closure residuals set to
-    zero, site "expectation axioms rounding") settle is the admitted
-    residuals': NotSubalgebra names the axiom and them. Otherwise, a nan
-    included, the InternalConsistencyError carries the largest field."""
+    cannot settle (site "expectation axioms bound"), :func:`_axioms` measures
+    every field from them. A finite failure that the bounds of the rounding
+    alone (span and closure residuals set to zero, site "expectation axioms
+    rounding") settle is the admitted residuals': NotSubalgebra names the
+    axiom and them. Otherwise, a nan included, the InternalConsistencyError
+    carries the largest field."""
     atol = tol.atol_structure
     spans = _span_residuals(basis, np.concatenate([np.eye(n)[None], _adjoints(members)]))
     res = numkit.worst((spans.max(), closure))
@@ -327,7 +327,7 @@ def _validated_end(spec: SubalgebraSpec, n: int, tol: ToleranceProfile, basis: n
             big = projlat._from_orthonormal(basis, tol)
         bounds = _axiom_bounds(basis, n, big.basis_residual, spans, closure)
         found = {} if numkit.settles("expectation axioms bound", atol, *bounds) else vars(
-            expectation_axioms(big, n))
+            _axioms(big, n, members, spans, closure))
         res = numkit.worst(found.values())
         if not numkit.exceeds(res, atol):
             return ExpectationProjection(big=big, spec=spec, closure=closure)
@@ -348,10 +348,10 @@ class ExpectationAxioms:
     invariance, the bimodule property over the range algebra, and
     closure of the range under products.
 
-    ``bimodule`` is the certified upper bound of :func:`_bimodule_bound`
-    where :func:`numkit.settles` accepts it at ``atol_structure``; otherwise
-    it is measured over the products (a x) b and (a E(x)) b. Every other
-    field is measured."""
+    ``bimodule`` is the certified upper bound of :func:`_axiom_bounds` where
+    :func:`numkit.settles` accepts it at ``atol_structure``; otherwise it is
+    measured over the products (a x) b and (a E(x)) b. Every other field is
+    measured."""
 
     idempotent: float
     unital: float
@@ -375,16 +375,11 @@ def _adjoints(mats: np.ndarray) -> np.ndarray:
 
 def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
     """Measure the conditional-expectation axioms of E = B B* on HS(M_n),
-    B = ``big.basis`` (n^2 x r, orthonormal), applied as :func:`_expect`,
-    against the range algebra B spans, each norm field an exact
-    :func:`numkit.operator_norm` except the certified ``bimodule``
-    (:class:`ExpectationAxioms`); E equals ``big.m`` to rounding for every
-    projection the library builds from orthonormal columns. E E - E = B M B*
-    (M = G - 1, G = B* B) has the norm of the r x r matrix M G, both max
-    |s^2 (s^2 - 1)| over the singular values s of B. The closure and a
-    measured bimodule take their products in blocks of :func:`_product_blocks`,
-    and the test matrices are drawn once per n (:func:`_axiom_samples`).
-    Raises DimensionMismatch unless ``big`` acts on the n^2-dimensional space.
+    B = ``big.basis`` (n^2 x r, orthonormal), against the range algebra B
+    spans: its unit and adjoint span residuals and its closure residual, then
+    every field by :func:`_axioms`. E equals ``big.m`` to rounding for every
+    projection the library builds from orthonormal columns. Raises
+    DimensionMismatch unless ``big`` acts on the n^2-dimensional space.
 
     At an interior point of an :class:`ExpectationPath` the ``closure`` and
     ``bimodule`` fields are measurements of the path, not checks: the range
@@ -396,11 +391,23 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
             f"projection acts on dimension {big.n}, not n^2 = {n * n} for n = {n}")
     basis = big.basis
     members = _members(basis, n)
-    closure = _product_residual(basis, members)
-    r = basis.shape[1]
+    spans = _span_residuals(basis, np.concatenate([np.eye(n)[None], _adjoints(members)]))
+    return _axioms(big, n, members, spans, _product_residual(basis, members))
+
+
+def _axioms(big: Projection, n: int, members: np.ndarray, spans: np.ndarray,
+            closure: float) -> ExpectationAxioms:
+    """The :class:`ExpectationAxioms` of E = B B*, B = ``big.basis``, applied
+    as :func:`_expect`, from its ``members``, their unit and adjoint ``spans``
+    residuals and the product residual ``closure``, returned as given; each
+    norm an exact :func:`numkit.operator_norm`. E E - E = B M B* (M = G - 1,
+    G = B* B) has the norm of the r x r matrix M G. A measured bimodule takes
+    its products from :func:`_product_blocks`."""
+    basis = big.basis
     gram = adjoint(basis) @ basis
-    idempotent = operator_norm((gram - np.eye(r)) @ gram)
-    xs, x_norm = _axiom_samples(n)
+    residual = gram - np.eye(basis.shape[1])
+    idempotent = operator_norm(residual @ gram)
+    xs = _axiom_samples(n)[0]
     exs = _expect(basis, xs)
     eye = np.eye(n, dtype=np.complex128)
 
@@ -410,11 +417,7 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
     # hypot is abs() of each complex scalar bit for bit; np.abs of a complex
     # array can differ from it in the last bit
     tr = (np.hypot(dtr.real, dtr.imag) / n).max()
-    sigma = _span_residuals(basis, _adjoints(members)).max(initial=0.0)
-    bimod = _bimodule_bound(
-        basis, members, numkit.frobenius(gram - np.eye(r)),
-        math.sqrt(np.abs(np.diagonal(gram)).max(initial=0.0)), sigma, closure,
-        x_norm, _rounding_terms(basis, n))
+    bimod = _axiom_bounds(basis, n, numkit.frobenius(residual), spans, closure)[4]
     if not numkit.settles("bimodule bound", big.tol.atol_structure, bimod):
         # (a x) b and (a E(x)) b: two streams in one order, blocked by the right stack
         ax, aex = ((members[:, None] @ ys).reshape(-1, n, n) for ys in (xs, exs))
@@ -426,7 +429,7 @@ def expectation_axioms(big: Projection, n: int) -> ExpectationAxioms:
 
 def _rounding_terms(basis: np.ndarray, n: int) -> tuple[float, float]:
     """(g(nu), beta (g(N_col) + g(N_row))), the rounding terms of
-    :func:`_bimodule_bound` for the n^2 x r ``basis`` B, from one nonzero
+    :func:`_axiom_bounds` for the n^2 x r ``basis`` B, from one nonzero
     mask and one |B|: g = :func:`numkit.complex_dot_error`, nu the most
     nonzeros in a row or column of a member, N_col and N_row the most in a
     column and in a row of B, and beta = sqrt(||B||_1 ||B||_inf) >= || |B| ||.
@@ -443,65 +446,46 @@ def _rounding_terms(basis: np.ndarray, n: int) -> tuple[float, float]:
     return g(nu), beta * (g(n_col) + g(n_row))
 
 
-def _bimodule_bound(basis: np.ndarray, members: np.ndarray, eps: float, mu: float,
-                    sigma: float, closure: float, x_norm: float,
-                    rounding: tuple[float, float]) -> float:
-    """An upper bound of max ||E(a x b) - a E(x) b|| over the samples x and
-    the members a, b, for E = B B*, B = ``basis``, as :func:`expectation_axioms`
-    would measure it over (a x) b and (a E(x)) b. It needs no product of members.
-
-    The exact-arithmetic part is 2 (1 + eps)^3 mu X (sigma + sqrt(r)
-    (1 + phi) kappa), with eps >= ||B* B - 1||, mu >= the largest member
-    norm ||m_k||_F, X = ``x_norm`` the largest ||x||_F, sigma the largest
-    member-adjoint residual ||(1 - E) m_k*||_F as measured, phi the largest
-    ||B* m_k*||_1 and kappa the product residual ``closure`` (README.md
-    derives it). The rounding of the measurement adds (1 + eps) mu^2 X
-    (4 g(nu) + 2 beta (g(N_col) + g(N_row))), from the counts of
-    :func:`_rounding_terms`."""
-    r, rows, cols = members.shape
-    phi = np.abs(adjoint(basis) @ _adjoints(members).reshape(r, rows * cols).T).sum(
-        axis=0).max(initial=0.0)
-    exact = 2.0 * (1.0 + eps) ** 3 * mu * x_norm * (
-        sigma + math.sqrt(r) * (1.0 + phi) * closure)
-    g_nu, apply = rounding
-    return float(exact + (1.0 + eps) * mu * mu * x_norm * (4.0 * g_nu + 2.0 * apply))
-
-
 def _axiom_bounds(basis: np.ndarray, n: int, eps: float, spans: np.ndarray,
                   closure: float) -> tuple[float, ...]:
     """Upper bounds of the six fields of :func:`expectation_axioms`
     (idempotent, unital, star, trace, bimodule, closure) at the n^2 x r ``basis`` B, from
-    numbers its build measured: eps = ||B* B - 1||, ``spans`` = the span
+    numbers its build measured: eps >= ||B* B - 1||, ``spans`` = the span
     residuals rho_1 of the unit and sigma_k of the member adjoints m_k*
     (:func:`_span_residuals`, in that order), and the product residual
-    ``closure``, with X the largest sample norm (:func:`_axiom_samples`).
+    ``closure`` = kappa, with X the largest sample norm (:func:`_axiom_samples`).
     In exact arithmetic, for eps < 1/2 and P = B B*: idempotent <= eps (1 +
     eps); unital <= rho_1; trace <= rho_1 X / n, as tr(P x) - tr x =
     <P 1 - 1, x>; star <= X ||P - J P J|| <= X (2 eps + (||sigma||_2 +
-    eps sqrt(1 + eps)) / sqrt(1 - eps)), J(x) = x*; bimodule by
-    :func:`_bimodule_bound`; closure = kappa. Each adds the rounding of the
-    measurement it replaces and of the residuals it reads, in the model of
-    :func:`_bimodule_bound` (README.md, "The expectation axiom certificate"),
-    with eps <= 1/4 as :func:`projlat._from_orthonormal` accepted it."""
+    eps mu) / sqrt(1 - eps)), J(x) = x*, mu = sqrt(1 + eps) >= ||m_k||_F;
+    bimodule <= 2 (1 + eps)^3 mu X (max sigma_k + sqrt(r) (1 + phi) kappa),
+    phi the largest ||B* m_k*||_1; closure = kappa. Each adds the rounding of
+    the measurement it replaces and of the residuals it reads, with the
+    counts of :func:`_rounding_terms` (README.md, "The expectation axiom
+    certificate"). Every bound is inf unless eps < 1/2, a nan included."""
+    if not eps < 0.5:
+        return (math.inf,) * 6
     r = basis.shape[1]
     g = numkit.complex_dot_error
     x_norm = _axiom_samples(n)[1]
-    rounding = _rounding_terms(basis, n)
-    delta = (1.0 + eps) * rounding[1]  # one E v, per ||v||_F
-    # a span residual of a vector of norm at most sqrt(1 + eps) rounds by at
-    # most slack; a second measurement of it lies within 2 slack
-    slack = math.sqrt(1.0 + eps) * delta
+    g_nu, apply = _rounding_terms(basis, n)
+    mu = math.sqrt(1.0 + eps)
+    delta = (1.0 + eps) * apply  # one E v, per ||v||_F
+    # a span residual of a vector of norm at most mu rounds by at most
+    # slack; a second measurement of it lies within 2 slack
+    slack = mu * delta
     rho, sigma = float(spans[0]), spans[1:]
     root_n = math.sqrt(n)
     idempotent = eps * (1.0 + eps) * (1.0 + r * g(r)) + 3.0 * delta
     unital = rho + 2.0 * root_n * delta
     trace = x_norm * (unital + 2.0 * root_n * (1.0 + eps) * g(n)) / n
     sigma_2 = math.hypot(*sigma) + math.sqrt(r) * slack
-    star = x_norm * (2.0 * eps + 2.0 * delta + (
-        sigma_2 + eps * math.sqrt(1.0 + eps)) / math.sqrt(1.0 - eps))
-    bimodule = _bimodule_bound(basis, _members(basis, n), eps, math.sqrt(1.0 + eps),
-                               float(sigma.max(initial=0.0)) + 2.0 * slack, closure,
-                               x_norm, rounding)
+    star = x_norm * (2.0 * eps + 2.0 * delta + (sigma_2 + eps * mu) / math.sqrt(1.0 - eps))
+    phi = np.abs(adjoint(basis) @ _adjoints(_members(basis, n)).reshape(r, n * n).T).sum(
+        axis=0).max(initial=0.0)
+    exact = 2.0 * (1.0 + eps) ** 3 * mu * x_norm * (
+        float(sigma.max(initial=0.0)) + 2.0 * slack + math.sqrt(r) * (1.0 + phi) * closure)
+    bimodule = float(exact + (1.0 + eps) * mu * mu * x_norm * (4.0 * g_nu + 2.0 * apply))
     return idempotent, unital, star, trace, bimodule, closure
 
 
@@ -551,17 +535,17 @@ def jones_pair(m: int, k: int, tol: ToleranceProfile = DEFAULT_TOL) -> JonesPair
     n = k * m
     tau = 1.0 / m
     theta = math.acos(math.sqrt(tau))
+    even = 2 * np.arange(k)
     pm = np.zeros((n, n), dtype=np.complex128)
     qm = np.zeros((n, n), dtype=np.complex128)
-    for j in range(k):
-        v = np.zeros(n, dtype=np.complex128)
-        v[2 * j] = math.cos(theta)
-        v[2 * j + 1] = math.sin(theta)
-        pm[2 * j, 2 * j] = 1.0
-        qm += np.outer(v, v.conj())
+    pm[even, even] = 1.0
+    v = (math.cos(theta), math.sin(theta))  # q projects onto v_0 f_2j + v_1 f_2j+1
+    for (i, j), entry in np.ndenumerate(np.outer(v, v)):
+        qm[even + i, even + j] = entry
     p = projlat.make_projection(pm, tol)
     q = projlat.make_projection(qm, tol)
-    if numkit.exceeds(numkit.bounded_norm(pm @ qm @ pm - tau * pm, 1e-10), 1e-10):
+    c = adjoint(p.basis) @ q.basis  # p q p - tau p = P (C C* - tau) P*, C = P* Q
+    if numkit.exceeds(numkit.bounded_norm(c @ adjoint(c) - tau * np.eye(k), 1e-10), 1e-10):
         raise InternalConsistencyError("angle relation p q p = tau p fails")
     ranks = projlat.position(p, q).ranks()
     if ranks != (0, n - 2 * k, 0, 0, 2 * k):
@@ -821,6 +805,14 @@ def _rk4_coordinates(path: ExpectationPath, x0, steps: int):
     return x, v, zw, adjoint(v) @ x, k
 
 
+def _squarings(k: np.ndarray):
+    """K_i = S^{2^i} - 1 for ``k`` = S - 1, lazily: K_0 = k, K_{i+1} = K_i (K_i + 2)."""
+    two = 2.0 * np.eye(len(k))
+    while True:
+        yield k
+        k = k @ (k + two)
+
+
 def transport_ode_solve(path: ExpectationPath, x0, steps: int):
     """Integrate the parallel transport equation with fixed-step RK4.
 
@@ -846,19 +838,17 @@ def transport_ode_solve(path: ExpectationPath, x0, steps: int):
     transported matrices at steps + 1 uniform points. Raises
     DimensionMismatch unless x0 is n x n.
     """
-    x, v, zw, y0, power = _rk4_coordinates(path, x0, steps)
-    two = 2.0 * np.eye(zw.size)
+    x, v, zw, y0, k = _rk4_coordinates(path, x0, steps)
     rotated = np.empty((steps + 1, zw.size), dtype=np.complex128)
     rotated[0] = y0
     done = 1
-    while True:
+    for power in _squarings(k):
         more = min(done, steps + 1 - done)
         head = rotated[:more]
         np.add(head, head @ power.T, out=rotated[done:done + more])
         done += more
         if done > steps:
             break
-        power = power @ (power + two)
     times = np.linspace(0.0, 1.0, steps + 1)
     coords = np.exp(np.outer(times, zw)) * rotated
     states = (x - v @ y0) + coords @ v.T
@@ -873,16 +863,14 @@ def transport_ode_endpoint(path: ExpectationPath, x0, steps: int) -> np.ndarray:
     power and one state, so memory does not grow with steps; a single
     vector goes through BLAS gemv where the solve's rows go through gemm,
     so the two agree to rounding, not bit for bit."""
-    x, v, zw, y0, power = _rk4_coordinates(path, x0, steps)
-    two = 2.0 * np.eye(zw.size)
+    x, v, zw, y0, k = _rk4_coordinates(path, x0, steps)
     y, bits = y0, steps
-    while True:
+    for power in _squarings(k):
         if bits & 1:
             y = y + y @ power.T
         bits >>= 1
         if not bits:
             break
-        power = power @ (power + two)
     state = (x - v @ y0) + (np.exp(zw) * y) @ v.T
     return state.reshape(path.n, path.n)
 

@@ -32,6 +32,20 @@ class TestJonesPair:
         assert tr(jp.p.m).real == pytest.approx(jp.tau)
         assert tr(jp.q.m).real == pytest.approx(jp.tau)
 
+    @pytest.mark.parametrize("m,k", [(2, 1), (3, 2), (4, 2), (7, 5), (2, 40)])
+    def test_blocks_equal_the_sum_of_outer_products(self, m, k):
+        # the reference: p and q summed from one dense outer product per vector
+        n, theta = m * k, math.acos(math.sqrt(1.0 / m))
+        pm, qm = np.zeros((2, n, n), dtype=np.complex128)
+        for j in range(k):
+            v = np.zeros(n, dtype=np.complex128)
+            v[2 * j], v[2 * j + 1] = math.cos(theta), math.sin(theta)
+            pm[2 * j, 2 * j] = 1.0
+            qm += np.outer(v, v.conj())
+        jp = jones.jones_pair(m, k)
+        assert np.array_equal(jp.p.m, pg.make_projection(pm).m)
+        assert np.array_equal(jp.q.m, pg.make_projection(qm).m)
+
     def test_angles_all_equal(self):
         jp = jones.jones_pair(3, 2)
         expected = np.arccos(1 / np.sqrt(3))
@@ -171,6 +185,14 @@ def record(monkeypatch, owner, name):
     return calls
 
 
+def nan_bimodule(monkeypatch):
+    """Make the bimodule bound of jones._axiom_bounds nan, so that it never
+    settles and the field is measured."""
+    real = jones._axiom_bounds
+    monkeypatch.setattr(jones, "_axiom_bounds", lambda *args: (
+        *real(*args)[:4], math.nan, real(*args)[5]))
+
+
 def dense_axioms(big, n, basis) -> dict:
     """The axiom residuals of the dense n^2 x n^2 matrix big.m, one matrix at
     a time, over the members that the columns of ``basis`` give."""
@@ -294,14 +316,14 @@ class TestBuildTimeAxiomCheck:
         assert [np.shape(args[0]) for args, _ in svds] == [(36, 6)]
 
     def test_exact_check_decides_above_the_bound_tolerance(self, monkeypatch):
-        axioms = record(monkeypatch, jones, "expectation_axioms")
+        axioms = record(monkeypatch, jones, "_axioms")
         spec = jones.rotated_diagonal_spec(6, 0.3)
         jones.expectation_projection(spec, 6)
         assert axioms == []  # the build's certificate settles every field
         # the sample norm X now reads 1e9 times its value: it lifts the
         # certificate's star, trace and bimodule bounds over atol_structure,
-        # so the one expectation_axioms pass runs, and its bimodule bound,
-        # built from X, exceeds it too. The span residuals, Frobenius norms of
+        # so _axioms measures every field, and its bimodule bound, the same
+        # bound, exceeds it too. The span residuals, Frobenius norms of
         # rows that the subalgebra check reads, are left as measured
         real = jones._axiom_samples
 
@@ -340,17 +362,17 @@ class TestBuildTimeAxiomCheck:
         # (e12 e21 = e11); with the closure check disabled the build reaches
         # the axiom check, which fails on the bimodule property. The faked
         # closure 0 would let the bimodule bound settle, so the bound is
-        # made nan, which sends the field to the measured sandwich
+        # made nan, which sends the field to the measured products
         e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
         spec = jones.MatrixSpan(mats=(np.eye(2), e12, e12.T))
         with pytest.raises(NotSubalgebra):
             jones.expectation_projection(spec, 2)
         monkeypatch.setattr(jones, "_product_residual", lambda basis, members: 0.0)
-        monkeypatch.setattr(jones, "_bimodule_bound", lambda *args: math.nan)
-        axioms = record(monkeypatch, jones, "expectation_axioms")
+        nan_bimodule(monkeypatch)
+        axioms = record(monkeypatch, jones, "_axioms")
         with pytest.raises(InternalConsistencyError) as info:
             jones.expectation_projection(spec, 2)
-        [((big, n), found)] = axioms
+        [((big, n, *_), found)] = axioms
         assert n == 2
         exact = jones.expectation_axioms(big, 2)  # every field measured
         ref = dense_axioms(big, 2, big.basis)["bimodule"]
@@ -409,8 +431,8 @@ class TestExpectationPath:
                 assert ref <= ax.bimodule <= big.tol.atol_structure
             else:
                 assert abs(getattr(ax, name) - ref) <= 1e-14 * max(1.0, ref), name
-        # past the bound, the sandwich measures what the loop measures
-        monkeypatch.setattr(jones, "_bimodule_bound", lambda *args: math.nan)
+        # past the bound, the blocked products measure what the loop measures
+        nan_bimodule(monkeypatch)
         exact = jones.expectation_axioms(big, n).bimodule
         assert abs(exact - refs["bimodule"]) <= 1e-14 * max(1.0, refs["bimodule"])
 
@@ -766,7 +788,7 @@ class TestAxiomCertificate:
             HAAR_4 @ m @ adj(HAAR_4) for m in jones.spanning_matrices(jones.TensorFactor(2, 2), 4))), 4),
     ])
     def test_a_normal_build_measures_and_logs_nothing(self, spec, n, monkeypatch, caplog):
-        axioms = record(monkeypatch, jones, "expectation_axioms")
+        axioms = record(monkeypatch, jones, "_axioms")
         with caplog.at_level(logging.DEBUG, logger="projgeo"):
             jones.expectation_projection(spec, n)
         assert axioms == [] and caplog.records == []
@@ -781,17 +803,26 @@ class TestAxiomCertificate:
             return tuple(value if f == field else b for f, b in zip(FIELDS, real(*args)))
 
         monkeypatch.setattr(jones, "_axiom_bounds", unsettled)
-        axioms = record(monkeypatch, jones, "expectation_axioms")
+        axioms = record(monkeypatch, jones, "_axioms")
+        products = record(monkeypatch, jones, "_product_residual")
+        spans = record(monkeypatch, jones, "_span_residuals")
         atol = pg.DEFAULT_TOL.atol_structure
         with caplog.at_level(logging.DEBUG, logger="projgeo"):
             ep = jones.expectation_projection(jones.rotated_diagonal_spec(6, 0.3), 6)
         [(args, found)] = axioms
-        assert args == (ep.big, 6)
+        assert args[:2] == (ep.big, 6)
+        # one closure pass, and one span pass of the unit and the six member
+        # adjoints (the closure's blocks take the other span residuals)
+        assert len(products) == 1
+        assert [len(args[1]) for args, _ in spans].count(1 + ep.big.rank) == 1
         assert found.closure == ep.closure == jones._product_residual(
             ep.basis, jones._members(ep.basis, 6))
         assert found.max() <= atol
-        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
-        assert caplog.records[0].getMessage().startswith("expectation axioms bound: ")
+        # _axioms takes its bimodule bound from _axiom_bounds too, so an
+        # unsettled bimodule bound writes a second record there
+        sites = ["expectation axioms bound"] + ["bimodule bound"] * (field == "bimodule")
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * len(sites)
+        assert [r.getMessage().split(": ")[0] for r in caplog.records] == sites
 
     @settings(max_examples=40, deadline=None)
     @given(unital_subalgebras())
@@ -802,19 +833,50 @@ class TestAxiomCertificate:
         g_nu, apply = jones._rounding_terms(basis, n)
         ref_nu, ref_twice = reference_rounding(basis, members)
         assert g_nu == ref_nu and 2.0 * apply == ref_twice
-        # the public field, settled, is the bound with the former counts
+        # the public field, settled, is the bound with the former counts, fed
+        # mu = sqrt(1 + eps) and sigma with its re-measurement slack
         gram = adj(basis) @ basis
         eps = numkit.frobenius(gram - np.eye(basis.shape[1]))
-        mu = math.sqrt(np.abs(np.diagonal(gram)).max(initial=0.0))
-        sigma = jones._span_residuals(basis, jones._adjoints(members)).max(initial=0.0)
+        mu = math.sqrt(1.0 + eps)
+        slack = mu * ((1.0 + eps) * (ref_twice / 2.0))
+        spans = jones._span_residuals(
+            basis, np.concatenate([np.eye(n)[None], jones._adjoints(members)]))
+        sigma = spans[1:].max(initial=0.0)
         x_norm = numkit.frobenius(jones._axiom_samples(n)[0]).max(initial=0.0)
         phi = np.abs(adj(basis) @ jones._adjoints(members).reshape(len(members), -1).T).sum(
             axis=0).max(initial=0.0)
         closure = jones._product_residual(basis, members)
         exact = 2.0 * (1.0 + eps) ** 3 * mu * x_norm * (
-            sigma + math.sqrt(len(members)) * (1.0 + phi) * closure)
+            sigma + 2.0 * slack + math.sqrt(len(members)) * (1.0 + phi) * closure)
         ref = float(exact + (1.0 + eps) * mu * mu * x_norm * (4.0 * ref_nu + ref_twice))
         assert jones.expectation_axioms(big, n).bimodule == ref
+
+
+@pytest.mark.parametrize("eps", [0.7, 1.5, math.nan])
+def test_axiom_bounds_are_inf_unless_eps_is_below_one_half(eps):
+    # the diagonal of M_2, whose residuals alone would settle every bound
+    basis = jones.expectation_projection(jones.diagonal_spec(2), 2).basis
+    members = jones._members(basis, 2)
+    spans = jones._span_residuals(
+        basis, np.concatenate([np.eye(2)[None], jones._adjoints(members)]))
+    closure = jones._product_residual(basis, members)
+    assert max(jones._axiom_bounds(basis, 2, 0.0, spans, closure)) < 1e-13
+    assert jones._axiom_bounds(basis, 2, eps, spans, closure) == (math.inf,) * 6
+
+
+def test_axioms_of_a_basis_off_orthonormal_are_measured(caplog):
+    # a Projection made directly from 1.5 times an orthonormal basis: ||G - 1||_F
+    # is 1.25 sqrt(3), so no bound holds and every field is measured
+    basis = 1.5 * jones.expectation_projection(jones.rotated_diagonal_spec(3, 0.3), 3).basis
+    big = projlat.Projection(basis=basis, tol=pg.DEFAULT_TOL)
+    with caplog.at_level(logging.DEBUG, logger="projgeo"):
+        report = jones.expectation_axioms(big, 3)
+    assert all(map(math.isfinite, vars(report).values()))
+    ref = dense_axioms(big, 3, basis)
+    for name, value in ref.items():
+        assert abs(getattr(report, name) - value) <= 1e-13 * max(1.0, value), name
+    assert [r.getMessage().split(": ")[0] for r in caplog.records] == ["bimodule bound"]
+    assert caplog.records[0].getMessage().startswith("bimodule bound: inf")
 
 
 def test_a_rank_zero_projection_reports_its_axioms():
@@ -876,9 +938,10 @@ class TestConjugatedEnd:
         assert_conjugated_end(end, spec, n)
 
     def test_a_large_end_measures_its_axioms_on_its_own_basis(self, caplog):
-        # above the CLI cap the axiom bounds of the conjugated end no longer
-        # settle; expectation_axioms then measures them on the conjugated
-        # basis, and only the diagonal base is built
+        # above the CLI cap the bimodule bound of the conjugated end no longer
+        # settles; _axioms then measures the fields on the conjugated basis,
+        # the bimodule from its products after its own record, and only the
+        # diagonal base is built
         n = 34
         spec = jones.rotated_diagonal_spec(n, 0.3)
         with unittest.mock.patch.object(jones, "expectation_projection",
@@ -887,7 +950,7 @@ class TestConjugatedEnd:
                 end = jones.expectation_path(jones.diagonal_spec(n), spec, n).end1
         assert [call.args[0] for call in built.call_args_list] == [jones.diagonal_spec(n)]
         assert [r.getMessage().split(":")[0] for r in caplog.records] == [
-            "expectation axioms bound"]
+            "expectation axioms bound", "bimodule bound"]
         assert_conjugated_end(end, spec, n)
 
     def test_no_product_stack_is_formed(self, monkeypatch):
@@ -949,10 +1012,10 @@ class TestConjugatedEnd:
         monkeypatch.setattr(jones, "_axiom_bounds", lambda *args: (*real(*args)[:5], math.nan))
         spec = jones.rotated_diagonal_spec(6, 0.3)
         jones._shared_end(spec.base, 6, pg.DEFAULT_TOL)  # its measurement is not counted
-        axioms = record(monkeypatch, jones, "expectation_axioms")
+        axioms = record(monkeypatch, jones, "_axioms")
         end = self.path_end(spec, 6, caplog)
         # the conjugated end's bounds do not settle, and it measures once
-        [((big, n), _)] = axioms
+        [((big, n, *_), _)] = axioms
         assert big is end.big and n == 6
         assert [r.getMessage().split(":")[0] for r in caplog.records] == [
             "expectation axioms bound"]
